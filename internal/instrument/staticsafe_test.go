@@ -7,6 +7,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/ctypes"
 	"repro/internal/mir"
+	"repro/internal/progen"
 )
 
 func compileStatic(t *testing.T, src string) *mir.Program {
@@ -201,5 +202,32 @@ int main() {
 	}
 	if nBounds > 0 && nType == 0 {
 		t.Errorf("bounds check kept (%d) but its producing type check deleted", nBounds)
+	}
+}
+
+// BenchmarkStaticElide measures the static safety pass alone — the
+// interprocedural analysis plus deletion — on one program of the
+// benchmark's compile-workload shape (large, analysis-dominated).
+func BenchmarkStaticElide(b *testing.B) {
+	src := progen.Generate(3, progen.Options{
+		Types: 4, Funcs: 2, Rounds: 256, Diamonds: 4, Interior: true, StaticSafe: true,
+	})
+	prog, err := cc.Compile(src, ctypes.NewTable())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Variant: Full, StaticEntry: "main"}
+	inserted := prog.Clone()
+	var st Stats
+	for _, f := range inserted.Funcs {
+		instrumentFunc(inserted, f, opts, &st)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := inserted.Clone()
+		b.StartTimer()
+		staticElide(p, opts, &Stats{})
 	}
 }

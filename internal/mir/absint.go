@@ -373,58 +373,62 @@ func itvMin(x, y itv) itv {
 // mark every involved site leaked and degrade to ⊤.
 const maxSites = 4
 
+// siteSet is a sorted set of at most maxSites allocation-site ids, held
+// inline so abstract values carry no pointers. Entries past n are zero,
+// so == on two sets is set equality.
+type siteSet struct {
+	n   uint8
+	ids [maxSites]int32
+}
+
+func oneSite(id int) siteSet { return siteSet{n: 1, ids: [maxSites]int32{int32(id)}} }
+
+// union returns the sorted union of s and t; ok is false when it would
+// exceed maxSites.
+func (s siteSet) union(t siteSet) (u siteSet, ok bool) {
+	i, j := 0, 0
+	for i < int(s.n) || j < int(t.n) {
+		var id int32
+		switch {
+		case j == int(t.n) || (i < int(s.n) && s.ids[i] < t.ids[j]):
+			id = s.ids[i]
+			i++
+		case i == int(s.n) || t.ids[j] < s.ids[i]:
+			id = t.ids[j]
+			j++
+		default:
+			id = s.ids[i]
+			i++
+			j++
+		}
+		if u.n == maxSites {
+			return siteSet{}, false
+		}
+		u.ids[u.n] = id
+		u.n++
+	}
+	return u, true
+}
+
 // absVal is the abstract value of one register: either an integer range
-// (sites == nil) or a tracked pointer into one of a small set of
-// allocation sites at a byte offset in off (optionally also null).
+// (no sites) or a tracked pointer into one of a small set of allocation
+// sites at a byte offset in off (optionally also null).
+//
+// The stepper keeps values in a normal form the join short-circuits
+// rely on: a tracked value's num is ⊤, an untracked value's off is zero
+// and mayNull false.
 type absVal struct {
 	num     itv
-	sites   []int
 	off     itv
+	sites   siteSet
 	mayNull bool
 }
 
 func topVal() absVal           { return absVal{num: topItv()} }
 func numVal(x itv) absVal      { return absVal{num: x} }
-func (v absVal) tracked() bool { return len(v.sites) > 0 }
+func (v absVal) tracked() bool { return v.sites.n > 0 }
 func (v absVal) isNullConst() bool {
 	return !v.tracked() && v.num.lo == 0 && v.num.hi == 0
-}
-
-func sitesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func unionSites(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j == len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i == len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func valsEqual(a, b absVal) bool {
-	return a.num == b.num && a.off == b.off && a.mayNull == b.mayNull &&
-		sitesEqual(a.sites, b.sites)
 }
 
 // Abstract bounds-register lattice.
@@ -482,19 +486,66 @@ func widenBnd(prev, next absBnd) absBnd {
 	return j
 }
 
-// absState is the per-program-point fact: one value and one bounds fact
-// per register.
-type absState struct {
-	vals []absVal
-	bnds []absBnd
+// chunkRegs is the number of registers per copy-on-write chunk.
+const chunkRegs = 16
+
+// regChunk holds the facts of chunkRegs consecutive registers. It holds
+// no pointers, so the GC never scans abstract states.
+type regChunk struct {
+	vals [chunkRegs]absVal
+	bnds [chunkRegs]absBnd
 }
 
+// chunkRef is one chunk of a state; own says the state may write the
+// chunk in place because no other state refers to it.
+type chunkRef struct {
+	c   *regChunk
+	own bool
+}
+
+// absState is the per-program-point fact: one value and one bounds fact
+// per register, stored as copy-on-write chunks shared between the
+// states derived from one another. Registers past NumRegs in the last
+// chunk stay zero.
+type absState struct {
+	chunks []chunkRef
+}
+
+func newAbsState(numRegs int) *absState {
+	st := &absState{chunks: make([]chunkRef, (numRegs+chunkRegs-1)/chunkRegs)}
+	for i := range st.chunks {
+		st.chunks[i] = chunkRef{c: new(regChunk), own: true}
+	}
+	return st
+}
+
+// clone shares every chunk with st and revokes st's ownership, so the
+// first write through either state copies the chunk.
 func (st *absState) clone() *absState {
-	c := &absState{vals: make([]absVal, len(st.vals)), bnds: make([]absBnd, len(st.bnds))}
-	copy(c.vals, st.vals)
-	copy(c.bnds, st.bnds)
+	c := &absState{chunks: make([]chunkRef, len(st.chunks))}
+	for i := range st.chunks {
+		st.chunks[i].own = false
+		c.chunks[i].c = st.chunks[i].c
+	}
 	return c
 }
+
+func (st *absState) val(r int) absVal { return st.chunks[r/chunkRegs].c.vals[r%chunkRegs] }
+func (st *absState) bnd(r int) absBnd { return st.chunks[r/chunkRegs].c.bnds[r%chunkRegs] }
+
+// writable returns chunk i for writing, copying it first when shared.
+func (st *absState) writable(i int) *regChunk {
+	ref := &st.chunks[i]
+	if !ref.own {
+		c := new(regChunk)
+		*c = *ref.c
+		ref.c, ref.own = c, true
+	}
+	return ref.c
+}
+
+func (st *absState) setVal(r int, v absVal) { st.writable(r / chunkRegs).vals[r%chunkRegs] = v }
+func (st *absState) setBnd(r int, b absBnd) { st.writable(r / chunkRegs).bnds[r%chunkRegs] = b }
 
 // ---------------------------------------------------------------------
 // Allocation sites.
@@ -563,17 +614,23 @@ type analysis struct {
 	funcs map[string]*funcAbs
 
 	sites      []*siteInfo
-	globalSite []int          // prog.Globals index -> site id
-	instrSite  map[string]int // "fn:block:index" -> site id
+	globalSite []int            // prog.Globals index -> site id
+	instrSite  map[instrPos]int // allocating instruction -> site id
 
 	queue []string
+}
+
+// instrPos names the instruction Blocks[block].Instrs[index] of f.
+type instrPos struct {
+	f            *Func
+	block, index int
 }
 
 func newAnalysis(p *Program) *analysis {
 	a := &analysis{
 		prog:      p,
 		funcs:     map[string]*funcAbs{},
-		instrSite: map[string]int{},
+		instrSite: map[instrPos]int{},
 	}
 	a.globalSite = make([]int, len(p.Globals))
 	for i, g := range p.Globals {
@@ -594,7 +651,7 @@ func newAnalysis(p *Program) *analysis {
 
 // siteFor interns the allocation site of the instruction at (f, bi, ii).
 func (a *analysis) siteFor(k siteKind, f *Func, bi, ii int, elem *ctypes.Type, extent int64) int {
-	key := fmt.Sprintf("%s:%d:%d", f.Name, bi, ii)
+	key := instrPos{f, bi, ii}
 	if id, ok := a.instrSite[key]; ok {
 		s := a.sites[id]
 		if extent != s.extent {
@@ -616,16 +673,16 @@ func (a *analysis) siteFor(k siteKind, f *Func, bi, ii int, elem *ctypes.Type, e
 	return id
 }
 
-func (a *analysis) leakSites(ids []int) {
-	for _, id := range ids {
-		a.sites[id].leaked = true
+func (a *analysis) leakSites(s siteSet) {
+	for i := 0; i < int(s.n); i++ {
+		a.sites[s.ids[i]].leaked = true
 	}
 }
 
-func (a *analysis) freeSites(ids []int) {
-	for _, id := range ids {
-		if a.sites[id].kind != siteGlobal {
-			a.sites[id].freed = true
+func (a *analysis) freeSites(s siteSet) {
+	for i := 0; i < int(s.n); i++ {
+		if site := a.sites[s.ids[i]]; site.kind != siteGlobal {
+			site.freed = true
 		}
 	}
 }
@@ -643,9 +700,10 @@ func (a *analysis) freeUnknown() {
 func (a *analysis) joinVal(x, y absVal) absVal {
 	switch {
 	case x.tracked() && y.tracked():
-		u := unionSites(x.sites, y.sites)
-		if len(u) > maxSites {
-			a.leakSites(u)
+		u, ok := x.sites.union(y.sites)
+		if !ok {
+			a.leakSites(x.sites)
+			a.leakSites(y.sites)
 			return topVal()
 		}
 		return absVal{num: topItv(), sites: u, off: joinItv(x.off, y.off),
@@ -679,27 +737,75 @@ func (a *analysis) widenVal(prev, next absVal) absVal {
 	return j
 }
 
+// joinState, widenState and statesEq skip every chunk the two states
+// share and every register whose value and bounds are equal, and the
+// operators copy a chunk only to write a result that differs from the
+// state they start from. The skip is exact: on equal normal-form
+// operands joinVal/joinBnd and widenVal/widenBnd return the operand
+// itself and leak or free no site, so the skipped work would neither
+// change the result nor move a site flag.
+
 func (a *analysis) joinState(x, y *absState) *absState {
 	out := x.clone()
-	for i := range out.vals {
-		out.vals[i] = a.joinVal(out.vals[i], y.vals[i])
-		// A join that loses provenance invalidates the site-relative
-		// bounds pairing; degrade to ⊤ rather than carry a range whose
-		// base register no longer certainly points at the base site.
-		if out.vals[i].tracked() != (x.vals[i].tracked() && y.vals[i].tracked()) &&
-			!out.vals[i].tracked() {
-			out.bnds[i] = topBnd()
+	for ci, yr := range y.chunks {
+		xc, yc := x.chunks[ci].c, yr.c
+		if xc == yc {
 			continue
 		}
-		out.bnds[i] = joinBnd(out.bnds[i], y.bnds[i])
+		for k := range xc.vals {
+			xv, yv := xc.vals[k], yc.vals[k]
+			if xv == yv && xc.bnds[k] == yc.bnds[k] {
+				continue
+			}
+			v := a.joinVal(xv, yv)
+			b := topBnd()
+			// A join that loses provenance invalidates the site-relative
+			// bounds pairing; degrade to ⊤ rather than carry a range whose
+			// base register no longer certainly points at the base site.
+			if v.tracked() || !xv.tracked() || !yv.tracked() {
+				b = joinBnd(xc.bnds[k], yc.bnds[k])
+			}
+			if v != xv || b != xc.bnds[k] {
+				oc := out.writable(ci)
+				oc.vals[k], oc.bnds[k] = v, b
+			}
+		}
+	}
+	return out
+}
+
+// widenState widens prev by next, register by register.
+func (a *analysis) widenState(prev, next *absState) *absState {
+	out := next.clone()
+	for ci, nr := range next.chunks {
+		pc, nc := prev.chunks[ci].c, nr.c
+		if pc == nc {
+			continue
+		}
+		for k := range pc.vals {
+			if pc.vals[k] == nc.vals[k] && pc.bnds[k] == nc.bnds[k] {
+				continue
+			}
+			v, b := a.widenVal(pc.vals[k], nc.vals[k]), widenBnd(pc.bnds[k], nc.bnds[k])
+			if v != nc.vals[k] || b != nc.bnds[k] {
+				oc := out.writable(ci)
+				oc.vals[k], oc.bnds[k] = v, b
+			}
+		}
 	}
 	return out
 }
 
 func statesEq(x, y *absState) bool {
-	for i := range x.vals {
-		if !valsEqual(x.vals[i], y.vals[i]) || !bndsEqual(x.bnds[i], y.bnds[i]) {
-			return false
+	for ci, xr := range x.chunks {
+		xc, yc := xr.c, y.chunks[ci].c
+		if xc == yc || *xc == *yc {
+			continue
+		}
+		for k := range xc.vals {
+			if xc.vals[k] != yc.vals[k] || !bndsEqual(xc.bnds[k], yc.bnds[k]) {
+				return false
+			}
 		}
 	}
 	return true
@@ -735,7 +841,7 @@ func (a *analysis) joinEntry(fa *funcAbs, args []absVal) bool {
 		} else {
 			next = a.joinVal(fa.entry[i], arg)
 		}
-		if !valsEqual(fa.entry[i], next) {
+		if fa.entry[i] != next {
 			fa.entry[i] = next
 			changed = true
 		}
@@ -758,7 +864,7 @@ func (a *analysis) joinRet(fa *funcAbs, v absVal) bool {
 	} else {
 		next = a.joinVal(fa.ret, v)
 	}
-	if valsEqual(fa.ret, next) {
+	if fa.ret == next {
 		return false
 	}
 	fa.ret = next
@@ -782,7 +888,7 @@ func (a *analysis) enqueue(name string) {
 func (a *analysis) analyze(fa *funcAbs, classify func(bi, ii int, v Verdict, reason string)) {
 	st := &stepper{a: a, fa: fa}
 	prob := ForwardProblem[*absState]{
-		Entry: func() *absState { return st.entryState() },
+		Entry: st.entryState,
 		Transfer: func(b int, in *absState) *absState {
 			out := in.clone()
 			for ii := range fa.f.Blocks[b].Instrs {
@@ -790,19 +896,10 @@ func (a *analysis) analyze(fa *funcAbs, classify func(bi, ii int, v Verdict, rea
 			}
 			return out
 		},
-		Meet:  func(x, y *absState) *absState { return a.joinState(x, y) },
-		Equal: statesEq,
-		EdgeTransfer: func(from, to int, out *absState) *absState {
-			return st.refineEdge(from, to, out)
-		},
-		Widen: func(prev, next *absState) *absState {
-			out := next.clone()
-			for i := range out.vals {
-				out.vals[i] = a.widenVal(prev.vals[i], next.vals[i])
-				out.bnds[i] = widenBnd(prev.bnds[i], next.bnds[i])
-			}
-			return out
-		},
+		Meet:         a.joinState,
+		Equal:        statesEq,
+		EdgeTransfer: st.refineEdge,
+		Widen:        a.widenState,
 	}
 	in, solved := SolveForward(fa.cfg, prob)
 	if classify == nil {
@@ -860,22 +957,24 @@ func (a *analysis) analyze(fa *funcAbs, classify func(bi, ii int, v Verdict, rea
 type stepper struct {
 	a  *analysis
 	fa *funcAbs
+	// args is stepCall's scratch buffer for abstract call arguments.
+	args []absVal
 }
 
 func (s *stepper) entryState() *absState {
 	n := s.fa.f.NumRegs
-	st := &absState{vals: make([]absVal, n), bnds: make([]absBnd, n)}
-	for i := range st.vals {
+	st := newAbsState(n)
+	for i := 0; i < n; i++ {
 		// Frame registers start zeroed; every bounds register starts
 		// Wide (the interpreter's init state).
-		st.vals[i] = numVal(constItv(0))
-		st.bnds[i] = wideBnd()
+		st.setVal(i, numVal(constItv(0)))
+		st.setBnd(i, wideBnd())
 	}
 	for i := range s.fa.f.Params {
 		if i < len(s.fa.entry) {
-			st.vals[i] = s.fa.entry[i]
+			st.setVal(i, s.fa.entry[i])
 		} else {
-			st.vals[i] = topVal()
+			st.setVal(i, topVal())
 		}
 	}
 	return st
@@ -886,8 +985,8 @@ func (s *stepper) entryState() *absState {
 func (s *stepper) leakUsed(st *absState, ins *Instr) {
 	uses, _ := ins.Regs()
 	for _, r := range uses {
-		if r >= 0 && st.vals[r].tracked() {
-			s.a.leakSites(st.vals[r].sites)
+		if r >= 0 {
+			s.a.leakSites(st.val(r).sites)
 		}
 	}
 }
@@ -896,8 +995,8 @@ func (s *stepper) setDef(st *absState, dst int, v absVal, b absBnd) {
 	if dst < 0 {
 		return
 	}
-	st.vals[dst] = v
-	st.bnds[dst] = b
+	st.setVal(dst, v)
+	st.setBnd(dst, b)
 }
 
 func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, int, Verdict, string)) {
@@ -911,7 +1010,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		s.setDef(st, ins.Dst, numVal(constItv(ins.Imm)), topBnd())
 
 	case OpMov:
-		s.setDef(st, ins.Dst, st.vals[ins.A], st.bnds[ins.A])
+		s.setDef(st, ins.Dst, st.val(ins.A), st.bnd(ins.A))
 
 	case OpBin:
 		s.setDef(st, ins.Dst, s.binVal(st, ins), topBnd())
@@ -920,7 +1019,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		s.setDef(st, ins.Dst, numVal(itv{0, 1}), topBnd())
 
 	case OpCast:
-		v := st.vals[ins.A]
+		v := st.val(ins.A)
 		if v.tracked() && ins.Type != nil && scalarWidth(ins.Type) < 8 {
 			// Truncation garbles the address; the bits may still let a
 			// crafted program reach the site, so treat as a leak.
@@ -930,18 +1029,18 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 			v = numVal(castItv(v.num, ins.Type))
 		}
 		// The interpreter propagates the bounds register on every cast.
-		s.setDef(st, ins.Dst, v, st.bnds[ins.A])
+		s.setDef(st, ins.Dst, v, st.bnd(ins.A))
 
 	case OpGlobal:
 		id := a.globalSite[ins.Aux]
 		s.setDef(st, ins.Dst,
-			absVal{num: topItv(), sites: []int{id}, off: constItv(0)}, wideBnd())
+			absVal{num: topItv(), sites: oneSite(id), off: constItv(0)}, wideBnd())
 
 	case OpAlloca:
 		ext := ins.Aux * ins.Type.Size()
 		id := a.siteFor(siteAlloca, s.fa.f, bi, ii, ins.Type, ext)
 		s.setDef(st, ins.Dst,
-			absVal{num: topItv(), sites: []int{id}, off: constItv(0)}, wideBnd())
+			absVal{num: topItv(), sites: oneSite(id), off: constItv(0)}, wideBnd())
 
 	case OpMalloc:
 		if ins.Aux == MallocLegacy {
@@ -949,22 +1048,22 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 			return
 		}
 		ext := int64(-1)
-		if sz := st.vals[ins.A]; !sz.tracked() && sz.num.isConst() && sz.num.lo >= 0 {
+		if sz := st.val(ins.A); !sz.tracked() && sz.num.isConst() && sz.num.lo >= 0 {
 			ext = sz.num.lo
 		}
 		id := a.siteFor(siteMalloc, s.fa.f, bi, ii, ins.Type, ext)
 		s.setDef(st, ins.Dst,
-			absVal{num: topItv(), sites: []int{id}, off: constItv(0)}, wideBnd())
+			absVal{num: topItv(), sites: oneSite(id), off: constItv(0)}, wideBnd())
 
 	case OpFree:
-		if v := st.vals[ins.A]; v.tracked() {
+		if v := st.val(ins.A); v.tracked() {
 			a.freeSites(v.sites)
 		} else {
 			a.freeUnknown()
 		}
 
 	case OpRealloc:
-		if v := st.vals[ins.A]; v.tracked() {
+		if v := st.val(ins.A); v.tracked() {
 			a.freeSites(v.sites)
 		} else {
 			a.freeUnknown()
@@ -975,22 +1074,22 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		s.setDef(st, ins.Dst, topVal(), wideBnd())
 
 	case OpStore:
-		if v := st.vals[ins.B]; v.tracked() {
+		if v := st.val(ins.B); v.tracked() {
 			a.leakSites(v.sites)
 		}
 
 	case OpField:
-		v := st.vals[ins.A]
+		v := st.val(ins.A)
 		if v.tracked() {
 			v.off = addItv(v.off, constItv(ins.Aux))
 		} else {
 			v.num = addItv(v.num, constItv(ins.Aux))
 		}
-		s.setDef(st, ins.Dst, v, st.bnds[ins.A])
+		s.setDef(st, ins.Dst, v, st.bnd(ins.A))
 
 	case OpIndex:
-		v := st.vals[ins.A]
-		idx := st.vals[ins.B]
+		v := st.val(ins.A)
+		idx := st.val(ins.B)
 		scaled := topItv()
 		if !idx.tracked() {
 			scaled = mulConst(idx.num, ins.Type.Size())
@@ -1000,7 +1099,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		} else {
 			v.num = addItv(v.num, scaled)
 		}
-		s.setDef(st, ins.Dst, v, st.bnds[ins.A])
+		s.setDef(st, ins.Dst, v, st.bnd(ins.A))
 
 	case OpMemcpy, OpMemset:
 		// Byte-level memory traffic; register provenance is unaffected
@@ -1012,10 +1111,10 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 
 	case OpRet:
 		if ins.A >= 0 {
-			v := st.vals[ins.A]
+			v := st.val(ins.A)
 			if v.tracked() {
-				for _, id := range v.sites {
-					site := a.sites[id]
+				for i := 0; i < int(v.sites.n); i++ {
+					site := a.sites[v.sites.ids[i]]
 					if site.kind == siteAlloca && site.fn == s.fa.f.Name {
 						site.retOwner = true
 					}
@@ -1033,13 +1132,13 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		if classify != nil {
 			classify(bi, ii, verdict, reason)
 		}
-		st.bnds[ins.A] = nb
+		st.setBnd(ins.A, nb)
 
 	case OpBoundsGet:
-		st.bnds[ins.A] = s.boundsGetFact(st.vals[ins.A])
+		st.setBnd(ins.A, s.boundsGetFact(st.val(ins.A)))
 
 	case OpBoundsNarrow:
-		st.bnds[ins.A] = s.narrowFact(st.vals[ins.A], st.bnds[ins.A], ins.Aux)
+		st.setBnd(ins.A, s.narrowFact(st.val(ins.A), st.bnd(ins.A), ins.Aux))
 
 	case OpBoundsCheck:
 		if classify != nil {
@@ -1056,7 +1155,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 	case OpBoundsMov:
 		// bounds[A] = bounds[B]: the copied range is relative to B's
 		// value, which we cannot re-relate to A's provenance here.
-		st.bnds[ins.A] = topBnd()
+		st.setBnd(ins.A, topBnd())
 
 	default:
 		// Unmodelled (record ops and future extensions): drop all
@@ -1065,8 +1164,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		_, defs := ins.Regs()
 		for _, d := range defs {
 			if d >= 0 {
-				st.vals[d] = topVal()
-				st.bnds[d] = topBnd()
+				s.setDef(st, d, topVal(), topBnd())
 			}
 		}
 	}
@@ -1076,7 +1174,7 @@ func (s *stepper) binVal(st *absState, ins *Instr) absVal {
 	if ins.Type != nil && ins.Type.IsFloat() {
 		return topVal()
 	}
-	x, y := st.vals[ins.A], st.vals[ins.B]
+	x, y := st.val(ins.A), st.val(ins.B)
 	k := BinKind(ins.Aux)
 	// Pointer ± integer keeps provenance; everything else involving a
 	// tracked pointer obscures the address.
@@ -1146,8 +1244,8 @@ func castItv(x itv, to *ctypes.Type) itv {
 func (s *stepper) extents(v absVal) (minE, maxE int64, known, immortal bool, elem *ctypes.Type) {
 	known, immortal = true, true
 	minE, maxE = posInf, negInf
-	for i, id := range v.sites {
-		site := s.a.sites[id]
+	for i := 0; i < int(v.sites.n); i++ {
+		site := s.a.sites[v.sites.ids[i]]
 		if site.extent < 0 {
 			known = false
 		} else {
@@ -1214,7 +1312,7 @@ func (s *stepper) narrowFact(v absVal, b absBnd, extent int64) absBnd {
 // Aux or dynamic register B).
 func (s *stepper) checkSize(st *absState, ins *Instr) itv {
 	if ins.B >= 0 {
-		if v := st.vals[ins.B]; !v.tracked() {
+		if v := st.val(ins.B); !v.tracked() {
 			return v.num
 		}
 		return topItv()
@@ -1223,11 +1321,11 @@ func (s *stepper) checkSize(st *absState, ins *Instr) itv {
 }
 
 func (s *stepper) classifyBoundsCheck(st *absState, ins *Instr) (Verdict, string) {
-	b := st.bnds[ins.A]
+	b := st.bnd(ins.A)
 	if b.kind == bndWide {
 		return VerdictSafe, "bounds register is provably wide"
 	}
-	v := st.vals[ins.A]
+	v := st.val(ins.A)
 	if b.kind != bndRange || !v.tracked() || v.mayNull {
 		return VerdictUnknown, ""
 	}
@@ -1240,21 +1338,21 @@ func (s *stepper) classifyBoundsCheck(st *absState, ins *Instr) (Verdict, string
 			"access %s+%s always within bounds [%s,%s)", v.off, sz, b.lo, b.hi)
 	}
 	// UNSAFE: the range is definite and every offset/size escapes it.
-	if !b.mayWide && len(v.sites) == 1 &&
+	if !b.mayWide && v.sites.n == 1 &&
 		(v.off.hi < b.lo.lo || v.off.hi != posInf && satAdd(v.off.lo, sz.lo) > b.hi.hi) {
 		return VerdictUnsafe, fmt.Sprintf(
 			"access at offset %s (size %s) always outside bounds [%s,%s) of %s",
-			v.off, sz, b.lo, b.hi, s.a.sites[v.sites[0]].name)
+			v.off, sz, b.lo, b.hi, s.a.sites[v.sites.ids[0]].name)
 	}
 	return VerdictUnknown, ""
 }
 
 func (s *stepper) classifyEscapeCheck(st *absState, ins *Instr) (Verdict, string) {
-	b := st.bnds[ins.A]
+	b := st.bnd(ins.A)
 	if b.kind == bndWide {
 		return VerdictSafe, "bounds register is provably wide"
 	}
-	v := st.vals[ins.A]
+	v := st.val(ins.A)
 	if b.kind != bndRange || !v.tracked() || v.mayNull {
 		return VerdictUnknown, ""
 	}
@@ -1263,11 +1361,11 @@ func (s *stepper) classifyEscapeCheck(st *absState, ins *Instr) (Verdict, string
 		return VerdictSafe, fmt.Sprintf(
 			"escaping pointer offset %s always within [%s,%s]", v.off, b.lo, b.hi)
 	}
-	if !b.mayWide && len(v.sites) == 1 &&
+	if !b.mayWide && v.sites.n == 1 &&
 		(v.off.hi < b.lo.lo || v.off.lo != negInf && v.off.lo > b.hi.hi) {
 		return VerdictUnsafe, fmt.Sprintf(
 			"escaping pointer offset %s always outside [%s,%s] of %s",
-			v.off, b.lo, b.hi, s.a.sites[v.sites[0]].name)
+			v.off, b.lo, b.hi, s.a.sites[v.sites.ids[0]].name)
 	}
 	return VerdictUnknown, ""
 }
@@ -1284,7 +1382,7 @@ func coercible(t *ctypes.Type) bool {
 }
 
 func (s *stepper) classifyTypeCheck(st *absState, ins *Instr) (Verdict, string, absBnd) {
-	v := st.vals[ins.A]
+	v := st.val(ins.A)
 	if !v.tracked() {
 		return VerdictUnknown, "", topBnd()
 	}
@@ -1296,16 +1394,16 @@ func (s *stepper) classifyTypeCheck(st *absState, ins *Instr) (Verdict, string, 
 	// allocation, so the trivial prefix reports on every execution
 	// (below-base or beyond-extent, or use-after-free first — either
 	// way a report).
-	if len(v.sites) == 1 && !v.mayNull {
+	if v.sites.n == 1 && !v.mayNull {
 		if v.off.hi < 0 {
 			return VerdictUnsafe, fmt.Sprintf(
-					"pointer always %s bytes before %s", v.off, s.a.sites[v.sites[0]].name),
+					"pointer always %s bytes before %s", v.off, s.a.sites[v.sites.ids[0]].name),
 				wideBnd() // errors return Wide
 		}
 		if v.off.lo != negInf && v.off.lo > minE {
 			return VerdictUnsafe, fmt.Sprintf(
 				"pointer offset %s always beyond the %d-byte extent of %s",
-				v.off, minE, s.a.sites[v.sites[0]].name), wideBnd()
+				v.off, minE, s.a.sites[v.sites.ids[0]].name), wideBnd()
 		}
 	}
 	if !immortal {
@@ -1316,7 +1414,7 @@ func (s *stepper) classifyTypeCheck(st *absState, ins *Instr) (Verdict, string, 
 	if coercible(ins.Type) && v.off.lo >= 0 && v.off.hi != posInf && v.off.hi <= minE {
 		return VerdictSafe,
 			fmt.Sprintf("%s coercion at in-bounds offset %s", ins.Type, v.off),
-			s.typeCheckOKBnd(v, minE, maxE, maxE)
+			s.typeCheckOKBnd(v, minE, maxE)
 	}
 	// SAFE case 2: exact match — offset exactly 0 and the static type
 	// is the sites' element type. Success is memo-independent, and so
@@ -1328,7 +1426,7 @@ func (s *stepper) classifyTypeCheck(st *absState, ins *Instr) (Verdict, string, 
 	if v.off.lo == 0 && v.off.hi == 0 && elem != nil && elem == ins.Type {
 		return VerdictSafe,
 			fmt.Sprintf("monomorphic %s check at offset 0", ins.Type),
-			s.typeCheckOKBnd(v, minE, maxE, maxE)
+			s.typeCheckOKBnd(v, minE, maxE)
 	}
 	return VerdictUnknown, "", topBnd()
 }
@@ -1336,7 +1434,7 @@ func (s *stepper) classifyTypeCheck(st *absState, ins *Instr) (Verdict, string, 
 // typeCheckOKBnd is the bounds fact after a provably-successful type
 // check: upper end somewhere in [hiMin, hiMax] (allocation vs element
 // bounds), lower end 0, Wide when the value was null.
-func (s *stepper) typeCheckOKBnd(v absVal, hiMin, hiMax, _ int64) absBnd {
+func (s *stepper) typeCheckOKBnd(v absVal, hiMin, hiMax int64) absBnd {
 	return absBnd{kind: bndRange, mayWide: v.mayNull,
 		lo: constItv(0), hi: itv{hiMin, hiMax}}
 }
@@ -1347,22 +1445,20 @@ func (s *stepper) typeCheckOKBnd(v absVal, hiMin, hiMax, _ int64) absBnd {
 func (s *stepper) stepCall(st *absState, ins *Instr) {
 	a := s.a
 	if callee := a.funcs[ins.Callee]; callee != nil {
-		args := make([]absVal, len(ins.Args))
-		for i, r := range ins.Args {
-			args[i] = st.vals[r]
+		s.args = s.args[:0]
+		for _, r := range ins.Args {
+			s.args = append(s.args, st.val(r))
 		}
 		callee.callers[s.fa.f.Name] = true
-		if a.joinEntry(callee, args) {
+		if a.joinEntry(callee, s.args) {
 			a.enqueue(ins.Callee)
 		}
+		// No return summary yet: either the callee never returns or the
+		// fixpoint has not reached it. ⊥ would be precise at
+		// convergence; ⊤ is sound either way.
 		ret := topVal()
 		if callee.retSet {
 			ret = callee.ret
-		} else if callee.seeded {
-			// No return summary yet: either the callee never returns or
-			// the fixpoint has not reached it. ⊥ would be precise at
-			// convergence; ⊤ is sound either way.
-			ret = topVal()
 		}
 		s.setDef(st, ins.Dst, ret, wideBnd())
 		return
@@ -1372,16 +1468,14 @@ func (s *stepper) stepCall(st *absState, ins *Instr) {
 		// Unknown callee: the interpreter would fault; nothing to model
 		// beyond dropping knowledge about the arguments.
 		for _, r := range ins.Args {
-			if st.vals[r].tracked() {
-				a.leakSites(st.vals[r].sites)
-			}
+			a.leakSites(st.val(r).sites)
 		}
 		s.setDef(st, ins.Dst, topVal(), wideBnd())
 		return
 	}
 	for _, idx := range d.Abs.FreesArgs {
 		if idx < len(ins.Args) {
-			if v := st.vals[ins.Args[idx]]; v.tracked() {
+			if v := st.val(ins.Args[idx]); v.tracked() {
 				a.freeSites(v.sites)
 			} else {
 				a.freeUnknown()
@@ -1396,7 +1490,7 @@ func (s *stepper) stepCall(st *absState, ins *Instr) {
 			elemArgs := make([]absVal, len(cmp.f.Params))
 			base := topVal()
 			if d.Abs.CmpElemArg < len(ins.Args) {
-				base = st.vals[ins.Args[d.Abs.CmpElemArg]]
+				base = st.val(ins.Args[d.Abs.CmpElemArg])
 			}
 			if base.tracked() {
 				base.off = itv{base.off.lo, posInf}
@@ -1493,7 +1587,7 @@ func (s *stepper) refineEdge(from, to int, out *absState) *absState {
 	default:
 		return out
 	}
-	va, vb := out.vals[bf.ra], out.vals[bf.rb]
+	va, vb := out.val(bf.ra), out.val(bf.rb)
 	if va.tracked() || vb.tracked() {
 		return out
 	}
@@ -1502,8 +1596,8 @@ func (s *stepper) refineEdge(from, to int, out *absState) *absState {
 		return out
 	}
 	ref := out.clone()
-	ref.vals[bf.ra] = absVal{num: na, mayNull: va.mayNull}
-	ref.vals[bf.rb] = absVal{num: nb, mayNull: vb.mayNull}
+	ref.setVal(bf.ra, absVal{num: na, mayNull: va.mayNull})
+	ref.setVal(bf.rb, absVal{num: nb, mayNull: vb.mayNull})
 	return ref
 }
 
