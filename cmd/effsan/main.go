@@ -7,11 +7,17 @@
 //
 //	effsan [-variant full|bounds|type|none] [-tool NAME] [-abort N] [-epoch] [-stats] prog.c
 //	effsan -warn-static prog.c
+//	effsan -cpuprofile cpu.pprof -memprofile mem.pprof prog.c
 //
 // With -variant (default full) the program is instrumented per the
 // Fig. 3 schema and run on the EffectiveSan runtime. With -tool, one of
 // the modelled baseline sanitizers (AddressSanitizer, SoftBound, CETS,
 // TypeSan, ...) intercepts the uninstrumented program instead.
+//
+// -cpuprofile and -memprofile write pprof profiles of the whole
+// invocation — compile, instrument and run — for `go tool pprof`; the
+// memory profile's alloc_space view is where per-call and per-check Go
+// allocation shows up.
 package main
 
 import (
@@ -19,6 +25,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -42,12 +50,17 @@ func main() {
 	entry := flag.String("entry", "main", "entry function")
 	warnStatic := flag.Bool("warn-static", false,
 		"compile only: print the static safety analysis' STATIC-UNSAFE diagnostics (checks proven to report on every execution that reaches them) and exit without running")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
+	memProfile := flag.String("memprofile", "", "write a memory (allocation) profile to this file at exit")
 	flag.Parse()
 
+	if err := startProfiles(*cpuProfile, *memProfile); err != nil {
+		fatal(err)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: effsan [flags] prog.c")
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -59,7 +72,7 @@ func main() {
 	}
 
 	if *warnStatic {
-		os.Exit(runWarnStatic(prog, *entry, os.Stdout))
+		exit(runWarnStatic(prog, *entry, os.Stdout))
 	}
 
 	var cfg *sanitizers.Tool
@@ -96,7 +109,7 @@ func main() {
 	// since Tool.Exec always logs without stopping.
 	if *abortAfter > 0 && *tool == "" {
 		runWithAbort(prog, cfg, *entry, *abortAfter, *quarantine, *stats)
-		return
+		exit(0)
 	}
 
 	res, err := cfg.Exec(prog, *entry, os.Stdout)
@@ -104,6 +117,53 @@ func main() {
 		fatal(err)
 	}
 	report(res.Reporter, res.Stats, res.Value, *stats)
+	exit(0)
+}
+
+// stopProfiles finishes the profiles startProfiles began; exit runs it.
+var stopProfiles = func() {}
+
+// startProfiles starts a CPU profile to cpuPath and arranges for exit
+// to write a memory profile to memPath (either may be empty).
+func startProfiles(cpuPath, memPath string) error {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		cpu = f
+	}
+	stopProfiles = func() {
+		stopProfiles = func() {}
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpu.Close()
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "effsan: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // settle the in-use view; alloc_space counts every allocation regardless
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				fmt.Fprintf(os.Stderr, "effsan: %v\n", err)
+			}
+		}
+	}
+	return nil
+}
+
+// exit finishes any profiles and ends the process with code.
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
 }
 
 // runWarnStatic is the -warn-static compile-only mode: instrument
@@ -191,5 +251,5 @@ func report(rep *core.Reporter, st core.StatsSnapshot, val uint64, stats bool) {
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "effsan: %v\n", err)
-	os.Exit(1)
+	exit(1)
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -83,5 +85,29 @@ func TestWarnStaticCleanProgram(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "no STATIC-UNSAFE") {
 		t.Errorf("clean-program output malformed:\n%s", out.String())
+	}
+}
+
+// TestProfiles checks that -cpuprofile and -memprofile write both
+// profiles once the invocation finishes.
+func TestProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := startProfiles(cpu, mem); err != nil {
+		t.Fatal(err)
+	}
+	c := findCase(t, "object-overflow")
+	prog, err := c.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sanitizers.ToolEffectiveSan.Exec(prog, "main", io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	stopProfiles()
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (%v)", p, err)
+		}
 	}
 }

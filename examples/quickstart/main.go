@@ -46,7 +46,7 @@ func main() {
 	// from the type check is caught even though the access stays inside
 	// the allocation (the §1 account example in miniature).
 	overflow := q + 8 // one past a[2] is a[3]: outside int[3]
-	ok := rt.BoundsCheck(overflow, 4, b, "int", "quickstart")
+	ok := rt.BoundsCheck(overflow, 4, b, ctypes.Int, "quickstart")
 	fmt.Printf("bounds_check(&p->t.a[3])         -> in bounds? %v\n\n", ok)
 
 	// Use-after-free: the freed object is rebound to the FREE type, so

@@ -86,7 +86,8 @@ func (e lexError) Error() string {
 
 // lex tokenises src. Comments (// and /* */) are skipped.
 func lex(src string) ([]token, error) {
-	var toks []token
+	// About one token per four source bytes.
+	toks := make([]token, 0, len(src)/4+16)
 	line, col := 1, 1
 	i := 0
 	n := len(src)

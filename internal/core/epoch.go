@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/ctypes"
@@ -142,7 +143,7 @@ type evEvent struct {
 	b      Bounds
 	p      uint64
 	size   uint64
-	static string
+	static fmt.Stringer // rendered only if the check fails
 	site   string
 
 	dynOK   bool
@@ -282,7 +283,7 @@ func (r *Runtime) validateEvent(e *evEvent) {
 			b = r.resolveNode(e.node)
 		}
 		if !b.ContainsEscape(e.p) {
-			r.reportBoundsSnapshot(e, "escaping pointer")
+			r.reportBoundsSnapshot(e, escapeLabel)
 		}
 	}
 }
@@ -338,7 +339,7 @@ func (r *Runtime) resolveTypeNode(node *evNode) {
 // container snapshot instead of a live metadata read, so the bucket's
 // dynamic type and normalized offset match what precise mode reported
 // at access time even if the slot was since freed or rebound.
-func (r *Runtime) reportBoundsSnapshot(e *evEvent, static string) {
+func (r *Runtime) reportBoundsSnapshot(e *evEvent, static fmt.Stringer) {
 	dyn := "legacy"
 	var off int64
 	if e.dynOK {
@@ -349,7 +350,7 @@ func (r *Runtime) reportBoundsSnapshot(e *evEvent, static string) {
 			off = r.layoutFor(t).Normalize(off)
 		}
 	}
-	r.Reporter.Report(BoundsError, static, dyn, off, e.site)
+	r.Reporter.Report(BoundsError, staticName(static), dyn, off, e.site)
 }
 
 // TypeRecordAt is the epoch-mode type_check: it snapshots the check's
@@ -409,7 +410,7 @@ func (r *Runtime) TypeRecordAt(p uint64, s *ctypes.Type, siteID int64, site stri
 // check (a handle) append evidence; those also snapshot the access
 // pointer's container for the failure report. Falls back to the precise
 // check when epochs are off.
-func (r *Runtime) BoundsRecord(p, size uint64, b Bounds, static, site string) {
+func (r *Runtime) BoundsRecord(p, size uint64, b Bounds, static fmt.Stringer, site string) {
 	ep := r.epoch
 	if ep == nil {
 		r.BoundsCheck(p, size, b, static, site)
@@ -443,7 +444,7 @@ func (r *Runtime) EscapeRecord(p uint64, b Bounds, site string) {
 	idx, isHandle := b.epochIndex()
 	if !isHandle {
 		if !b.ContainsEscape(p) {
-			r.reportBounds(p, "escaping pointer", site)
+			r.reportBounds(p, escapeLabel, site)
 		}
 		return
 	}

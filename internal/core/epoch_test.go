@@ -219,7 +219,7 @@ func TestEpochNarrowChain(t *testing.T) {
 	if _, ok := nb.epochIndex(); !ok {
 		t.Fatalf("narrow of a handle resolved eagerly to %v", nb)
 	}
-	r.BoundsCheck(p+12, 4, nb, "int", "chain-access")
+	r.BoundsCheck(p+12, 4, nb, ctypes.Int, "chain-access")
 	if got := r.Reporter.Total(); got != 0 {
 		t.Fatalf("bounds check resolved before the boundary (%d reports)", got)
 	}
@@ -315,11 +315,11 @@ func TestEpochPreciseParityOnRuntimeAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := r.TypeCheck(p, S, "t0")
-		r.BoundsCheck(p, 4, b, "int", "t1")
+		r.BoundsCheck(p, 4, b, ctypes.Int, "t1")
 		nb := r.BoundsNarrow(b, p, p+12)
-		r.BoundsCheck(p+12, 4, nb, "int", "t2") // sub-object overflow
-		r.TypeCheck(p, ctypes.Double, "t3")     // type confusion
-		r.TypeCheck(p+1, ctypes.Int, "t4")      // misaligned interior
+		r.BoundsCheck(p+12, 4, nb, ctypes.Int, "t2") // sub-object overflow
+		r.TypeCheck(p, ctypes.Double, "t3")          // type confusion
+		r.TypeCheck(p+1, ctypes.Int, "t4")           // misaligned interior
 		q, err := r.NewArray(ctypes.Int, 2, HeapAlloc)
 		if err != nil {
 			t.Fatal(err)

@@ -496,28 +496,38 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64,
 	}
 	k := int64(p - objBase)
 	alloc := Bounds{objBase, objBase + size}
-	tl := r.layoutFor(t)
-	kn := tl.Normalize(k)
 	var (
+		norm    layout.Norm
+		kn      int64
 		e       layout.Entry
 		co      layout.Coercion
 		matched bool
 	)
 	// Level 2: the per-site inline cache — one entry, no hashing (the
-	// level-1 exact-match fast path returned above).
+	// level-1 exact-match fast path returned above). The entry carries
+	// its table's normalisation, so a hit needs no layout lookup.
 	slot := r.inline.slot(siteID)
 	resolved := false
 	if slot != nil {
-		if en := slot.Load(); en != nil && en.tid == tid && en.k == kn && en.s == s {
+		if en := slot.Load(); en != nil && en.tid == tid {
+			norm = en.norm
+			kn = norm.Normalize(k)
+			if en.k == kn && en.s == s {
+				e, co, matched = en.e, en.co, en.matched
+				resolved = true
+			}
+		}
+		if resolved {
 			r.stats.InlineCacheHits.Add(1)
-			e, co, matched = en.e, en.co, en.matched
-			resolved = true
 		} else {
 			r.stats.InlineCacheMisses.Add(1)
 		}
 	}
 	// Level 3: the shared memo cache; past it, the layout-table match.
 	if !resolved {
+		tl := r.layoutFor(t)
+		norm = tl.Norm
+		kn = norm.Normalize(k)
 		if r.memo != nil {
 			sid := r.typeID(s)
 			var hit bool
@@ -535,9 +545,12 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64,
 			e, co, matched = tl.Match(s, kn)
 		}
 		if slot != nil {
-			slot.Store(&checkEntry{
-				checkKey: checkKey{tid: tid, k: kn, s: s},
-				e:        e, co: co, matched: matched,
+			slot.Store(&inlineEntry{
+				checkEntry: checkEntry{
+					checkKey: checkKey{tid: tid, k: kn, s: s},
+					e:        e, co: co, matched: matched,
+				},
+				norm: norm,
 			})
 		}
 	}
@@ -551,7 +564,7 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64,
 		r.stats.VoidPtrCoercions.Add(1)
 	}
 	if e.FAM {
-		return Bounds{objBase + uint64(tl.FAMOffset), objBase + size}, nil
+		return Bounds{objBase + uint64(norm.FAMOffset), objBase + size}, nil
 	}
 	b := Bounds{Lo: alloc.Lo, Hi: alloc.Hi}
 	if e.Lo != layout.UnboundedLo {
@@ -640,13 +653,34 @@ func (r *Runtime) BoundsNarrow(b Bounds, lo, hi uint64) Bounds {
 	return b.Intersect(Bounds{lo, hi})
 }
 
+// Label is a static-type name given as text rather than as a type — an
+// intrinsic's argument label such as "memcpy dst" — for the static
+// argument of BoundsCheck and BoundsRecord.
+type Label string
+
+func (l Label) String() string { return string(l) }
+
+// escapeLabel is the static-type text of every escape-check report.
+const escapeLabel = Label("escaping pointer")
+
+// staticName renders a check's static type for its report. Checks carry
+// the type unrendered so that only a failing one pays for the text; a
+// nil type, bare or as a nil *ctypes.Type, renders as "".
+func staticName(s fmt.Stringer) string {
+	if t, ok := s.(*ctypes.Type); s == nil || ok && t == nil {
+		return ""
+	}
+	return s.String()
+}
+
 // BoundsCheck verifies an access of size bytes at p against b — Fig.
-// 3(g). static names the accessed type for the report. It returns true
+// 3(g). static names the accessed type for the report: a *ctypes.Type,
+// or a Label; it is rendered only if the check fails. It returns true
 // if the access is in bounds. Under EpochChecks the check defers via
 // BoundsRecord (handles cannot be tested synchronously) and the result
 // is optimistically true — epoch mode never aborts mid-epoch, matching
 // the paper's non-fatal logging semantics.
-func (r *Runtime) BoundsCheck(p uint64, size uint64, b Bounds, static, site string) bool {
+func (r *Runtime) BoundsCheck(p uint64, size uint64, b Bounds, static fmt.Stringer, site string) bool {
 	if r.epoch != nil {
 		r.BoundsRecord(p, size, b, static, site)
 		return true
@@ -672,11 +706,11 @@ func (r *Runtime) EscapeCheck(p uint64, b Bounds, site string) bool {
 	if b.ContainsEscape(p) {
 		return true
 	}
-	r.reportBounds(p, "escaping pointer", site)
+	r.reportBounds(p, escapeLabel, site)
 	return false
 }
 
-func (r *Runtime) reportBounds(p uint64, static, site string) {
+func (r *Runtime) reportBounds(p uint64, static fmt.Stringer, site string) {
 	dyn := "legacy"
 	var off int64
 	if t, objBase, _, ok := r.DynamicType(p); ok {
@@ -686,5 +720,5 @@ func (r *Runtime) reportBounds(p uint64, static, site string) {
 			off = r.layoutFor(t).Normalize(off)
 		}
 	}
-	r.Reporter.Report(BoundsError, static, dyn, off, site)
+	r.Reporter.Report(BoundsError, staticName(static), dyn, off, site)
 }

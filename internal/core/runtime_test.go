@@ -94,7 +94,7 @@ func TestSubObjectNarrowing(t *testing.T) {
 		t.Fatalf("number bounds = %v, want %v", b, want)
 	}
 	// The access at p+32 (balance) via the int[] bounds must fail.
-	if r.BoundsCheck(p+32, 4, b, "int", "acct") {
+	if r.BoundsCheck(p+32, 4, b, ctypes.Int, "acct") {
 		t.Fatal("overflow into balance must fail the bounds check")
 	}
 	if r.Reporter.Total() != 1 {
@@ -284,7 +284,7 @@ func TestOnePastEndPointer(t *testing.T) {
 	if !r.EscapeCheck(end, b, "") {
 		t.Fatal("one-past-the-end pointer must be allowed to escape")
 	}
-	if r.BoundsCheck(end, 4, b, "int", "") {
+	if r.BoundsCheck(end, 4, b, ctypes.Int, "") {
 		t.Fatal("one-past-the-end access must fail")
 	}
 }
@@ -395,10 +395,10 @@ func TestBoundsNarrowAndCheck(t *testing.T) {
 
 	b := r.TypeCheck(p, node, "")
 	nb := r.BoundsNarrow(b, p, p+8) // narrow to the next field
-	if !r.BoundsCheck(p, 8, nb, "BN*", "") {
+	if !r.BoundsCheck(p, 8, nb, Label("BN*"), "") {
 		t.Fatal("in-bounds access must pass")
 	}
-	if r.BoundsCheck(p+8, 8, nb, "BN*", "") {
+	if r.BoundsCheck(p+8, 8, nb, Label("BN*"), "") {
 		t.Fatal("access past the narrowed field must fail")
 	}
 	if r.Stats().BoundsNarrows != 1 || r.Stats().BoundsChecks != 2 {
@@ -434,7 +434,7 @@ func TestConcurrentChecks(t *testing.T) {
 					return
 				}
 				b := r.TypeCheck(p, ctypes.Int, "")
-				if !r.BoundsCheck(p+12, 4, b, "int", "") {
+				if !r.BoundsCheck(p+12, 4, b, ctypes.Int, "") {
 					t.Error("in-bounds concurrent access failed")
 					return
 				}

@@ -252,7 +252,8 @@ func lowerEpochRecords(p *mir.Program, st *Stats) {
 func instrumentFunc(p *mir.Program, f *mir.Func, opts Options, st *Stats) {
 	used := usedPointers(p, f, opts)
 	for bi, b := range f.Blocks {
-		var out []mir.Instr
+		// Most instructions gain at most one check.
+		out := make([]mir.Instr, 0, 2*len(b.Instrs))
 		for _, ins := range b.Instrs {
 			emitPre(p, f, &ins, opts, st, &out)
 			out = append(out, ins)

@@ -44,6 +44,8 @@
 package intrinsics
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/ctypes"
 	"repro/internal/lowfat"
@@ -127,8 +129,10 @@ func (c *Ctx) siteFor(ptrIdx int) int64 {
 }
 
 // checkRange bounds-checks an n-byte access at p for the ptrIdx'th
-// pointer argument (argIdx in Args), reporting under label.
-func (c *Ctx) checkRange(ptrIdx, argIdx int, p, n uint64, label string) {
+// pointer argument (argIdx in Args), reporting under label — a
+// core.Label constant, which passes as a fmt.Stringer without
+// allocating and is rendered only if the check fails.
+func (c *Ctx) checkRange(ptrIdx, argIdx int, p, n uint64, label fmt.Stringer) {
 	if c.RT == nil {
 		return
 	}
@@ -194,8 +198,8 @@ var registry = map[string]*Desc{
 		Run: func(c *Ctx) uint64 {
 			dst, src, n := c.Args[0], c.Args[1], c.Args[2]
 			if c.RT != nil {
-				c.checkRange(1, 1, src, n, "memcpy src")
-				c.checkRange(0, 0, dst, n, "memcpy dst")
+				c.checkRange(1, 1, src, n, core.Label("memcpy src"))
+				c.checkRange(0, 0, dst, n, core.Label("memcpy dst"))
 				if n > 0 && rangesOverlap(dst, src, n) {
 					reportOverlap(c, "memcpy", dst, src)
 				}
@@ -212,8 +216,8 @@ var registry = map[string]*Desc{
 		Run: func(c *Ctx) uint64 {
 			dst, src, n := c.Args[0], c.Args[1], c.Args[2]
 			if c.RT != nil {
-				c.checkRange(1, 1, src, n, "memmove src")
-				c.checkRange(0, 0, dst, n, "memmove dst")
+				c.checkRange(1, 1, src, n, core.Label("memmove src"))
+				c.checkRange(0, 0, dst, n, core.Label("memmove dst"))
 			}
 			c.spend(n)
 			c.access(src, n, false)
@@ -227,7 +231,7 @@ var registry = map[string]*Desc{
 		Run: func(c *Ctx) uint64 {
 			dst, v, n := c.Args[0], c.Args[1], c.Args[2]
 			if c.RT != nil {
-				c.checkRange(0, 0, dst, n, "memset")
+				c.checkRange(0, 0, dst, n, core.Label("memset"))
 			}
 			c.spend(n)
 			c.access(dst, n, true)
@@ -245,8 +249,8 @@ var registry = map[string]*Desc{
 			// operation half stays deterministic — the check half reports
 			// the overread.
 			if c.RT != nil {
-				c.checkRange(1, 1, src, n+1, "strcpy src")
-				c.checkRange(0, 0, dst, n+1, "strcpy dst")
+				c.checkRange(1, 1, src, n+1, core.Label("strcpy src"))
+				c.checkRange(0, 0, dst, n+1, core.Label("strcpy dst"))
 			}
 			c.spend(n + 1)
 			c.access(src, n, false)
@@ -271,9 +275,9 @@ var registry = map[string]*Desc{
 			}
 			if c.RT != nil {
 				if read > 0 {
-					c.checkRange(1, 1, src, read, "strncpy src")
+					c.checkRange(1, 1, src, read, core.Label("strncpy src"))
 				}
-				c.checkRange(0, 0, dst, n, "strncpy dst")
+				c.checkRange(0, 0, dst, n, core.Label("strncpy dst"))
 			}
 			c.spend(n + 1)
 			copyN := min(l, n)
@@ -293,7 +297,7 @@ var registry = map[string]*Desc{
 			p := c.Args[0]
 			n, _ := scanNUL(c, p)
 			if c.RT != nil {
-				c.checkRange(0, 0, p, n+1, "strlen")
+				c.checkRange(0, 0, p, n+1, core.Label("strlen"))
 			}
 			c.spend(n + 1)
 			c.access(p, n+1, false)
@@ -319,7 +323,7 @@ var registry = map[string]*Desc{
 		Run: func(c *Ctx) uint64 {
 			base, n, size := c.Args[0], c.Args[1], c.Args[2]
 			if c.RT != nil && n > 0 {
-				c.checkRange(0, 0, base, n*size, "qsort")
+				c.checkRange(0, 0, base, n*size, core.Label("qsort"))
 			}
 			if n < 2 || size == 0 {
 				return 0

@@ -71,12 +71,7 @@ type entKey struct {
 // queries remain keyed by real type identity.
 type TypeLayout struct {
 	Elem *ctypes.Type
-	// ElemSize is the layout size of one element: sizeof(T), or the
-	// FAM-as-one-element size for records with a flexible array member.
-	ElemSize int64
-	// FAMOffset is the byte offset of the flexible array member, or -1.
-	FAMOffset   int64
-	FAMElemSize int64
+	Norm // ElemSize, FAMOffset, FAMElemSize: how offsets normalise
 
 	core *tableCore
 	// hot is the clock-eviction reference bit, set lock-free on every
@@ -88,22 +83,34 @@ type TypeLayout struct {
 // ablation benchmarks).
 func (tl *TypeLayout) NumEntries() int { return tl.core.numEntries() }
 
+// Norm holds a table's offset-normalisation parameters. It is a plain
+// value, so a per-site inline cache can keep a copy and normalise without
+// looking the table up (or keeping it alive).
+type Norm struct {
+	// ElemSize is the layout size of one element: sizeof(T), or the
+	// FAM-as-one-element size for records with a flexible array member.
+	ElemSize int64
+	// FAMOffset is the byte offset of the flexible array member, or -1.
+	FAMOffset   int64
+	FAMElemSize int64
+}
+
 // Normalize maps an arbitrary byte offset into the table's domain
 // [0, ElemSize): ordinary types wrap modulo the element size (the dynamic
 // type T[N] repeats every sizeof(T) bytes); records with a flexible array
 // member map every FAM position into the first FAM element, leaving header
 // offsets untouched (§5's alternative normalisation).
-func (tl *TypeLayout) Normalize(k int64) int64 {
-	if tl.FAMOffset >= 0 {
-		if k >= tl.FAMOffset && tl.FAMElemSize > 0 {
-			return (k-tl.FAMOffset)%tl.FAMElemSize + tl.FAMOffset
+func (n Norm) Normalize(k int64) int64 {
+	if n.FAMOffset >= 0 {
+		if k >= n.FAMOffset && n.FAMElemSize > 0 {
+			return (k-n.FAMOffset)%n.FAMElemSize + n.FAMOffset
 		}
 		return k
 	}
-	if tl.ElemSize <= 0 {
+	if n.ElemSize <= 0 {
 		return 0
 	}
-	return ((k % tl.ElemSize) + tl.ElemSize) % tl.ElemSize
+	return ((k % n.ElemSize) + n.ElemSize) % n.ElemSize
 }
 
 // idFor translates a query key to the shared core's key space: the
@@ -185,9 +192,8 @@ func (tl *TypeLayout) Match(s *ctypes.Type, k int64) (Entry, Coercion, bool) {
 // through the intern pool so isomorphic types share storage.
 func Build(t *ctypes.Type) *TypeLayout {
 	tl := &TypeLayout{
-		Elem:      t,
-		ElemSize:  sizeForLayout(t),
-		FAMOffset: -1,
+		Elem: t,
+		Norm: Norm{ElemSize: sizeForLayout(t), FAMOffset: -1},
 	}
 	if t.IsRecord() && t.HasFAM() {
 		fam := t.FAM()

@@ -487,7 +487,7 @@ func widenBnd(prev, next absBnd) absBnd {
 }
 
 // chunkRegs is the number of registers per copy-on-write chunk.
-const chunkRegs = 16
+const chunkRegs = 8
 
 // regChunk holds the facts of chunkRegs consecutive registers. It holds
 // no pointers, so the GC never scans abstract states.

@@ -131,7 +131,9 @@ func (in *Interp) Run(fn string, args ...uint64) (res uint64, err error) {
 		}
 	}()
 	rs := &runState{budget: in.maxSteps}
-	v := in.exec(rs, f, args)
+	regs, bregs, _ := rs.push(f.NumRegs)
+	copy(regs, args)
+	v := in.exec(rs, f, regs, bregs)
 	if in.eff != nil {
 		// End-of-run epoch boundary (no-op in precise mode): no register
 		// can hold an evidence handle past this point, so pending evidence
@@ -142,8 +144,57 @@ func (in *Interp) Run(fn string, args ...uint64) (res uint64, err error) {
 	return v, nil
 }
 
+// runState is one Run's mutable state: its step budget and its frame
+// stack, the register and bounds files of every live activation.
 type runState struct {
 	budget uint64
+
+	// The frame stack is a segment of registers (and a parallel segment
+	// of bounds) carved into one window per activation, top at sp. A
+	// push that does not fit starts a fresh, larger segment and never
+	// copies, so every live window stays valid — the caller's while a
+	// callee runs, and a qsort comparator's caller's when the comparator
+	// re-enters exec from execIntrinsic. Popping restores sp to the mark
+	// push returned, even across a growth: the frames below it live in
+	// older segments, so the current one has no live window above it.
+	regs  []uint64
+	bregs []core.Bounds
+	sp    int
+}
+
+// minFrameSegment is the first segment's register count.
+const minFrameSegment = 256
+
+// push carves a window of n registers for a new activation, in the
+// state absint's entryState models: registers zero, bounds Wide. It
+// returns the stack top to pop back to.
+func (rs *runState) push(n int) ([]uint64, []core.Bounds, int) {
+	mark := rs.sp
+	if rs.sp+n > len(rs.regs) {
+		size := max(2*len(rs.regs), n, minFrameSegment)
+		rs.regs, rs.bregs = make([]uint64, size), make([]core.Bounds, size)
+		rs.sp = 0
+	}
+	lo, hi := rs.sp, rs.sp+n
+	rs.sp = hi
+	regs, bregs := rs.regs[lo:hi:hi], rs.bregs[lo:hi:hi]
+	clear(regs)
+	for i := range bregs {
+		bregs[i] = core.Wide
+	}
+	return regs, bregs, mark
+}
+
+// call runs program function f on args (register numbers in the
+// caller's file regs) in a fresh window.
+func (in *Interp) call(rs *runState, f *Func, regs []uint64, args []int) uint64 {
+	cregs, cbregs, mark := rs.push(f.NumRegs)
+	for i, a := range args {
+		cregs[i] = regs[a]
+	}
+	v := in.exec(rs, f, cregs, cbregs)
+	rs.sp = mark
+	return v
 }
 
 func (rs *runState) spend(n uint64) {
@@ -153,14 +204,9 @@ func (rs *runState) spend(n uint64) {
 	rs.budget -= n
 }
 
-// exec runs one function activation to completion.
-func (in *Interp) exec(rs *runState, f *Func, args []uint64) uint64 {
-	regs := make([]uint64, f.NumRegs)
-	copy(regs, args)
-	bregs := make([]core.Bounds, f.NumRegs)
-	for i := range bregs {
-		bregs[i] = core.Wide
-	}
+// exec runs one function activation to completion in the window
+// regs/bregs, whose leading registers hold the arguments.
+func (in *Interp) exec(rs *runState, f *Func, regs []uint64, bregs []core.Bounds) uint64 {
 	var allocas []uint64
 	defer func() {
 		// Stack objects die with the frame; EffEnv rebinds them to FREE,
@@ -284,11 +330,7 @@ func (in *Interp) exec(rs *runState, f *Func, args []uint64) uint64 {
 			case OpCall:
 				var v uint64
 				if callee := in.prog.Funcs[ins.Callee]; callee != nil {
-					cargs := make([]uint64, len(ins.Args))
-					for i, a := range ins.Args {
-						cargs[i] = regs[a]
-					}
-					v = in.exec(rs, callee, cargs)
+					v = in.call(rs, callee, regs, ins.Args)
 				} else {
 					v = in.execIntrinsic(rs, ins, regs, bregs)
 				}
@@ -323,15 +365,11 @@ func (in *Interp) exec(rs *runState, f *Func, args []uint64) uint64 {
 				p := regs[ins.A]
 				bregs[ins.A] = in.effRT(ins).BoundsNarrow(bregs[ins.A], p, p+uint64(ins.Aux))
 			case OpBoundsCheck:
-				static := ""
-				if ins.Type != nil {
-					static = ins.Type.String()
-				}
 				size := uint64(ins.Aux)
 				if ins.B != -1 {
 					size = regs[ins.B] // dynamic extent (memcpy/memset)
 				}
-				in.effRT(ins).BoundsCheck(regs[ins.A], size, bregs[ins.A], static, ins.Site)
+				in.effRT(ins).BoundsCheck(regs[ins.A], size, bregs[ins.A], ins.Type, ins.Site)
 			case OpEscapeCheck:
 				in.effRT(ins).EscapeCheck(regs[ins.A], bregs[ins.A], ins.Site)
 			case OpBoundsMov:
@@ -340,15 +378,11 @@ func (in *Interp) exec(rs *runState, f *Func, args []uint64) uint64 {
 			case OpTypeRecord:
 				bregs[ins.A] = in.effRT(ins).TypeRecordAt(regs[ins.A], ins.Type, ins.Aux, ins.Site)
 			case OpBoundsRecord:
-				static := ""
-				if ins.Type != nil {
-					static = ins.Type.String()
-				}
 				size := uint64(ins.Aux)
 				if ins.B != -1 {
 					size = regs[ins.B] // dynamic extent (memcpy/memset)
 				}
-				in.effRT(ins).BoundsRecord(regs[ins.A], size, bregs[ins.A], static, ins.Site)
+				in.effRT(ins).BoundsRecord(regs[ins.A], size, bregs[ins.A], ins.Type, ins.Site)
 			case OpEscapeRecord:
 				in.effRT(ins).EscapeRecord(regs[ins.A], bregs[ins.A], ins.Site)
 
@@ -396,7 +430,11 @@ func (in *Interp) execIntrinsic(rs *runState, ins *Instr, regs []uint64, bregs [
 	if d.NeedsCmp {
 		cmp := in.prog.Funcs[ins.Str]
 		ctx.Cmp = func(a, b uint64) int64 {
-			return int64(in.exec(rs, cmp, []uint64{a, b}))
+			cregs, cbregs, mark := rs.push(cmp.NumRegs)
+			cregs[0], cregs[1] = a, b
+			v := in.exec(rs, cmp, cregs, cbregs)
+			rs.sp = mark
+			return int64(v)
 		}
 	}
 	return d.Run(ctx)
