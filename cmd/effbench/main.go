@@ -29,6 +29,9 @@
 //	                                -layoutmem-n and -layoutmem-caps size
 //	                                the sweep, -json-layoutmem emits it
 //
+// -cpuprofile and -memprofile write pprof profiles of the whole
+// invocation, as they do for effsan.
+//
 // The fig10 scalability curve is governed by -threads (top of the thread
 // curve) and -jobs (jobs per workload per point); see docs/BENCHMARKS.md
 // for every flag, knob combination and the JSON schemas emitted by
@@ -42,12 +45,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-
 	"strconv"
 	"strings"
 
 	"repro/internal/difftest"
 	"repro/internal/harness"
+	"repro/internal/profiling"
 	"repro/internal/progen"
 )
 
@@ -133,7 +136,16 @@ func main() {
 		"comma-separated layout-cache capacities for the layoutmem sweep (0 = unbounded)")
 	jsonLayoutmemPath := flag.String("json-layoutmem", "",
 		"also write the layoutmem sweep as JSON to this path (requires layoutmem to run)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
+	memProfile := flag.String("memprofile", "", "write a memory (allocation) profile to this file at exit")
 	flag.Parse()
+
+	var err error
+	if stopProfiles, err = profiling.Start("effbench", *cpuProfile, *memProfile); err != nil {
+		fmt.Fprintf(os.Stderr, "effbench: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
 
 	// The differential oracle loop is deliberately NOT part of
 	// -experiment all: it is a pass/fail correctness harness over the
@@ -142,7 +154,7 @@ func main() {
 	if *experiment == "difftest" {
 		if err := runDifftest(*seed); err != nil {
 			fmt.Fprintf(os.Stderr, "effbench: difftest: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -153,7 +165,7 @@ func main() {
 	if *experiment == "layoutmem" {
 		if err := runLayoutMem(*layoutmemCaps, *layoutmemN, *jsonLayoutmemPath); err != nil {
 			fmt.Fprintf(os.Stderr, "effbench: layoutmem: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -164,7 +176,7 @@ func main() {
 		}
 		if err := f(); err != nil {
 			fmt.Fprintf(os.Stderr, "effbench: %s: %v\n", name, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Println()
 	}
@@ -321,6 +333,16 @@ func runLayoutMem(capsSpec string, n int, jsonPath string) error {
 		Experiment: "layoutmem", N: n, Caps: caps,
 		GoMaxProcs: runtime.GOMAXPROCS(0), Rows: rows,
 	})
+}
+
+// stopProfiles finishes the -cpuprofile/-memprofile profiles; main
+// defers it and exit runs it.
+var stopProfiles = func() {}
+
+// exit finishes any profiles and ends the process with code.
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
 }
 
 // writeJSON marshals v indented and writes it with a trailing newline.

@@ -25,14 +25,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/ctypes"
 	"repro/internal/instrument"
 	"repro/internal/mir"
+	"repro/internal/profiling"
 	"repro/internal/sanitizers"
 )
 
@@ -125,39 +124,9 @@ var stopProfiles = func() {}
 
 // startProfiles starts a CPU profile to cpuPath and arranges for exit
 // to write a memory profile to memPath (either may be empty).
-func startProfiles(cpuPath, memPath string) error {
-	var cpu *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		cpu = f
-	}
-	stopProfiles = func() {
-		stopProfiles = func() {}
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			cpu.Close()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "effsan: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the in-use view; alloc_space counts every allocation regardless
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "effsan: %v\n", err)
-			}
-		}
-	}
-	return nil
+func startProfiles(cpuPath, memPath string) (err error) {
+	stopProfiles, err = profiling.Start("effsan", cpuPath, memPath)
+	return err
 }
 
 // exit finishes any profiles and ends the process with code.

@@ -208,6 +208,21 @@ func (r *Runtime) MergeStats(d StatsSnapshot) {
 	r.stats.Merge(d)
 }
 
+// FoldChecks adds counts of checks a caller resolved without calling the
+// runtime — passing bounds and escape checks (bounds) and bounds
+// narrows (narrows) — to the BoundsChecks and BoundsNarrows counters.
+// The interpreter tallies its inline precise-mode checks per Run and
+// folds them here once when the Run returns, so the counters are exact
+// at quiescence without an atomic add per check.
+func (r *Runtime) FoldChecks(bounds, narrows uint64) {
+	if bounds != 0 {
+		r.stats.BoundsChecks.Add(bounds)
+	}
+	if narrows != 0 {
+		r.stats.BoundsNarrows.Add(narrows)
+	}
+}
+
 // CheckCacheHitRate returns the fraction of shared check-cache lookups
 // that hit, or 0 when the cache saw no traffic. Inline-cache hits never
 // reach the shared cache, so the two rates measure disjoint traffic.

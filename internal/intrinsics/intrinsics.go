@@ -93,6 +93,20 @@ type Ctx struct {
 	// Spend charges n units against the interpreter's step budget, so
 	// intrinsic loops respect the runaway backstop. May be nil.
 	Spend func(n uint64)
+
+	// buf is scratch space handlers reuse across invocations: the
+	// interpreter keeps one Ctx per intrinsic nesting depth of a run, so
+	// a comparator re-entering the interpreter never shares it with the
+	// qsort that called it.
+	buf []byte
+}
+
+// scratch returns n bytes of reusable scratch space.
+func (c *Ctx) scratch(n uint64) []byte {
+	if uint64(cap(c.buf)) < n {
+		c.buf = make([]byte, n)
+	}
+	return c.buf[:n]
 }
 
 func (c *Ctx) spend(n uint64) {
@@ -336,8 +350,8 @@ var registry = map[string]*Desc{
 			// entry type check sees the true allocation — comparator OOB
 			// is caught by its instrumentation on re-entry. Swaps go
 			// through host-side buffers, not simulated scratch memory.
-			bi := make([]byte, size)
-			bj := make([]byte, size)
+			buf := c.scratch(2 * size)
+			bi, bj := buf[:size], buf[size:]
 			for i := uint64(0); i < n-1; i++ {
 				best := i
 				for j := i + 1; j < n; j++ {

@@ -1,6 +1,7 @@
 package mir_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -64,6 +65,63 @@ int sortDeep(int depth) {
     for (int i = 0; i < 6; i++) { acc = acc * 10 + v[i]; }
     free(v);
     return (int)acc + before + after;
+}
+
+int cmpCopy(long *x, long *y) {
+    long t[2];
+    memcpy(t, x, 8);
+    memcpy(t + 1, y, 8);
+    if (t[0] < t[1]) { return 0 - 1; }
+    if (t[0] > t[1]) { return 1; }
+    return 0;
+}
+
+long sortCopy() {
+    long *v = malloc(6 * 8);
+    v[0] = 5; v[1] = 3; v[2] = 4; v[3] = 0; v[4] = 2; v[5] = 1;
+    qsort(v, 6, 8, cmpCopy);
+    long acc = 0;
+    for (int i = 0; i < 6; i++) { acc = acc * 10 + v[i]; }
+    free(v);
+    return acc;
+}
+
+int libCmp(long *x, long *y) {
+    if (*x < *y) { return 0 - 1; }
+    if (*x > *y) { return 1; }
+    return 0;
+}
+
+long libs(int n) {
+    long *a = malloc(8 * sizeof(long));
+    long *b = malloc(8 * sizeof(long));
+    char *s = malloc(24);
+    char *d = malloc(24);
+    for (int i = 0; i < 16; i++) { s[i] = (char)(65 + i); }
+    s[16] = (char)0;
+    long acc = 0;
+    for (int k = 0; k < n; k++) {
+        memset(a, 0, 8 * sizeof(long));
+        for (int i = 0; i < 8; i++) { a[i] = (long)((k + 7 * i) % 8); }
+        memcpy(b, a, 8 * sizeof(long));
+        memmove(a + 1, a, 7 * sizeof(long));
+        qsort(b, 8, 8, libCmp);
+        strcpy(d, s);
+        strncpy(d, s, 8);
+        acc += b[0] + b[7] * 2 + a[1] + (long)strlen(d);
+    }
+    free(a);
+    free(b);
+    free(s);
+    free(d);
+    return acc;
+}
+
+int overrun(int n, int m) {
+    int *v = malloc(8 * sizeof(int));
+    int s = 0;
+    for (int i = 0; i < n; i++) { s = s + v[(i * m) % 8]; } // m < 0 would underrun: checked
+    return s + v[8]; // one past the end: the run's only failing check, and its last
 }
 `
 
@@ -150,6 +208,91 @@ func TestRunAllocsFlatInCalls(t *testing.T) {
 	}
 }
 
+// nopHooks observes nothing; it makes the interpreter take its hooked
+// paths.
+type nopHooks struct{}
+
+func (nopHooks) Access(uint64, uint64, bool, *ctypes.Type, string)   {}
+func (nopHooks) Cast(uint64, *ctypes.Type, *ctypes.Type, string)     {}
+func (nopHooks) Derive(uint64, uint64, bool, uint64, uint64, string) {}
+func (nopHooks) PtrStore(uint64, uint64, string)                     {}
+func (nopHooks) PtrLoad(uint64, uint64, string)                      {}
+
+// TestIntrinsicCallsAllocFlat guards the intrinsic contexts: once warm,
+// a Run allocates the same however many libc intrinsic calls it makes —
+// memset, memcpy, memmove, strcpy, strncpy, strlen and qsort, whose
+// comparator re-enters the interpreter — unhooked, hooked and under
+// EffectiveSan.
+func TestIntrinsicCallsAllocFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	p := compileFrames(t)
+	for _, c := range []struct {
+		name  string
+		eff   bool
+		hooks mir.Hooks
+	}{
+		{"plain", false, nil},
+		{"hooked", false, nopHooks{}},
+		{"effectivesan", true, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			in, rt := newInterp(t, p, c.eff)
+			if c.hooks != nil {
+				var err error
+				in, err = mir.New(p, mir.Options{Env: mir.NewPlainEnv(nil), Hooks: c.hooks})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := func(n uint64) float64 {
+				run(t, in, "libs", n)
+				return testing.AllocsPerRun(20, func() { run(t, in, "libs", n) })
+			}
+			if lo, hi := allocs(2), allocs(40); lo != hi {
+				t.Errorf("libs(2) allocates %v per Run, libs(40) %v: want no per-call allocation", lo, hi)
+			}
+			if rt != nil && rt.Reporter.Total() != 0 {
+				t.Errorf("clean program reported:\n%s", rt.Reporter.Log())
+			}
+		})
+	}
+}
+
+// TestAbortFoldsInlineTallies aborts a Run at its only failing bounds
+// check, the last check it makes: the passing checks before it, which
+// the interpreter tallied without calling the runtime, still reach the
+// counters, exactly as many as a logging run of the same program counts.
+func TestAbortFoldsInlineTallies(t *testing.T) {
+	p := compileFrames(t)
+	ip, _ := instrument.Instrument(p, instrument.Options{Variant: instrument.Full})
+	count := func(abortAfter uint64) core.StatsSnapshot {
+		rt := core.NewRuntime(core.Options{Types: ip.Types, AbortAfter: abortAfter})
+		in, err := mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = in.Run("overrun", 20, 1)
+		var abort core.AbortError
+		if got := errors.As(err, &abort); got != (abortAfter > 0) {
+			t.Fatalf("AbortAfter %d: Run error %v", abortAfter, err)
+		}
+		if rt.Reporter.Total() != 1 {
+			t.Fatalf("AbortAfter %d: %d reports, want 1", abortAfter, rt.Reporter.Total())
+		}
+		return rt.Stats()
+	}
+	logged, aborted := count(0), count(1)
+	if aborted.BoundsChecks != logged.BoundsChecks || aborted.BoundsNarrows != logged.BoundsNarrows {
+		t.Errorf("aborted run counted %d bounds checks and %d narrows, logging run %d and %d",
+			aborted.BoundsChecks, aborted.BoundsNarrows, logged.BoundsChecks, logged.BoundsNarrows)
+	}
+	if aborted.BoundsChecks < 20 {
+		t.Errorf("aborted run counted %d bounds checks, want the loop's passing ones too", aborted.BoundsChecks)
+	}
+}
+
 // TestStackGrowthMidCall recurses far past the first stack segment:
 // every caller reads its registers after a callee grew the stack, so a
 // growth that moved or reused a live window changes the result.
@@ -168,7 +311,9 @@ func TestStackGrowthMidCall(t *testing.T) {
 // TestQsortComparatorReentry sorts with a comparator that itself
 // recurses, from callers at depths on both sides of a segment boundary,
 // so the comparator's re-entry into exec from inside the intrinsic both
-// fits and grows the stack while qsort's caller's window is live.
+// fits and grows the stack while qsort's caller's window is live; and
+// with a comparator that calls memcpy, an intrinsic nested inside the
+// qsort still running.
 func TestQsortComparatorReentry(t *testing.T) {
 	p := compileFrames(t)
 	for _, eff := range []bool{false, true} {
@@ -179,6 +324,9 @@ func TestQsortComparatorReentry(t *testing.T) {
 				t.Errorf("eff=%v sortDeep(%d) = %d, want %d", eff, depth, got, want)
 			}
 		}
+		if got := run(t, in, "sortCopy"); got != 12345 {
+			t.Errorf("eff=%v sortCopy() = %d, want 12345", eff, got)
+		}
 		if rt != nil && rt.Reporter.Total() != 0 {
 			t.Errorf("clean program reported:\n%s", rt.Reporter.Log())
 		}
@@ -186,39 +334,62 @@ func TestQsortComparatorReentry(t *testing.T) {
 }
 
 // TestConcurrentRunsOneInterp runs one interpreter from several
-// goroutines at different depths: each Run owns its frame stack (run
-// it under -race).
+// goroutines at different depths: each Run owns its frame stack and its
+// check tallies, and the runtime's shared counter sink ends up holding
+// exactly the counts of the same Runs made one after another (run it
+// under -race).
 func TestConcurrentRunsOneInterp(t *testing.T) {
 	p := compileFrames(t)
+	work := func(t *testing.T, in *mir.Interp, eff bool, g int) {
+		for i := 0; i < 5; i++ {
+			n := 100 + 300*g + i
+			v, err := in.Run("deep", uint64(n))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := int64(int32(v)); got != deepWant(n) {
+				t.Errorf("eff=%v deep(%d) = %d, want %d", eff, n, got, deepWant(n))
+			}
+			v, err = in.Run("walks", uint64(10+g))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if v == 0 {
+				t.Errorf("eff=%v walks(%d) = 0", eff, 10+g)
+			}
+			if _, err := in.Run("libs", uint64(g+1)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
 	for _, eff := range []bool{false, true} {
-		in, _ := newInterp(t, p, eff)
+		in, rt := newInterp(t, p, eff)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				for i := 0; i < 5; i++ {
-					n := 100 + 300*g + i
-					v, err := in.Run("deep", uint64(n))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if got := int64(int32(v)); got != deepWant(n) {
-						t.Errorf("eff=%v deep(%d) = %d, want %d", eff, n, got, deepWant(n))
-					}
-					v, err = in.Run("walks", uint64(10+g))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if v == 0 {
-						t.Errorf("eff=%v walks(%d) = 0", eff, 10+g)
-					}
-				}
+				work(t, in, eff, g)
 			}(g)
 		}
 		wg.Wait()
+		if rt == nil {
+			continue
+		}
+		serial, srt := newInterp(t, p, eff)
+		for g := 0; g < 4; g++ {
+			work(t, serial, eff, g)
+		}
+		got, want := rt.Stats(), srt.Stats()
+		if got.BoundsChecks != want.BoundsChecks || got.BoundsNarrows != want.BoundsNarrows ||
+			got.TypeChecks != want.TypeChecks || got.BoundsChecks == 0 {
+			t.Errorf("concurrent Runs counted %d bounds checks, %d narrows, %d type checks; serial Runs %d, %d, %d",
+				got.BoundsChecks, got.BoundsNarrows, got.TypeChecks,
+				want.BoundsChecks, want.BoundsNarrows, want.TypeChecks)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -36,22 +37,31 @@ type Options struct {
 
 // Interp executes a MIR program. A single Interp may execute multiple
 // Runs, including concurrently (the Firefox workloads do); each Run has
-// its own register state while sharing memory, globals and the
-// environment.
+// its own register state while sharing memory, globals, the decoded
+// program and the environment.
 type Interp struct {
 	prog     *Program
+	funcs    map[string]*xfunc // the decoded program, shared by every Run
 	env      Env
 	eff      *core.Runtime
 	hooks    Hooks
 	mem      *mem.Memory
 	out      io.Writer
 	maxSteps uint64
+	// inlineChecks runs the passing case of bounds and escape checks and
+	// every bounds narrow in the executor, tallied per Run, instead of
+	// calling the runtime. Set for a precise-mode runtime, where those
+	// calls have no effect on success but a counter; epoch mode defers
+	// them and always calls.
+	inlineChecks bool
 
 	globalsOnce sync.Once
 	globalAddrs []uint64
 }
 
-// New validates the program and returns an interpreter for it.
+// New validates the program, decodes it for execution and returns an
+// interpreter for it. The interpreter runs the decoded form, so the
+// program must not change afterwards.
 func New(p *Program, opts Options) (*Interp, error) {
 	if !opts.NoValidate {
 		if err := p.Validate(); err != nil {
@@ -76,13 +86,15 @@ func New(p *Program, opts Options) (*Interp, error) {
 		maxSteps = 1 << 33
 	}
 	return &Interp{
-		prog:     p,
-		env:      opts.Env,
-		eff:      eff,
-		hooks:    opts.Hooks,
-		mem:      opts.Env.Mem(),
-		out:      out,
-		maxSteps: maxSteps,
+		prog:         p,
+		funcs:        decode(p),
+		env:          opts.Env,
+		eff:          eff,
+		hooks:        opts.Hooks,
+		mem:          opts.Env.Mem(),
+		out:          out,
+		maxSteps:     maxSteps,
+		inlineChecks: eff != nil && !eff.EpochEnabled(),
 	}, nil
 }
 
@@ -110,16 +122,30 @@ func (in *Interp) materializeGlobals() {
 // reporter and execution continues, the paper's logging semantics).
 // A core.AbortError escapes as an error when the runtime's abort-after-N
 // limit is configured.
-func (in *Interp) Run(fn string, args ...uint64) (res uint64, err error) {
-	f, ok := in.prog.Funcs[fn]
+func (in *Interp) Run(fn string, args ...uint64) (uint64, error) {
+	res, _, err := in.run(fn, args)
+	return res, err
+}
+
+// run is Run, also returning the number of instructions the Run
+// executed: the steps it charged against MaxSteps.
+func (in *Interp) run(fn string, args []uint64) (res, steps uint64, err error) {
+	f, ok := in.funcs[fn]
 	if !ok {
-		return 0, fmt.Errorf("mir: no function %q", fn)
+		return 0, 0, fmt.Errorf("mir: no function %q", fn)
 	}
-	if len(args) != len(f.Params) {
-		return 0, fmt.Errorf("mir: %s expects %d args, got %d", fn, len(f.Params), len(args))
+	if len(args) != len(f.fn.Params) {
+		return 0, 0, fmt.Errorf("mir: %s expects %d args, got %d", fn, len(f.fn.Params), len(args))
 	}
 	in.materializeGlobals()
+	rs := &runState{budget: in.maxSteps}
 	defer func() {
+		steps = in.maxSteps - rs.budget
+		if in.eff != nil {
+			// Every exit — a return, a simulation error, an abort — folds
+			// the Run's inline check tallies into the runtime's counters.
+			in.eff.FoldChecks(rs.bounds, rs.narrows)
+		}
 		switch e := recover().(type) {
 		case nil:
 		case simError:
@@ -130,10 +156,9 @@ func (in *Interp) Run(fn string, args ...uint64) (res uint64, err error) {
 			panic(e)
 		}
 	}()
-	rs := &runState{budget: in.maxSteps}
-	regs, bregs, _ := rs.push(f.NumRegs)
+	regs, bregs, _ := rs.push(f.numRegs)
 	copy(regs, args)
-	v := in.exec(rs, f, regs, bregs)
+	res = in.exec(rs, f, regs, bregs)
 	if in.eff != nil {
 		// End-of-run epoch boundary (no-op in precise mode): no register
 		// can hold an evidence handle past this point, so pending evidence
@@ -141,13 +166,19 @@ func (in *Interp) Run(fn string, args ...uint64) (res uint64, err error) {
 		// the sweep is recovered above, like any mid-run abort.
 		in.eff.EpochFlush()
 	}
-	return v, nil
+	return res, 0, nil
 }
 
-// runState is one Run's mutable state: its step budget and its frame
-// stack, the register and bounds files of every live activation.
+// runState is one Run's mutable state: its step budget, its check
+// tallies, its frame stack (the register and bounds files of every live
+// activation) with their stack objects, and its intrinsic contexts.
 type runState struct {
 	budget uint64
+
+	// bounds and narrows tally the passing bounds and escape checks and
+	// the bounds narrows the executor ran inline (Interp.inlineChecks);
+	// run folds them into the runtime's counters when it returns.
+	bounds, narrows uint64
 
 	// The frame stack is a segment of registers (and a parallel segment
 	// of bounds) carved into one window per activation, top at sp. A
@@ -160,6 +191,16 @@ type runState struct {
 	regs  []uint64
 	bregs []core.Bounds
 	sp    int
+
+	// allocas holds the live stack objects of every activation, the
+	// innermost activation's last.
+	allocas []uint64
+
+	// intr holds one reusable intrinsic context per nesting depth — a
+	// qsort comparator may call intrinsics of its own — and depth counts
+	// the contexts in use.
+	intr  []*intrCall
+	depth int
 }
 
 // minFrameSegment is the first segment's register count.
@@ -185,10 +226,356 @@ func (rs *runState) push(n int) ([]uint64, []core.Bounds, int) {
 	return regs, bregs, mark
 }
 
+func (rs *runState) spend(n uint64) {
+	if n > rs.budget {
+		panic(simError{"mir: step limit exceeded (runaway loop?)"})
+	}
+	rs.budget -= n
+}
+
+// xop is a decoded opcode: a MIR op, specialised by operand type where
+// the type decides the operation.
+type xop uint8
+
+const (
+	xBad   xop = iota // an op the executor does not know; panics when reached
+	xConst            // regs[dst] = k
+	xMov              // OpMov, and OpCast between types of one representation
+	xNot
+
+	// OpBin on integer and pointer operands.
+	xAdd
+	xSub
+	xMul
+	xAnd
+	xOr
+	xXor
+	xShl
+	xShrS
+	xShrU
+	xBin // any other OpBin: floats, division and remainder (evalBin)
+
+	// OpCmp on integer and pointer operands, by signedness.
+	xEq
+	xNe
+	xLtS
+	xLeS
+	xGtS
+	xGeS
+	xLtU
+	xLeU
+	xGtU
+	xGeU
+	xCmp // any other OpCmp: floats (evalCmp)
+
+	// OpCast.
+	xCastPtr // pointer to pointer: a move that Hooks.Cast observes
+	xSext    // integer narrowing to a signed type: k = 64 - 8*width
+	xZext    // integer narrowing to an unsigned type: k = 64 - 8*width
+	xCast    // any other OpCast: float conversions (convert)
+
+	xGlobal
+	xAlloca
+	xMalloc
+	xFree
+	xRealloc
+
+	// OpLoad and OpStore, by width k (validation admits scalars only).
+	xLoadU   // zero-extending or full-width: unsigned, pointer, double
+	xLoadS   // sign-extending: narrow signed integer
+	xLoadF32 // float, widened to double bits
+	xStore   // integer, pointer or double
+	xStoreF32
+
+	xField
+	xIndex    // complete element type: k = element size
+	xIndexAny // incomplete element type (sized when executed)
+	xMemcpy
+	xMemset
+
+	xCall          // program function callees[k]
+	xCallIntrinsic // libc intrinsic callees[k].intr
+	xRet
+	xJmp // pc = dst, charging k steps
+	xBr  // pc = dst (charging k's low half) if a != 0, else b (its high half)
+
+	xPrint
+	xPuts
+
+	xTypeCheck
+	xBoundsGet
+	xBoundsNarrow
+	xBoundsCheck    // static extent k
+	xBoundsCheckDyn // extent in register b (memcpy/memset)
+	xEscapeCheck
+	xBoundsMov
+	xTypeRecord
+	xBoundsRecord
+	xEscapeRecord
+)
+
+// xinstr is one decoded instruction. The register operands and the
+// immediate are its Instr's, except where an op's comment says
+// otherwise; ins points back to the Instr for the cold fields — site,
+// types, call arguments, C, literal — that only hooks, the runtime and
+// the generic paths read.
+type xinstr struct {
+	op        xop
+	dst, a, b int32
+	k         int64
+	ins       *Instr
+}
+
+// xfunc is a decoded function: its instructions laid out block after
+// block, with branches resolved to pcs and OpNops dropped. A call site
+// that names a libc intrinsic resolves to an xfunc with no code whose
+// intr is the intrinsic and cmp its comparator, if any.
+type xfunc struct {
+	fn      *Func
+	code    []xinstr
+	callees []*xfunc // call targets, indexed by the call's k
+	numRegs int
+	// entry is the entry block's step charge. Every block charges its
+	// Instr count, nops included, on entry — at the call for the entry
+	// block, at the branch otherwise — so MaxSteps trips where it did
+	// when the interpreter walked blocks.
+	entry    uint64
+	allocas  bool   // the body has OpAlloca, so a frame may own stack objects
+	framepop string // site of the frees that pop the frame's stack objects
+
+	intr *intrinsics.Desc
+	cmp  *xfunc
+}
+
+// decode translates every function of p.
+func decode(p *Program) map[string]*xfunc {
+	funcs := make(map[string]*xfunc, len(p.Funcs))
+	for name, f := range p.Funcs {
+		funcs[name] = &xfunc{fn: f, numRegs: f.NumRegs, framepop: f.Name + ":framepop"}
+	}
+	var start []int32
+	for _, xf := range funcs {
+		start = xf.decode(funcs, start)
+	}
+	return funcs
+}
+
+// decode translates xf.fn, resolving calls through funcs. start is
+// scratch space for each block's first pc, returned for reuse.
+func (xf *xfunc) decode(funcs map[string]*xfunc, start []int32) []int32 {
+	f := xf.fn
+	if len(f.Blocks) == 0 {
+		return start
+	}
+	start = slices.Grow(start[:0], len(f.Blocks))[:len(f.Blocks)]
+	n, calls := 0, 0
+	for bi, blk := range f.Blocks {
+		start[bi] = int32(n)
+		for i := range blk.Instrs {
+			switch blk.Instrs[i].Op {
+			case OpNop:
+				continue
+			case OpCall:
+				calls++
+			}
+			n++
+		}
+	}
+	charge := func(bi int) int64 { return int64(len(f.Blocks[bi].Instrs)) }
+	xf.entry = uint64(charge(0))
+	xf.code = make([]xinstr, 0, n)
+	xf.callees = make([]*xfunc, 0, calls)
+	for _, blk := range f.Blocks {
+		for i := range blk.Instrs {
+			ins := &blk.Instrs[i]
+			d := xinstr{dst: int32(ins.Dst), a: int32(ins.A), b: int32(ins.B), k: ins.Aux, ins: ins}
+			switch ins.Op {
+			case OpNop:
+				continue
+			case OpConst:
+				d.op, d.k = xConst, ins.Imm
+			case OpMov:
+				d.op = xMov
+			case OpBin:
+				d.op = binOp(BinKind(ins.Aux), ins.Type)
+			case OpCmp:
+				d.op = cmpOp(CmpKind(ins.Aux), ins.Type)
+			case OpNot:
+				d.op = xNot
+			case OpCast:
+				d.op, d.k = castOp(ins.CastFrom, ins.Type)
+			case OpGlobal:
+				d.op = xGlobal
+			case OpAlloca:
+				d.op, xf.allocas = xAlloca, true
+			case OpMalloc:
+				d.op = xMalloc
+			case OpFree:
+				d.op = xFree
+			case OpRealloc:
+				d.op = xRealloc
+			case OpLoad:
+				d.op, d.k = loadOp(ins.Type)
+			case OpStore:
+				d.op, d.k = storeOp(ins.Type)
+			case OpField:
+				d.op = xField
+			case OpIndex:
+				d.op = xIndexAny
+				if ins.Type.IsComplete() {
+					d.op, d.k = xIndex, ins.Type.Size()
+				}
+			case OpMemcpy:
+				d.op = xMemcpy
+			case OpMemset:
+				d.op = xMemset
+			case OpCall:
+				// Program functions shadow intrinsics; validation rejects
+				// a callee that is neither, leaving it xBad.
+				callee := funcs[ins.Callee]
+				if callee != nil {
+					d.op = xCall
+				} else if desc := intrinsics.Lookup(ins.Callee); desc != nil {
+					d.op, callee = xCallIntrinsic, &xfunc{intr: desc, cmp: funcs[ins.Str]}
+				}
+				if callee != nil {
+					d.k = int64(len(xf.callees))
+					xf.callees = append(xf.callees, callee)
+				}
+			case OpRet:
+				d.op = xRet
+			case OpJmp:
+				d.op, d.dst, d.k = xJmp, start[ins.To], charge(ins.To)
+			case OpBr:
+				d.op, d.dst, d.b = xBr, start[ins.To], start[ins.Else]
+				d.k = charge(ins.To) | charge(ins.Else)<<32
+			case OpPrint:
+				d.op = xPrint
+			case OpPuts:
+				d.op = xPuts
+			case OpTypeCheck:
+				d.op = xTypeCheck
+			case OpBoundsGet:
+				d.op = xBoundsGet
+			case OpBoundsNarrow:
+				d.op = xBoundsNarrow
+			case OpBoundsCheck:
+				d.op = xBoundsCheck
+				if ins.B != -1 {
+					d.op = xBoundsCheckDyn
+				}
+			case OpEscapeCheck:
+				d.op = xEscapeCheck
+			case OpBoundsMov:
+				d.op = xBoundsMov
+			case OpTypeRecord:
+				d.op = xTypeRecord
+			case OpBoundsRecord:
+				d.op = xBoundsRecord
+			case OpEscapeRecord:
+				d.op = xEscapeRecord
+			}
+			xf.code = append(xf.code, d)
+		}
+	}
+	return start
+}
+
+// binOp specialises OpBin kind k on operand type t.
+func binOp(k BinKind, t *ctypes.Type) xop {
+	if t == nil || t.IsFloat() {
+		return xBin
+	}
+	switch k {
+	case BinAdd:
+		return xAdd
+	case BinSub:
+		return xSub
+	case BinMul:
+		return xMul
+	case BinAnd:
+		return xAnd
+	case BinOr:
+		return xOr
+	case BinXor:
+		return xXor
+	case BinShl:
+		return xShl
+	case BinShr:
+		if t.IsSigned() {
+			return xShrS
+		}
+		return xShrU
+	}
+	return xBin
+}
+
+// cmpOp specialises OpCmp kind k on operand type t.
+func cmpOp(k CmpKind, t *ctypes.Type) xop {
+	switch {
+	case t == nil || t.IsFloat() || k < CmpEq || k > CmpGe:
+		return xCmp
+	case k == CmpEq:
+		return xEq
+	case k == CmpNe:
+		return xNe
+	case t.IsSigned():
+		return xLtS + xop(k-CmpLt)
+	}
+	return xLtU + xop(k-CmpLt)
+}
+
+// castOp specialises an OpCast from from to to. Casts that keep the
+// register's bits — pointer to pointer, integer to a 64-bit integer or
+// pointer, any float type to double — copy it; integer narrowings
+// truncate and re-extend by a shift; float conversions stay generic.
+func castOp(from, to *ctypes.Type) (xop, int64) {
+	switch {
+	case from != nil && from.Kind == ctypes.KindPointer && to.Kind == ctypes.KindPointer:
+		return xCastPtr, 0
+	case from == nil || from == to:
+		return xMov, 0
+	case from.IsFloat() && to.IsFloat() && to.Kind != ctypes.KindFloat:
+		return xMov, 0
+	case from.IsFloat() || to.IsFloat() || !to.IsScalar():
+		return xCast, 0
+	}
+	w := scalarWidth(to)
+	if w >= 8 {
+		return xMov, 0
+	}
+	if to.IsSigned() {
+		return xSext, int64(64 - 8*w)
+	}
+	return xZext, int64(64 - 8*w)
+}
+
+// loadOp specialises an OpLoad of scalar type t, returning the width
+// as k.
+func loadOp(t *ctypes.Type) (xop, int64) {
+	w := int64(scalarWidth(t))
+	switch {
+	case t.Kind == ctypes.KindFloat:
+		return xLoadF32, w
+	case t.IsSigned() && w < 8:
+		return xLoadS, w
+	}
+	return xLoadU, w
+}
+
+// storeOp specialises an OpStore of scalar type t, returning the width
+// as k.
+func storeOp(t *ctypes.Type) (xop, int64) {
+	if t.Kind == ctypes.KindFloat {
+		return xStoreF32, int64(scalarWidth(t))
+	}
+	return xStore, int64(scalarWidth(t))
+}
+
 // call runs program function f on args (register numbers in the
 // caller's file regs) in a fresh window.
-func (in *Interp) call(rs *runState, f *Func, regs []uint64, args []int) uint64 {
-	cregs, cbregs, mark := rs.push(f.NumRegs)
+func (in *Interp) call(rs *runState, f *xfunc, regs []uint64, args []int) uint64 {
+	cregs, cbregs, mark := rs.push(f.numRegs)
 	for i, a := range args {
 		cregs[i] = regs[a]
 	}
@@ -197,247 +584,351 @@ func (in *Interp) call(rs *runState, f *Func, regs []uint64, args []int) uint64 
 	return v
 }
 
-func (rs *runState) spend(n uint64) {
-	if n > rs.budget {
-		panic(simError{"mir: step limit exceeded (runaway loop?)"})
+// popAllocas frees the stack objects above mark, innermost first: they
+// die with their frame, and EffEnv rebinds them to FREE, so dangling
+// stack pointers are detected like heap UAF.
+func (in *Interp) popAllocas(rs *runState, mark int, site string) {
+	for i := len(rs.allocas) - 1; i >= mark; i-- {
+		in.env.Free(rs.allocas[i], site)
 	}
-	rs.budget -= n
+	rs.allocas = rs.allocas[:mark]
 }
 
-// exec runs one function activation to completion in the window
-// regs/bregs, whose leading registers hold the arguments.
-func (in *Interp) exec(rs *runState, f *Func, regs []uint64, bregs []core.Bounds) uint64 {
-	var allocas []uint64
-	defer func() {
-		// Stack objects die with the frame; EffEnv rebinds them to FREE,
-		// so dangling stack pointers are detected like heap UAF.
-		for i := len(allocas) - 1; i >= 0; i-- {
-			in.env.Free(allocas[i], f.Name+":framepop")
-		}
-	}()
-
-	bi := 0
-	for {
-		blk := f.Blocks[bi]
-		rs.spend(uint64(len(blk.Instrs)))
-		for ii := range blk.Instrs {
-			ins := &blk.Instrs[ii]
-			switch ins.Op {
-			case OpNop:
-
-			case OpConst:
-				regs[ins.Dst] = uint64(ins.Imm)
-			case OpMov:
-				regs[ins.Dst] = regs[ins.A]
-				bregs[ins.Dst] = bregs[ins.A]
-			case OpBin:
-				regs[ins.Dst] = evalBin(BinKind(ins.Aux), ins.Type, regs[ins.A], regs[ins.B])
-			case OpCmp:
-				regs[ins.Dst] = evalCmp(CmpKind(ins.Aux), ins.Type, regs[ins.A], regs[ins.B])
-			case OpNot:
-				if regs[ins.A] == 0 {
-					regs[ins.Dst] = 1
-				} else {
-					regs[ins.Dst] = 0
-				}
-			case OpCast:
-				v := convert(regs[ins.A], ins.CastFrom, ins.Type)
-				if in.hooks != nil && ins.Type.Kind == ctypes.KindPointer &&
-					ins.CastFrom != nil && ins.CastFrom.Kind == ctypes.KindPointer {
-					in.hooks.Cast(v, ins.CastFrom, ins.Type, ins.Site)
-				}
-				regs[ins.Dst] = v
-				bregs[ins.Dst] = bregs[ins.A]
-
-			case OpGlobal:
-				regs[ins.Dst] = in.globalAddrs[ins.Aux]
-				bregs[ins.Dst] = core.Wide
-			case OpAlloca:
-				size := uint64(ins.Aux) * uint64(ins.Type.Size())
-				p := in.env.Malloc(ins.Type, size, core.StackAlloc, ins.Site)
-				allocas = append(allocas, p)
-				regs[ins.Dst] = p
-				bregs[ins.Dst] = core.Wide
-			case OpMalloc:
-				if ins.Aux == MallocLegacy {
-					regs[ins.Dst] = in.env.LegacyAlloc(regs[ins.A])
-				} else {
-					regs[ins.Dst] = in.env.Malloc(ins.Type, regs[ins.A], core.HeapAlloc, ins.Site)
-				}
-				bregs[ins.Dst] = core.Wide
-			case OpFree:
-				in.env.Free(regs[ins.A], ins.Site)
-			case OpRealloc:
-				regs[ins.Dst] = in.env.Realloc(regs[ins.A], regs[ins.B], ins.Site)
-				bregs[ins.Dst] = core.Wide
-
-			case OpLoad:
-				addr := regs[ins.A]
-				in.checkAddr(addr, ins.Site)
-				size := accessSize(ins.Type)
-				if in.hooks != nil {
-					in.hooks.Access(addr, size, false, ins.Type, ins.Site)
-				}
-				v := loadScalar(in.mem, addr, ins.Type)
-				if in.hooks != nil && ins.Type.Kind == ctypes.KindPointer {
-					in.hooks.PtrLoad(addr, v, ins.Site)
-				}
-				regs[ins.Dst] = v
-				bregs[ins.Dst] = core.Wide
-			case OpStore:
-				addr := regs[ins.A]
-				in.checkAddr(addr, ins.Site)
-				size := accessSize(ins.Type)
-				if in.hooks != nil {
-					in.hooks.Access(addr, size, true, ins.Type, ins.Site)
-					if ins.Type.Kind == ctypes.KindPointer {
-						in.hooks.PtrStore(addr, regs[ins.B], ins.Site)
-					}
-				}
-				storeScalar(in.mem, addr, ins.Type, regs[ins.B])
-			case OpField:
-				p := regs[ins.A] + uint64(ins.Aux)
-				if in.hooks != nil {
-					fsize := uint64(0)
-					if ins.Type.IsComplete() {
-						fsize = uint64(ins.Type.Size())
-					}
-					in.hooks.Derive(p, regs[ins.A], true, p, p+fsize, ins.Site)
-				}
-				regs[ins.Dst] = p
-				bregs[ins.Dst] = bregs[ins.A]
-			case OpIndex:
-				p := regs[ins.A] + uint64(int64(regs[ins.B])*ins.Type.Size())
-				if in.hooks != nil {
-					in.hooks.Derive(p, regs[ins.A], false, 0, 0, ins.Site)
-				}
-				regs[ins.Dst] = p
-				bregs[ins.Dst] = bregs[ins.A]
-			case OpMemcpy:
-				n := regs[ins.C]
-				if in.hooks != nil {
-					in.hooks.Access(regs[ins.B], n, false, ctypes.Char, ins.Site)
-					in.hooks.Access(regs[ins.A], n, true, ctypes.Char, ins.Site)
-				}
-				in.mem.Copy(regs[ins.A], regs[ins.B], n)
-			case OpMemset:
-				n := regs[ins.C]
-				if in.hooks != nil {
-					in.hooks.Access(regs[ins.A], n, true, ctypes.Char, ins.Site)
-				}
-				in.mem.Set(regs[ins.A], byte(regs[ins.B]), n)
-
-			case OpCall:
-				var v uint64
-				if callee := in.prog.Funcs[ins.Callee]; callee != nil {
-					v = in.call(rs, callee, regs, ins.Args)
-				} else {
-					v = in.execIntrinsic(rs, ins, regs, bregs)
-				}
-				if ins.Dst != -1 {
-					regs[ins.Dst] = v
-					bregs[ins.Dst] = core.Wide
-				}
-			case OpRet:
-				if ins.A == -1 {
-					return 0
-				}
-				return regs[ins.A]
-			case OpJmp:
-				bi = ins.To
-			case OpBr:
-				if regs[ins.A] != 0 {
-					bi = ins.To
-				} else {
-					bi = ins.Else
-				}
-
-			case OpPrint:
-				printValue(in.out, ins.Type, regs[ins.A])
-			case OpPuts:
-				fmt.Fprintln(in.out, ins.Str)
-
-			case OpTypeCheck:
-				bregs[ins.A] = in.effRT(ins).TypeCheckAt(regs[ins.A], ins.Type, ins.Aux, ins.Site)
-			case OpBoundsGet:
-				bregs[ins.A] = in.effRT(ins).BoundsGet(regs[ins.A])
-			case OpBoundsNarrow:
-				p := regs[ins.A]
-				bregs[ins.A] = in.effRT(ins).BoundsNarrow(bregs[ins.A], p, p+uint64(ins.Aux))
-			case OpBoundsCheck:
-				size := uint64(ins.Aux)
-				if ins.B != -1 {
-					size = regs[ins.B] // dynamic extent (memcpy/memset)
-				}
-				in.effRT(ins).BoundsCheck(regs[ins.A], size, bregs[ins.A], ins.Type, ins.Site)
-			case OpEscapeCheck:
-				in.effRT(ins).EscapeCheck(regs[ins.A], bregs[ins.A], ins.Site)
-			case OpBoundsMov:
-				bregs[ins.A] = bregs[ins.B]
-
-			case OpTypeRecord:
-				bregs[ins.A] = in.effRT(ins).TypeRecordAt(regs[ins.A], ins.Type, ins.Aux, ins.Site)
-			case OpBoundsRecord:
-				size := uint64(ins.Aux)
-				if ins.B != -1 {
-					size = regs[ins.B] // dynamic extent (memcpy/memset)
-				}
-				in.effRT(ins).BoundsRecord(regs[ins.A], size, bregs[ins.A], ins.Type, ins.Site)
-			case OpEscapeRecord:
-				in.effRT(ins).EscapeRecord(regs[ins.A], bregs[ins.A], ins.Site)
-
-			default:
-				panic(simError{fmt.Sprintf("%s: unknown op %d", ins.Site, ins.Op)})
+// exec runs one activation of f to completion in the window regs/bregs,
+// whose leading registers hold the arguments.
+func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bounds) uint64 {
+	if f.allocas {
+		// Deferred so the frame's stack objects die on every exit,
+		// including a simulation error or abort unwinding through it.
+		defer in.popAllocas(rs, len(rs.allocas), f.framepop)
+	}
+	hooks, m, code, inlineChecks := in.hooks, in.mem, f.code, in.inlineChecks
+	rs.spend(f.entry)
+	for pc := 0; ; {
+		d := &code[pc]
+		pc++
+		switch d.op {
+		case xConst:
+			regs[d.dst] = uint64(d.k)
+		case xMov:
+			regs[d.dst] = regs[d.a]
+			bregs[d.dst] = bregs[d.a]
+		case xNot:
+			if regs[d.a] == 0 {
+				regs[d.dst] = 1
+			} else {
+				regs[d.dst] = 0
 			}
+
+		case xAdd:
+			regs[d.dst] = regs[d.a] + regs[d.b]
+		case xSub:
+			regs[d.dst] = regs[d.a] - regs[d.b]
+		case xMul:
+			regs[d.dst] = regs[d.a] * regs[d.b]
+		case xAnd:
+			regs[d.dst] = regs[d.a] & regs[d.b]
+		case xOr:
+			regs[d.dst] = regs[d.a] | regs[d.b]
+		case xXor:
+			regs[d.dst] = regs[d.a] ^ regs[d.b]
+		case xShl:
+			regs[d.dst] = regs[d.a] << (regs[d.b] & 63)
+		case xShrS:
+			regs[d.dst] = uint64(int64(regs[d.a]) >> (regs[d.b] & 63))
+		case xShrU:
+			regs[d.dst] = regs[d.a] >> (regs[d.b] & 63)
+		case xBin:
+			regs[d.dst] = evalBin(BinKind(d.k), d.ins.Type, regs[d.a], regs[d.b])
+
+		case xEq:
+			regs[d.dst] = b2u(regs[d.a] == regs[d.b])
+		case xNe:
+			regs[d.dst] = b2u(regs[d.a] != regs[d.b])
+		case xLtS:
+			regs[d.dst] = b2u(int64(regs[d.a]) < int64(regs[d.b]))
+		case xLeS:
+			regs[d.dst] = b2u(int64(regs[d.a]) <= int64(regs[d.b]))
+		case xGtS:
+			regs[d.dst] = b2u(int64(regs[d.a]) > int64(regs[d.b]))
+		case xGeS:
+			regs[d.dst] = b2u(int64(regs[d.a]) >= int64(regs[d.b]))
+		case xLtU:
+			regs[d.dst] = b2u(regs[d.a] < regs[d.b])
+		case xLeU:
+			regs[d.dst] = b2u(regs[d.a] <= regs[d.b])
+		case xGtU:
+			regs[d.dst] = b2u(regs[d.a] > regs[d.b])
+		case xGeU:
+			regs[d.dst] = b2u(regs[d.a] >= regs[d.b])
+		case xCmp:
+			regs[d.dst] = evalCmp(CmpKind(d.k), d.ins.Type, regs[d.a], regs[d.b])
+
+		case xCastPtr:
+			if hooks != nil {
+				hooks.Cast(regs[d.a], d.ins.CastFrom, d.ins.Type, d.ins.Site)
+			}
+			regs[d.dst] = regs[d.a]
+			bregs[d.dst] = bregs[d.a]
+		case xSext:
+			regs[d.dst] = uint64(int64(regs[d.a]<<d.k) >> d.k)
+			bregs[d.dst] = bregs[d.a]
+		case xZext:
+			regs[d.dst] = regs[d.a] << d.k >> d.k
+			bregs[d.dst] = bregs[d.a]
+		case xCast:
+			regs[d.dst] = convert(regs[d.a], d.ins.CastFrom, d.ins.Type)
+			bregs[d.dst] = bregs[d.a]
+
+		case xGlobal:
+			regs[d.dst] = in.globalAddrs[d.k]
+			bregs[d.dst] = core.Wide
+		case xAlloca:
+			ins := d.ins
+			p := in.env.Malloc(ins.Type, uint64(ins.Aux)*uint64(ins.Type.Size()), core.StackAlloc, ins.Site)
+			rs.allocas = append(rs.allocas, p)
+			regs[d.dst] = p
+			bregs[d.dst] = core.Wide
+		case xMalloc:
+			if d.k == MallocLegacy {
+				regs[d.dst] = in.env.LegacyAlloc(regs[d.a])
+			} else {
+				regs[d.dst] = in.env.Malloc(d.ins.Type, regs[d.a], core.HeapAlloc, d.ins.Site)
+			}
+			bregs[d.dst] = core.Wide
+		case xFree:
+			in.env.Free(regs[d.a], d.ins.Site)
+		case xRealloc:
+			regs[d.dst] = in.env.Realloc(regs[d.a], regs[d.b], d.ins.Site)
+			bregs[d.dst] = core.Wide
+
+		case xLoadU, xLoadS, xLoadF32:
+			addr := regs[d.a]
+			if addr < nullPage {
+				nullTrap(addr, d.ins.Site)
+			}
+			if hooks != nil {
+				hooks.Access(addr, accessSize(d.ins.Type), false, d.ins.Type, d.ins.Site)
+			}
+			v := m.Load(addr, int(d.k))
+			switch d.op {
+			case xLoadS:
+				v = uint64(int64(v<<(64-8*d.k)) >> (64 - 8*d.k))
+			case xLoadF32:
+				v = math.Float64bits(float64(math.Float32frombits(uint32(v))))
+			}
+			if hooks != nil && d.ins.Type.Kind == ctypes.KindPointer {
+				hooks.PtrLoad(addr, v, d.ins.Site)
+			}
+			regs[d.dst] = v
+			bregs[d.dst] = core.Wide
+		case xStore, xStoreF32:
+			addr := regs[d.a]
+			if addr < nullPage {
+				nullTrap(addr, d.ins.Site)
+			}
+			v := regs[d.b]
+			if hooks != nil {
+				hooks.Access(addr, accessSize(d.ins.Type), true, d.ins.Type, d.ins.Site)
+				if d.ins.Type.Kind == ctypes.KindPointer {
+					hooks.PtrStore(addr, v, d.ins.Site)
+				}
+			}
+			if d.op == xStoreF32 {
+				v = uint64(math.Float32bits(float32(math.Float64frombits(v))))
+			}
+			m.Store(addr, int(d.k), v)
+		case xField:
+			p := regs[d.a] + uint64(d.k)
+			if hooks != nil {
+				fsize := uint64(0)
+				if d.ins.Type.IsComplete() {
+					fsize = uint64(d.ins.Type.Size())
+				}
+				hooks.Derive(p, regs[d.a], true, p, p+fsize, d.ins.Site)
+			}
+			regs[d.dst] = p
+			bregs[d.dst] = bregs[d.a]
+		case xIndex, xIndexAny:
+			size := d.k
+			if d.op == xIndexAny {
+				size = d.ins.Type.Size()
+			}
+			p := regs[d.a] + uint64(int64(regs[d.b])*size)
+			if hooks != nil {
+				hooks.Derive(p, regs[d.a], false, 0, 0, d.ins.Site)
+			}
+			regs[d.dst] = p
+			bregs[d.dst] = bregs[d.a]
+		case xMemcpy:
+			n := regs[d.ins.C]
+			if hooks != nil {
+				hooks.Access(regs[d.b], n, false, ctypes.Char, d.ins.Site)
+				hooks.Access(regs[d.a], n, true, ctypes.Char, d.ins.Site)
+			}
+			m.Copy(regs[d.a], regs[d.b], n)
+		case xMemset:
+			n := regs[d.ins.C]
+			if hooks != nil {
+				hooks.Access(regs[d.a], n, true, ctypes.Char, d.ins.Site)
+			}
+			m.Set(regs[d.a], byte(regs[d.b]), n)
+
+		case xCall:
+			v := in.call(rs, f.callees[d.k], regs, d.ins.Args)
+			if d.dst != -1 {
+				regs[d.dst] = v
+				bregs[d.dst] = core.Wide
+			}
+		case xCallIntrinsic:
+			v := in.execIntrinsic(rs, d.ins, f.callees[d.k], regs, bregs)
+			if d.dst != -1 {
+				regs[d.dst] = v
+				bregs[d.dst] = core.Wide
+			}
+		case xRet:
+			if d.a == -1 {
+				return 0
+			}
+			return regs[d.a]
+		case xJmp:
+			pc = int(d.dst)
+			rs.spend(uint64(d.k))
+		case xBr:
+			if regs[d.a] != 0 {
+				pc = int(d.dst)
+				rs.spend(uint64(uint32(d.k)))
+			} else {
+				pc = int(d.b)
+				rs.spend(uint64(d.k >> 32))
+			}
+
+		case xPrint:
+			printValue(in.out, d.ins.Type, regs[d.a])
+		case xPuts:
+			fmt.Fprintln(in.out, d.ins.Str)
+
+		case xTypeCheck:
+			bregs[d.a] = in.effRT(d.ins).TypeCheckAt(regs[d.a], d.ins.Type, d.k, d.ins.Site)
+		case xBoundsGet:
+			bregs[d.a] = in.effRT(d.ins).BoundsGet(regs[d.a])
+		case xBoundsNarrow:
+			p := regs[d.a]
+			if inlineChecks {
+				bregs[d.a] = bregs[d.a].Intersect(core.Bounds{Lo: p, Hi: p + uint64(d.k)})
+				rs.narrows++
+			} else {
+				bregs[d.a] = in.effRT(d.ins).BoundsNarrow(bregs[d.a], p, p+uint64(d.k))
+			}
+		case xBoundsCheck, xBoundsCheckDyn:
+			size := uint64(d.k)
+			if d.op == xBoundsCheckDyn {
+				size = regs[d.b] // dynamic extent (memcpy/memset)
+			}
+			p := regs[d.a]
+			if inlineChecks && bregs[d.a].Contains(p, size) {
+				rs.bounds++
+			} else {
+				in.effRT(d.ins).BoundsCheck(p, size, bregs[d.a], d.ins.Type, d.ins.Site)
+			}
+		case xEscapeCheck:
+			if inlineChecks && bregs[d.a].ContainsEscape(regs[d.a]) {
+				rs.bounds++
+			} else {
+				in.effRT(d.ins).EscapeCheck(regs[d.a], bregs[d.a], d.ins.Site)
+			}
+		case xBoundsMov:
+			bregs[d.a] = bregs[d.b]
+
+		case xTypeRecord:
+			bregs[d.a] = in.effRT(d.ins).TypeRecordAt(regs[d.a], d.ins.Type, d.k, d.ins.Site)
+		case xBoundsRecord:
+			size := uint64(d.k)
+			if d.b != -1 {
+				size = regs[d.b] // dynamic extent (memcpy/memset)
+			}
+			in.effRT(d.ins).BoundsRecord(regs[d.a], size, bregs[d.a], d.ins.Type, d.ins.Site)
+		case xEscapeRecord:
+			in.effRT(d.ins).EscapeRecord(regs[d.a], bregs[d.a], d.ins.Site)
+
+		default:
+			panic(simError{fmt.Sprintf("%s: unknown op %d", d.ins.Site, d.ins.Op)})
 		}
 	}
 }
 
-// execIntrinsic runs an OpCall whose callee is a libc intrinsic rather
-// than a program function (the validator guarantees it is one or the
-// other; program functions shadow intrinsics). Aux > 0 marks a checked
-// call — the instrument pass reserved check-site IDs for it, and an
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// intrCall is a reusable intrinsic invocation: a Ctx whose callbacks,
+// bound once, read the current call from the intrCall.
+type intrCall struct {
+	ctx intrinsics.Ctx
+	in  *Interp
+	rs  *runState
+	ins *Instr
+	cmp *xfunc
+	// cmpFn is the comparator callback, set into ctx for qsort only.
+	cmpFn func(a, b uint64) int64
+}
+
+func (c *intrCall) free(p uint64) { c.in.env.Free(p, c.ins.Site) }
+
+func (c *intrCall) access(p, n uint64, write bool) {
+	c.in.hooks.Access(p, n, write, ctypes.Char, c.ins.Site)
+}
+
+// compare re-enters the interpreter on the qsort comparator.
+func (c *intrCall) compare(a, b uint64) int64 {
+	rs := c.rs
+	cregs, cbregs, mark := rs.push(c.cmp.numRegs)
+	cregs[0], cregs[1] = a, b
+	v := c.in.exec(rs, c.cmp, cregs, cbregs)
+	rs.sp = mark
+	return int64(v)
+}
+
+// execIntrinsic runs an xCallIntrinsic. Aux > 0 marks a checked call —
+// the instrument pass reserved check-site IDs for it, and an
 // EffectiveSan runtime must be attached, mirroring the effRT contract
 // of the other instrumentation ops. Aux == 0 runs the bare operation
 // (uninstrumented baselines, TypeOnly, and the NoIntrinsics ablation);
 // either way the operation half computes identically — checks only
-// observe and report.
-func (in *Interp) execIntrinsic(rs *runState, ins *Instr, regs []uint64, bregs []core.Bounds) uint64 {
-	d := intrinsics.Lookup(ins.Callee)
-	args := make([]uint64, len(ins.Args))
-	bounds := make([]core.Bounds, len(ins.Args))
-	for i, a := range ins.Args {
-		args[i] = regs[a]
-		bounds[i] = bregs[a]
+// observe and report. The call reuses its nesting depth's context, so
+// steady-state calls allocate nothing.
+func (in *Interp) execIntrinsic(rs *runState, ins *Instr, callee *xfunc, regs []uint64, bregs []core.Bounds) uint64 {
+	if rs.depth == len(rs.intr) {
+		c := &intrCall{in: in, rs: rs}
+		c.ctx.Mem, c.ctx.Spend, c.ctx.Free = in.mem, rs.spend, c.free
+		if in.hooks != nil {
+			c.ctx.Access = c.access
+		}
+		c.cmpFn = c.compare
+		rs.intr = append(rs.intr, c)
 	}
-	ctx := &intrinsics.Ctx{
-		Mem:    in.mem,
-		Args:   args,
-		Bounds: bounds,
-		Site:   ins.Site,
-		Free:   func(p uint64) { in.env.Free(p, ins.Site) },
-		Spend:  rs.spend,
+	c := rs.intr[rs.depth]
+	rs.depth++
+	c.ins, c.cmp = ins, callee.cmp
+	ctx := &c.ctx
+	ctx.Args, ctx.Bounds = ctx.Args[:0], ctx.Bounds[:0]
+	for _, a := range ins.Args {
+		ctx.Args = append(ctx.Args, regs[a])
+		ctx.Bounds = append(ctx.Bounds, bregs[a])
 	}
+	ctx.Site, ctx.RT, ctx.SiteID, ctx.Cmp = ins.Site, nil, 0, nil
 	if ins.Aux > 0 {
-		ctx.RT = in.effRT(ins)
-		ctx.SiteID = ins.Aux
+		ctx.RT, ctx.SiteID = in.effRT(ins), ins.Aux
 	}
-	if in.hooks != nil {
-		ctx.Access = func(p, n uint64, write bool) {
-			in.hooks.Access(p, n, write, ctypes.Char, ins.Site)
-		}
+	if callee.intr.NeedsCmp {
+		ctx.Cmp = c.cmpFn
 	}
-	if d.NeedsCmp {
-		cmp := in.prog.Funcs[ins.Str]
-		ctx.Cmp = func(a, b uint64) int64 {
-			cregs, cbregs, mark := rs.push(cmp.NumRegs)
-			cregs[0], cregs[1] = a, b
-			v := in.exec(rs, cmp, cregs, cbregs)
-			rs.sp = mark
-			return int64(v)
-		}
-	}
-	return d.Run(ctx)
+	v := callee.intr.Run(ctx)
+	rs.depth--
+	return v
 }
 
 func (in *Interp) effRT(ins *Instr) *core.Runtime {
@@ -447,11 +938,12 @@ func (in *Interp) effRT(ins *Instr) *core.Runtime {
 	return in.eff
 }
 
-// checkAddr traps accesses to the null page — the simulation's segfault.
-func (in *Interp) checkAddr(addr uint64, site string) {
-	if addr < 4096 {
-		panic(simError{fmt.Sprintf("%s: null-page access at %#x", site, addr)})
-	}
+// nullPage is the size of the unmapped page at address zero.
+const nullPage = 4096
+
+// nullTrap traps an access to the null page — the simulation's segfault.
+func nullTrap(addr uint64, site string) {
+	panic(simError{fmt.Sprintf("%s: null-page access at %#x", site, addr)})
 }
 
 // accessSize returns the memory footprint of a scalar access.
@@ -468,31 +960,6 @@ func scalarWidth(t *ctypes.Type) int {
 		return 8
 	}
 	return int(s)
-}
-
-// loadScalar reads a value of type t at addr and canonicalises it into
-// the 64-bit register form: integers are sign/zero extended, float is
-// widened to double bits.
-func loadScalar(m *mem.Memory, addr uint64, t *ctypes.Type) uint64 {
-	w := scalarWidth(t)
-	raw := m.Load(addr, w)
-	if t.Kind == ctypes.KindFloat {
-		return math.Float64bits(float64(math.Float32frombits(uint32(raw))))
-	}
-	if t.IsSigned() && w < 8 {
-		shift := uint(64 - 8*w)
-		return uint64(int64(raw<<shift) >> shift)
-	}
-	return raw
-}
-
-// storeScalar writes a canonical register value of type t to addr.
-func storeScalar(m *mem.Memory, addr uint64, t *ctypes.Type, v uint64) {
-	w := scalarWidth(t)
-	if t.Kind == ctypes.KindFloat {
-		v = uint64(math.Float32bits(float32(math.Float64frombits(v))))
-	}
-	m.Store(addr, w, v)
 }
 
 func evalBin(k BinKind, t *ctypes.Type, a, b uint64) uint64 {

@@ -17,7 +17,7 @@ import (
 	"repro/internal/spec"
 )
 
-var updateReports = flag.Bool("update", false, "rewrite testdata/reports.golden from the current runtime")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from the current runtime")
 
 const reportsGoldenPath = "testdata/reports.golden"
 
@@ -142,13 +142,20 @@ func TestReportsGolden(t *testing.T) {
 			t.Errorf("report dump lacks %q", want)
 		}
 	}
-	if *updateReports {
-		if err := os.WriteFile(reportsGoldenPath, []byte(got), 0o644); err != nil {
+	checkGolden(t, reportsGoldenPath, got)
+}
+
+// checkGolden requires got to equal the file at path byte for byte,
+// naming the first differing line; with -update it rewrites the file.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(reportsGoldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
@@ -165,7 +172,7 @@ func TestReportsGolden(t *testing.T) {
 			w = wl[i]
 		}
 		if g != w {
-			t.Fatalf("report dump differs from %s at line %d:\n got: %s\nwant: %s", reportsGoldenPath, i+1, g, w)
+			t.Fatalf("dump differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
 		}
 	}
 }
