@@ -61,10 +61,10 @@ func BenchmarkFig8Timings(b *testing.B) {
 		}
 		progs = append(progs, prepared{w.Name, p, w.Entry})
 	}
-	// The paper's Fig. 8 bars plus the §5.3/§6.2 ablations (no caching at
-	// all, no per-site inline caches, per-block-only elision,
-	// dominator-tree-only elision, no instrumentation optimisations) —
-	// the same nine bars harness.Fig8 renders, from the same source.
+	// The paper's Fig. 8 bars plus the §5.3/§6.2 ablations (no
+	// instrumentation optimisations, no caching at all, no per-site inline
+	// caches, no check motion, no static elision) — the same nine bars
+	// harness.Fig8 renders, from the same source.
 	for _, cfg := range harness.Fig8Tools() {
 		b.Run(cfg.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -4,7 +4,7 @@
 //
 //	effbench -experiment fig1    sanitizer capability matrix (Fig. 1)
 //	effbench -experiment fig7    SPEC2006 summary: checks and issues (Fig. 7)
-//	effbench -experiment fig8    SPEC2006 + progen timings, ten configurations (Fig. 8)
+//	effbench -experiment fig8    SPEC2006 + progen timings, nine configurations (Fig. 8)
 //	effbench -experiment fig9    peak memory (Fig. 9)
 //	effbench -experiment fig10   browser workloads (relative time) and the
 //	                             sharded multi-threaded SPEC scalability curve

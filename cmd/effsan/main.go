@@ -5,14 +5,16 @@
 //
 // Usage:
 //
-//	effsan [-variant full|bounds|type|none] [-tool NAME] [-abort N] [-epoch] [-stats] prog.c
+//	effsan [-variant full|bounds|type|none] [-abort N] [-quarantine B] [-stats] prog.c
+//	effsan -tool NAME [-stats] prog.c
 //	effsan -warn-static prog.c
 //	effsan -cpuprofile cpu.pprof -memprofile mem.pprof prog.c
 //
 // With -variant (default full) the program is instrumented per the
 // Fig. 3 schema and run on the EffectiveSan runtime. With -tool, one of
 // the modelled baseline sanitizers (AddressSanitizer, SoftBound, CETS,
-// TypeSan, ...) intercepts the uninstrumented program instead.
+// TypeSan, ...) intercepts the uninstrumented program instead; -abort
+// applies to EffectiveSan only and is a usage error with -tool.
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole
 // invocation — compile, instrument and run — for `go tool pprof`; the
@@ -41,10 +43,6 @@ func main() {
 	tool := flag.String("tool", "", "run under a modelled baseline sanitizer instead")
 	abortAfter := flag.Uint64("abort", 0, "abort after N errors (0 = log all, the default)")
 	quarantine := flag.Uint64("quarantine", 0, "heap quarantine bytes (delays reuse)")
-	epoch := flag.Bool("epoch", false,
-		"DoubleTake-style epoch checking: record evidence on the hot path, batch-validate at epoch boundaries (identical detection, coarsened report location)")
-	epochCap := flag.Int("epoch-cap", 0,
-		"evidence events per log before a forced validation sweep (0 = default 2^16; implies -epoch)")
 	stats := flag.Bool("stats", false, "print runtime check statistics")
 	entry := flag.String("entry", "main", "entry function")
 	warnStatic := flag.Bool("warn-static", false,
@@ -56,8 +54,8 @@ func main() {
 	if err := startProfiles(*cpuProfile, *memProfile); err != nil {
 		fatal(err)
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: effsan [flags] prog.c")
+	if err := checkFlags(flag.NArg(), *tool, *abortAfter); err != nil {
+		fmt.Fprintf(os.Stderr, "effsan: %v\nusage: effsan [flags] prog.c\n", err)
 		flag.Usage()
 		exit(2)
 	}
@@ -97,17 +95,12 @@ func main() {
 		}
 		cfg = &sanitizers.Tool{Name: "EffectiveSan-" + *variant, Variant: variantV,
 			Quarantine: *quarantine}
-		if *epochCap > 0 {
-			cfg = cfg.WithEpochCap(*epochCap)
-		} else if *epoch {
-			cfg = cfg.WithEpochChecks()
-		}
 	}
 
 	// Rebuild the EffectiveSan path by hand when abort-after is wanted,
 	// since Tool.Exec always logs without stopping.
-	if *abortAfter > 0 && *tool == "" {
-		runWithAbort(prog, cfg, *entry, *abortAfter, *quarantine, *stats)
+	if *abortAfter > 0 {
+		runWithAbort(prog, cfg, *entry, *abortAfter, *stats)
 		exit(0)
 	}
 
@@ -117,6 +110,20 @@ func main() {
 	}
 	report(res.Reporter, res.Stats, res.Value, *stats)
 	exit(0)
+}
+
+// checkFlags rejects the argument combinations flag.Parse accepts but
+// effsan cannot honour: anything but exactly one program file, and
+// -abort with -tool (the baselines always log every error). A non-nil
+// error is a usage error: main exits with code 2.
+func checkFlags(nargs int, tool string, abortAfter uint64) error {
+	if nargs != 1 {
+		return fmt.Errorf("want exactly one program file, got %d arguments", nargs)
+	}
+	if abortAfter > 0 && tool != "" {
+		return fmt.Errorf("-abort applies to EffectiveSan only, not to -tool %s", tool)
+	}
+	return nil
 }
 
 // stopProfiles finishes the profiles startProfiles began; exit runs it.
@@ -164,17 +171,13 @@ func runWarnStatic(prog *mir.Program, entry string, w io.Writer) int {
 	return 1
 }
 
-func runWithAbort(prog *mir.Program, cfg *sanitizers.Tool, entry string,
-	abortAfter, quarantine uint64, stats bool) {
-
-	ip, _ := instrument.Instrument(prog, instrument.Options{
-		Variant: cfg.Variant, EpochChecks: cfg.EpochChecks, StaticEntry: entry,
-	})
-	rt := core.NewRuntime(core.Options{
-		Types: prog.Types, Mode: core.ModeLog,
-		AbortAfter: abortAfter, Quarantine: quarantine,
-		EpochChecks: cfg.EpochChecks, EpochCap: cfg.EpochCap,
-	})
+// runWithAbort runs prog under the EffectiveSan tool cfg with a runtime
+// that aborts after abortAfter errors.
+func runWithAbort(prog *mir.Program, cfg *sanitizers.Tool, entry string, abortAfter uint64, stats bool) {
+	ip, _ := instrument.Instrument(prog, cfg.InstrumentOptions(entry))
+	opts := cfg.RuntimeOptions(prog.Types)
+	opts.AbortAfter = abortAfter
+	rt := core.NewRuntime(opts)
 	in, err := mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt), Out: os.Stdout})
 	if err != nil {
 		fatal(err)
@@ -210,11 +213,6 @@ func report(rep *core.Reporter, st core.StatsSnapshot, val uint64, stats bool) {
 			st.CheckCacheHitRate()*100, st.LayoutMatches)
 		fmt.Printf("allocations:    heap %d, stack %d, global %d; frees %d\n",
 			st.HeapAllocs, st.StackAllocs, st.GlobalAllocs, st.Frees)
-		if st.EvidenceRecords > 0 || st.EpochSweeps > 0 {
-			fmt.Printf("epoch:          records %d, validations %d, sweeps %d, fallbacks %d; canaries %d (clobbered %d)\n",
-				st.EvidenceRecords, st.EpochValidations, st.EpochSweeps,
-				st.EpochFallbacks, st.CanaryChecks, st.CanaryClobbers)
-		}
 	}
 }
 

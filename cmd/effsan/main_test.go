@@ -111,3 +111,28 @@ func TestProfiles(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckFlags pins the usage errors main turns into exit code 2:
+// -abort with -tool used to be accepted and silently ignored.
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		name       string
+		nargs      int
+		tool       string
+		abortAfter uint64
+		wantErr    bool
+	}{
+		{"effectivesan", 1, "", 0, false},
+		{"effectivesan abort", 1, "", 3, false},
+		{"baseline", 1, "AddressSanitizer", 0, false},
+		{"baseline abort", 1, "AddressSanitizer", 3, true},
+		{"no program", 0, "", 0, true},
+		{"two programs", 2, "", 0, true},
+	}
+	for _, c := range cases {
+		err := checkFlags(c.nargs, c.tool, c.abortAfter)
+		if (err != nil) != c.wantErr {
+			t.Errorf("%s: checkFlags = %v, want error %v", c.name, err, c.wantErr)
+		}
+	}
+}

@@ -45,17 +45,6 @@ type Options struct {
 	// ablation level). Combine with a negative CheckCacheSize for the
 	// fully uncached baseline.
 	NoInlineCache bool
-	// EpochChecks selects the DoubleTake-style deferred-check mode: the
-	// hot path only records evidence (see epoch.go) and a batch validator
-	// replays it at epoch boundaries. Detection (bucket kinds, counts,
-	// offsets) is identical to the default precise mode; only report
-	// location — first-seen ordering and FirstSite — may coarsen.
-	EpochChecks bool
-	// EpochCap bounds pending evidence events per view before a
-	// validation sweep is forced; zero selects the default (65536).
-	// Small caps force epochs mid-loop, which tests use to pin the
-	// boundary-independence of detection.
-	EpochCap int
 	// LayoutCacheCap bounds the number of layout tables the runtime keeps
 	// resident (clock eviction; see layout.NewBounded). Zero means
 	// unbounded — the historical behaviour. Evicted tables rebuild on
@@ -85,7 +74,6 @@ type Runtime struct {
 	Reporter *Reporter
 	stats    *Stats
 	reg      *typeRegistry
-	epoch    *epochState // EpochChecks evidence log; nil in precise mode. Per-view, like stats.
 }
 
 // heapHandle is the allocation interface the runtime routes Alloc/Free
@@ -97,11 +85,6 @@ type heapHandle interface {
 	Alloc(size uint64) (uint64, error)
 	Free(p uint64) error
 	LegacyAlloc(size uint64) uint64
-	// EpochTick advances when the route crosses an allocator epoch
-	// boundary — central quarantine eviction, plus magazine flushes on
-	// the magazine route. TypeFree compares it to trigger evidence
-	// validation before freed slots can be reused.
-	EpochTick() uint64
 }
 
 // typeRegistry is the metadata type registry mapping interned types to
@@ -138,9 +121,6 @@ func NewRuntime(opts Options) *Runtime {
 		Reporter: NewReporter(opts.Mode, opts.AbortAfter),
 		stats:    &Stats{},
 		reg:      &typeRegistry{},
-	}
-	if opts.EpochChecks {
-		r.epoch = newEpochState(opts.EpochCap, nil)
 	}
 	reg := []*ctypes.Type{nil, ctypes.Free} // ids 0 (invalid), 1 (FREE)
 	r.reg.typeOf.Store(&reg)
@@ -279,12 +259,6 @@ func (r *Runtime) TypeMalloc(t *ctypes.Type, size uint64, kind AllocKind) (uint6
 	}
 	r.mem.Store(base, 8, r.typeID(t))
 	r.mem.Store(base+8, 8, size)
-	if r.epoch != nil {
-		// Epoch mode: assert the slot-padding canary (see lowfat/canary.go;
-		// the canary is the alloc-time zeroing, so memory stays
-		// byte-identical to precise mode). TypeFree checks it.
-		lowfat.WriteCanary(r.mem, base, MetaSize+size)
-	}
 	switch kind {
 	case HeapAlloc:
 		r.stats.HeapAllocs.Add(1)
@@ -349,30 +323,11 @@ func (r *Runtime) TypeFree(p uint64, site string) {
 		r.Reporter.Report(DoubleFree, "", t, 0, site)
 		return
 	}
-	if r.epoch != nil {
-		// Validate the slot-padding canary while the object's size word is
-		// still live. A torn canary is evidence of an out-of-bounds write
-		// past the object's end; it is counted, not reported — every
-		// instrumented OOB write is already covered by bounds evidence, and
-		// an extra bucket here would break report parity with precise mode
-		// (which has no canaries).
-		size := r.mem.Load(base+8, 8)
-		r.stats.CanaryChecks.Add(1)
-		if !lowfat.CheckCanary(r.mem, base, MetaSize+size) {
-			r.stats.CanaryClobbers.Add(1)
-		}
-	}
 	r.mem.Store(base, 8, freeTypeID)
 	// Size is preserved for diagnostics; the allocator keeps the header
 	// bytes intact until reuse.
 	if err := r.alloc.Free(base); err != nil {
 		r.Reporter.Report(BadFree, "", err.Error(), 0, site)
-	}
-	if ep := r.epoch; ep != nil && r.alloc.EpochTick() != ep.lastTick {
-		// The free crossed an allocator epoch boundary (quarantine
-		// eviction or magazine flush): slots are about to be reused, so
-		// validate pending evidence now.
-		r.sweepEpoch()
 	}
 }
 
@@ -448,19 +403,7 @@ func (r *Runtime) TypeCheck(p uint64, s *ctypes.Type, site string) Bounds {
 //
 // All three cache levels key on (tid, k, s), so metadata rebinding on
 // free/realloc (which changes tid) can never produce a stale hit.
-//
-// Under EpochChecks the check defers instead: TypeRecordAt snapshots
-// the inputs and returns an evidence handle (epoch.go).
 func (r *Runtime) TypeCheckAt(p uint64, s *ctypes.Type, siteID int64, site string) Bounds {
-	if r.epoch != nil {
-		return r.TypeRecordAt(p, s, siteID, site)
-	}
-	return r.typeCheckPrecise(p, s, siteID, site)
-}
-
-// typeCheckPrecise is the synchronous check: classify the pointer, run
-// the resolution cascade, report any failure immediately.
-func (r *Runtime) typeCheckPrecise(p uint64, s *ctypes.Type, siteID int64, site string) Bounds {
 	r.stats.TypeChecks.Add(1)
 	if p == 0 {
 		// Null pointers are not objects; they are trapped on access, not
@@ -475,24 +418,17 @@ func (r *Runtime) typeCheckPrecise(p uint64, s *ctypes.Type, siteID int64, site 
 		r.stats.LegacyTypeChecks.Add(1)
 		return Wide
 	}
-	b, rep := r.typeCheckResolve(p, s, siteID, t, tid, objBase, size)
-	if rep != nil {
-		r.Reporter.Report(rep.kind, rep.static, rep.dynamic, rep.offset, site)
-	}
-	return b
+	return r.typeCheckResolve(p, s, siteID, site, t, tid, objBase, size)
 }
 
 // typeCheckResolve is the post-metadata portion of the type check — the
-// coercions, the cache cascade and the layout-table match — as a pure
-// function of the (possibly snapshotted) inputs. It returns the
-// resulting bounds and the failure bucket to report, if any. Shared
-// verbatim by precise mode (metadata read at check time) and the epoch
-// validator (metadata from the record-time snapshot), which is what
-// makes the two modes' reports identical by construction.
-func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64,
-	t *ctypes.Type, tid, objBase, size uint64) (Bounds, *pendingReport) {
-	if b, rep, ok := r.typeCheckTrivial(p, s, t, objBase, size); ok {
-		return b, rep
+// coercions, the cache cascade and the layout-table match — given the
+// dynamic type and allocation read from the metadata header. It reports
+// any failure at site and returns the resulting bounds.
+func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64, site string,
+	t *ctypes.Type, tid, objBase, size uint64) Bounds {
+	if b, ok := r.typeCheckTrivial(p, s, site, t, objBase, size); ok {
+		return b
 	}
 	k := int64(p - objBase)
 	alloc := Bounds{objBase, objBase + size}
@@ -555,7 +491,8 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64,
 		}
 	}
 	if !matched {
-		return Wide, &pendingReport{TypeError, s.String(), t.String(), kn}
+		r.Reporter.Report(TypeError, s.String(), t.String(), kn, site)
+		return Wide
 	}
 	switch co {
 	case layout.MatchChar:
@@ -564,7 +501,7 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64,
 		r.stats.VoidPtrCoercions.Add(1)
 	}
 	if e.FAM {
-		return Bounds{objBase + uint64(norm.FAMOffset), objBase + size}, nil
+		return Bounds{objBase + uint64(norm.FAMOffset), objBase + size}
 	}
 	b := Bounds{Lo: alloc.Lo, Hi: alloc.Hi}
 	if e.Lo != layout.UnboundedLo {
@@ -573,49 +510,45 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64,
 	if e.Hi != layout.UnboundedHi {
 		b.Hi = uint64(int64(p) + e.Hi)
 	}
-	return b.Intersect(alloc), nil
+	return b.Intersect(alloc)
 }
 
-// typeCheckTrivial is the pure-predicate prefix of the resolution
-// cascade: outcomes decidable from the snapshot alone, with no table or
-// cache consultation — freed slots, header pointers, past-the-object
+// typeCheckTrivial is the prefix of the resolution cascade: outcomes
+// decidable from the metadata alone, with no table or cache
+// consultation — freed slots, header pointers, past-the-object
 // offsets, the char[]/void coercion (§6.1's xalancbmk discussion), and
 // the §5.3 exact-match fast path (a pointer to the base of an allocation
 // checked against its own dynamic type — the dominant case; the layout
 // table would map (t, t, 0) to the unbounded containing-array entry,
 // which clips to the allocation, so no lookup is needed at all; gated on
 // the memo cache so the uncached ablation measures the bare check).
-//
-// Epoch mode ALSO runs this prefix at record time: a trivially-resolved
-// check is cheaper to answer than to append as evidence. Purity is what
-// keeps that sound AND deterministic — no shared mutable state is
-// consulted, so which checks defer is a function of the program alone,
-// never of worker or epoch timing (the stress test pins EvidenceRecords
-// partition-independence on exactly this).
-func (r *Runtime) typeCheckTrivial(p uint64, s *ctypes.Type,
-	t *ctypes.Type, objBase, size uint64) (Bounds, *pendingReport, bool) {
+func (r *Runtime) typeCheckTrivial(p uint64, s *ctypes.Type, site string,
+	t *ctypes.Type, objBase, size uint64) (Bounds, bool) {
 	if t == ctypes.Free {
-		return Wide, &pendingReport{UseAfterFree, s.String(), "FREE", 0}, true
+		r.Reporter.Report(UseAfterFree, s.String(), "FREE", 0, site)
+		return Wide, true
 	}
 	if p < objBase {
 		// Pointer into the metadata header: can only come from unchecked
 		// arithmetic on a legacy-ish path; report as a bounds error.
-		return Wide, &pendingReport{BoundsError, s.String(), t.String(), int64(p) - int64(objBase)}, true
+		r.Reporter.Report(BoundsError, s.String(), t.String(), int64(p)-int64(objBase), site)
+		return Wide, true
 	}
 	k := int64(p - objBase)
 	if uint64(k) > size {
-		return Wide, &pendingReport{BoundsError, s.String(), t.String(), k}, true
+		r.Reporter.Report(BoundsError, s.String(), t.String(), k, site)
+		return Wide, true
 	}
 	alloc := Bounds{objBase, objBase + size}
 	switch s {
 	case ctypes.Char, ctypes.UChar, ctypes.SChar, ctypes.Void:
-		return alloc, nil, true
+		return alloc, true
 	}
 	if r.memo != nil && k == 0 && t == s {
 		r.stats.CheckFastPath.Add(1)
-		return alloc, nil, true
+		return alloc, true
 	}
-	return Bounds{}, nil, false
+	return Bounds{}, false
 }
 
 // BoundsGet returns the allocation bounds of p without any type check —
@@ -631,31 +564,15 @@ func (r *Runtime) BoundsGet(p uint64) Bounds {
 }
 
 // BoundsNarrow narrows b to the sub-object [lo, hi) — Fig. 3(e), applied
-// by the instrumentation at field accesses. Under EpochChecks an
-// evidence handle narrows symbolically: a narrow node is appended to
-// the provenance chain and a new handle returned, so the deferred type
-// check's eventual bounds flow through the same intersections the
-// precise mode applies eagerly.
+// by the instrumentation at field accesses.
 func (r *Runtime) BoundsNarrow(b Bounds, lo, hi uint64) Bounds {
 	r.stats.BoundsNarrows.Add(1)
-	if ep := r.epoch; ep != nil {
-		if idx, ok := b.epochIndex(); ok {
-			if len(ep.nodes) < epochMaxNodes {
-				ep.nodes = append(ep.nodes, evNode{kind: nodeNarrow, parent: idx, lo: lo, hi: hi})
-				return epochHandle(len(ep.nodes))
-			}
-			// Chain arena full: resolve the parent now (its report still
-			// defers with its own event) and continue with concrete bounds.
-			r.stats.EpochFallbacks.Add(1)
-			return r.resolveNode(idx).Intersect(Bounds{lo, hi})
-		}
-	}
 	return b.Intersect(Bounds{lo, hi})
 }
 
 // Label is a static-type name given as text rather than as a type — an
 // intrinsic's argument label such as "memcpy dst" — for the static
-// argument of BoundsCheck and BoundsRecord.
+// argument of BoundsCheck.
 type Label string
 
 func (l Label) String() string { return string(l) }
@@ -676,15 +593,8 @@ func staticName(s fmt.Stringer) string {
 // BoundsCheck verifies an access of size bytes at p against b — Fig.
 // 3(g). static names the accessed type for the report: a *ctypes.Type,
 // or a Label; it is rendered only if the check fails. It returns true
-// if the access is in bounds. Under EpochChecks the check defers via
-// BoundsRecord (handles cannot be tested synchronously) and the result
-// is optimistically true — epoch mode never aborts mid-epoch, matching
-// the paper's non-fatal logging semantics.
+// if the access is in bounds.
 func (r *Runtime) BoundsCheck(p uint64, size uint64, b Bounds, static fmt.Stringer, site string) bool {
-	if r.epoch != nil {
-		r.BoundsRecord(p, size, b, static, site)
-		return true
-	}
 	r.stats.BoundsChecks.Add(1)
 	if b.Contains(p, size) {
 		return true
@@ -698,10 +608,6 @@ func (r *Runtime) BoundsCheck(p uint64, size uint64, b Bounds, static fmt.String
 // pointers: escaping pointers must stay within their object's bounds so
 // future checks can re-derive their type).
 func (r *Runtime) EscapeCheck(p uint64, b Bounds, site string) bool {
-	if r.epoch != nil {
-		r.EscapeRecord(p, b, site)
-		return true
-	}
 	r.stats.BoundsChecks.Add(1)
 	if b.ContainsEscape(p) {
 		return true

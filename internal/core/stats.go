@@ -56,23 +56,6 @@ type Stats struct {
 	GlobalAllocs atomic.Uint64
 	Frees        atomic.Uint64
 	LegacyFrees  atomic.Uint64
-
-	// EpochChecks-mode counters (epoch.go). EvidenceRecords counts
-	// deferred events appended to the log; EpochValidations counts events
-	// the batch validator replayed — the two are equal at quiescence
-	// (every record validates exactly once) regardless of how the run was
-	// partitioned into epochs or workers, which is the invariant the
-	// -race stress test pins. EpochSweeps counts validation sweeps
-	// (partition-dependent, informational). EpochFallbacks counts checks
-	// resolved synchronously because the chain arena hit its cap.
-	// CanaryChecks/CanaryClobbers count slot-padding canary validations
-	// at free and the torn canaries among them.
-	EvidenceRecords  atomic.Uint64
-	EpochValidations atomic.Uint64
-	EpochSweeps      atomic.Uint64
-	EpochFallbacks   atomic.Uint64
-	CanaryChecks     atomic.Uint64
-	CanaryClobbers   atomic.Uint64
 }
 
 // StatsSnapshot is a plain-value copy of Stats.
@@ -103,13 +86,6 @@ type StatsSnapshot struct {
 	GlobalAllocs uint64
 	Frees        uint64
 	LegacyFrees  uint64
-
-	EvidenceRecords  uint64
-	EpochValidations uint64
-	EpochSweeps      uint64
-	EpochFallbacks   uint64
-	CanaryChecks     uint64
-	CanaryClobbers   uint64
 }
 
 // counters lists every counter in canonical order — the single source of
@@ -127,8 +103,6 @@ func (s *Stats) counters() []*atomic.Uint64 {
 		&s.LayoutTablesEvicted, &s.LayoutBytesResident,
 		&s.HeapAllocs, &s.StackAllocs, &s.GlobalAllocs,
 		&s.Frees, &s.LegacyFrees,
-		&s.EvidenceRecords, &s.EpochValidations, &s.EpochSweeps,
-		&s.EpochFallbacks, &s.CanaryChecks, &s.CanaryClobbers,
 	}
 }
 
@@ -145,8 +119,6 @@ func (v *StatsSnapshot) fields() []*uint64 {
 		&v.LayoutTablesEvicted, &v.LayoutBytesResident,
 		&v.HeapAllocs, &v.StackAllocs, &v.GlobalAllocs,
 		&v.Frees, &v.LegacyFrees,
-		&v.EvidenceRecords, &v.EpochValidations, &v.EpochSweeps,
-		&v.EpochFallbacks, &v.CanaryChecks, &v.CanaryClobbers,
 	}
 }
 
@@ -211,7 +183,7 @@ func (r *Runtime) MergeStats(d StatsSnapshot) {
 // FoldChecks adds counts of checks a caller resolved without calling the
 // runtime — passing bounds and escape checks (bounds) and bounds
 // narrows (narrows) — to the BoundsChecks and BoundsNarrows counters.
-// The interpreter tallies its inline precise-mode checks per Run and
+// The interpreter tallies the checks it runs inline per Run and
 // folds them here once when the Run returns, so the counters are exact
 // at quiescence without an atomic add per check.
 func (r *Runtime) FoldChecks(bounds, narrows uint64) {

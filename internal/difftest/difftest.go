@@ -1,6 +1,6 @@
 // Package difftest is the differential-fuzz oracle loop for the libc
 // intrinsics layer (and, transitively, the whole check-optimisation
-// stack). The oracle is the single-threaded precise configuration: full
+// stack). The oracle is the single-threaded configuration: full
 // instrumentation, every §5.3 optimisation on, logging reporter, a
 // quarantine large enough that no slot is recycled. Every other
 // configuration — the Fig. 8 elision/caching/motion ablations and the
@@ -77,8 +77,6 @@ func Matrix() []Config {
 		{Name: "no-opt", Tool: full.WithoutOptimizations()},
 		{Name: "uncached", Tool: full.Uncached()},
 		{Name: "no-inline", Tool: full.WithoutInlineCache()},
-		{Name: "per-block", Tool: full.PerBlockElision()},
-		{Name: "dom-tree", Tool: full.WithDomTreeElision()},
 		{Name: "no-motion", Tool: full.WithoutCheckMotion()},
 		// The static-elision ablation: the interprocedural safety
 		// analysis deletes provably-redundant checks at compile time, so
@@ -98,18 +96,6 @@ func Matrix() []Config {
 		{Name: "sharded-4", Tool: full, Threads: 4},
 		{Name: "sharded-8", Tool: full, Threads: 8},
 		{Name: "sharded-4-no-magazines", Tool: full.WithoutMagazines(), Threads: 4},
-		// Epoch-mode cells: evidence-based checking must DETECT exactly
-		// what precise mode detects (same buckets), it may only coarsen
-		// report location — which Signature already excludes. The cap64
-		// cell forces epochs mid-loop; the sharded cells add per-worker
-		// logs above the shared heap; all keep the oracle quarantine so
-		// slot recycling stays out of the comparison.
-		{Name: "epoch", Tool: full.WithEpochChecks()},
-		{Name: "epoch-cap64", Tool: full.WithEpochCap(64)},
-		{Name: "epoch-sharded-2", Tool: full.WithEpochChecks(), Threads: 2},
-		{Name: "epoch-sharded-4", Tool: full.WithEpochChecks(), Threads: 4},
-		{Name: "epoch-sharded-8", Tool: full.WithEpochChecks(), Threads: 8},
-		{Name: "epoch-sharded-4-no-magazines", Tool: full.WithEpochChecks().WithoutMagazines(), Threads: 4},
 	}
 }
 

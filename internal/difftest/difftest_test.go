@@ -257,11 +257,9 @@ func FuzzDifferentialConfigs(f *testing.F) {
 	f.Add(EncodeInput(3, progen.Options{LibCalls: true, LibFaults: true, Interior: true, TempHeavy: true, Rounds: 2}))
 	f.Add(EncodeInput(4, progen.Options{LibCalls: true, Diamonds: 1, LoopHeavy: true, Rounds: 2}))
 	f.Add(EncodeInput(5, progen.Options{LibCalls: true, LibFaults: true, AllocHeavy: true, Rounds: 1}))
-	// Epoch flush-ordering stressor: loop-heavy so the epoch-cap64 cell
-	// forces sweeps mid-loop (after check motion hoisted record ops into
-	// preheaders), temporal faults so evidence recorded in epoch N refers
-	// to slots freed before validation, alloc-heavy to drive the
-	// allocator-tick epoch boundary.
+	// Motion-and-churn stressor: loop-heavy so check motion hoists
+	// checks into preheaders, temporal faults so those checks guard
+	// slots freed mid-loop, alloc-heavy to drive slot reuse.
 	f.Add(EncodeInput(6, progen.Options{LibCalls: true, LibFaults: true, LoopHeavy: true, TempHeavy: true, AllocHeavy: true, Rounds: 3}))
 	// Static-elision stressors: the StaticSafe workload is where the
 	// no-static cell actually differs in instruction count (the analysis

@@ -19,18 +19,14 @@ import (
 // refill counters. The JSON lands in BENCH_fig10.json under
 // "alloc_scaling" (cmd/effbench -alloc-heavy).
 
-// AllocHeavyConfigs returns the three configurations of the alloc-heavy
+// AllocHeavyConfigs returns the two configurations of the alloc-heavy
 // row: full EffectiveSan with per-worker magazines (the default sharded
-// mode), the same tool allocating straight from the locked central heap
-// (Tool.WithoutMagazines — the serialized-allocator ablation), and the
-// epoch-checking mode over magazines (evidence recording plus canary
-// writes on the allocation path; prices the epoch mode where allocation
-// dominates).
+// mode) and the same tool allocating straight from the locked central
+// heap (Tool.WithoutMagazines — the serialized-allocator ablation).
 func AllocHeavyConfigs() []*sanitizers.Tool {
 	return []*sanitizers.Tool{
 		sanitizers.ToolEffectiveSan.Counting().Named("EffectiveSan-magazines"),
 		sanitizers.ToolEffectiveSan.Counting().WithoutMagazines().Named("EffectiveSan-nomagazines"),
-		sanitizers.ToolEffectiveSan.Counting().WithEpochChecks().Named("EffectiveSan-epoch-magazines"),
 	}
 }
 

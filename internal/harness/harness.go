@@ -169,22 +169,17 @@ type fig8Config struct {
 	short string
 }
 
-// fig8Configs returns the twelve bars of Fig. 8, run in counting mode
+// fig8Configs returns the nine bars of Fig. 8, run in counting mode
 // like the paper's performance measurements: the paper's four
 // (uninstrumented and the three instrumentation variants) plus the §5.3
 // and §6.2 ablations the bench_test series already measures — no
 // instrumentation optimisations, no check caching at all, no per-site
-// inline caches, per-block-only elision, dominator-tree-only elision
-// (the default pass is the path-sensitive dataflow; the dom-tree bar
-// prices the diamond-join precision gap it closes), no check motion
-// (hoisting, PRE and value-numbered provenance off; prices what moving
-// checks buys over removing them, most visibly on the progen-loop and
-// progen-temp rows), no static elision (the interprocedural abstract
-// interpretation that deletes provably-in-bounds checks before the
-// dynamic passes run, most visible on the progen-staticsafe row) — and
-// the DoubleTake-style epoch-checking mode, where the hot path only
-// records evidence and batch validation runs at epoch boundaries (same
-// detection, cheaper per-check cost).
+// inline caches, no check motion (hoisting, PRE and value-numbered
+// provenance off; prices what moving checks buys over removing them,
+// most visibly on the progen-loop and progen-temp rows) and no static
+// elision (the interprocedural abstract interpretation that deletes
+// provably-in-bounds checks before the dynamic passes run, most visible
+// on the progen-staticsafe row).
 func fig8Configs() []fig8Config {
 	return []fig8Config{
 		{sanitizers.ToolUninstrumented, "uninstr"},
@@ -192,11 +187,8 @@ func fig8Configs() []fig8Config {
 		{sanitizers.ToolEffectiveSan.Counting().WithoutOptimizations().Named("EffectiveSan-noopt"), "no-opt"},
 		{sanitizers.ToolEffectiveSan.Counting().Uncached().Named("EffectiveSan-nocache"), "nocache"},
 		{sanitizers.ToolEffectiveSan.Counting().WithoutInlineCache().Named("EffectiveSan-noinline"), "no-inline"},
-		{sanitizers.ToolEffectiveSan.Counting().PerBlockElision().Named("EffectiveSan-perblock"), "per-block"},
-		{sanitizers.ToolEffectiveSan.Counting().WithDomTreeElision().Named("EffectiveSan-domtree"), "dom-tree"},
 		{sanitizers.ToolEffectiveSan.Counting().WithoutCheckMotion().Named("EffectiveSan-nomotion"), "no-motion"},
 		{sanitizers.ToolEffectiveSan.Counting().WithoutStaticElision().Named("EffectiveSan-nostatic"), "no-static"},
-		{sanitizers.ToolEffectiveSan.Counting().WithEpochChecks().Named("EffectiveSan-epoch"), "epoch"},
 		{sanitizers.ToolEffBounds.Counting(), "bounds"},
 		{sanitizers.ToolEffType.Counting(), "type"},
 	}
@@ -214,7 +206,7 @@ func Fig8BarNames() []string {
 	return names
 }
 
-// Fig8Tools returns the twelve Fig. 8 tool configurations in bar order —
+// Fig8Tools returns the nine Fig. 8 tool configurations in bar order —
 // the single source of truth for the figure, the JSON series and the
 // BenchmarkFig8Timings sub-benchmarks.
 func Fig8Tools() []*sanitizers.Tool {
@@ -229,7 +221,7 @@ func Fig8Tools() []*sanitizers.Tool {
 // Fig8 times the 19 SPEC workloads plus the progen-generated synthetic
 // workloads (spec.Synthetic: diamond-heavy, interior-pointer,
 // loop-heavy, recomputed-temporary and statically-provable shapes)
-// under the twelve configurations of Fig. 8 (uninstrumented, full
+// under the nine configurations of Fig. 8 (uninstrumented, full
 // EffectiveSan and its ablations, and the two reduced-instrumentation
 // variants), in counting mode like the paper's performance runs.
 // repeat > 1 keeps the fastest of several runs.
@@ -279,7 +271,7 @@ func Fig8(w io.Writer, repeat int) ([]Fig8Row, error) {
 		fmt.Fprintf(w, "geomean overhead %-24s %+.0f%%\n", cfg.tool.Name, oh*100)
 	}
 	fmt.Fprintln(w, "(paper: EffectiveSan +288%, -bounds +115%, -type +49%; the no-opt/nocache/")
-	fmt.Fprintln(w, " no-inline/per-block/dom-tree/no-motion bars are the §5.3/§6.2 ablations,")
+	fmt.Fprintln(w, " no-inline/no-motion/no-static bars are the §5.3/§6.2 ablations,")
 	fmt.Fprintln(w, " and the progen-* rows are the synthetic diamond/interior/loop/temp")
 	fmt.Fprintln(w, " workloads)")
 	return rows, nil

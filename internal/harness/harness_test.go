@@ -91,8 +91,8 @@ func TestFig8Ordering(t *testing.T) {
 	// rows and the five synthetic progen rows. The bar list comes from
 	// the canonical Fig8BarNames, never hand-copied.
 	wantBars := Fig8BarNames()
-	if len(wantBars) != 12 {
-		t.Fatalf("%d bars, want 12: %v", len(wantBars), wantBars)
+	if len(wantBars) != 9 {
+		t.Fatalf("%d bars, want 9: %v", len(wantBars), wantBars)
 	}
 	if len(rows) != 24 {
 		t.Fatalf("%d rows, want 24 (19 SPEC + 5 progen)", len(rows))

@@ -9,21 +9,12 @@ import (
 )
 
 // The §5.3 check-elision pass. The paper's optimiser runs on LLVM IR
-// with full CFG visibility; this file gives the MIR pass the same view.
-// Three implementations share one fact engine (elideState.step):
-//
-//   - the default PATH-SENSITIVE pass: a per-fact available-check
-//     dataflow over mir.CFG (mir.SolveForward) — a check is elided when
-//     the same fact is available on EVERY incoming path, so a diamond
-//     whose arms both establish a fact keeps it at the join;
-//   - the DOMINATOR-TREE pass (Options.DomTreeElision, the PR-2
-//     behaviour, kept as an ablation): a block inherits its immediate
-//     dominator's end-of-block facts filtered by whole-block effect
-//     summaries of everything that can execute in between — facts
-//     established on both arms of a diamond but not before it are lost
-//     at the join, the precision gap the dataflow pass closes;
-//   - the BLOCK-LOCAL pass (Options.NoCrossBlockElision): no facts
-//     cross block boundaries at all.
+// with full CFG visibility; this file gives the MIR pass the same view:
+// a PATH-SENSITIVE, per-fact available-check dataflow over mir.CFG
+// (mir.SolveForward) driven by one fact engine (elideState.step). A
+// check is elided when the same fact is available on EVERY incoming
+// path, so a diamond whose arms both establish a fact keeps it at the
+// join.
 //
 // Three kinds of facts are tracked:
 //
@@ -33,8 +24,8 @@ import (
 //     (a repeat narrow to the same extent is a no-op);
 //   - lastType: the static type a VALUE was last type-checked against
 //     (re-checking the same provenance against the same type recomputes
-//     the same bounds — §5.3's redundant-check removal). Under the
-//     path-sensitive pass this map is keyed by VALUE NUMBER
+//     the same bounds — §5.3's redundant-check removal). With check
+//     motion enabled this map is keyed by VALUE NUMBER
 //     (mir.ValueTable) where one exists, so `(T*)buf` recomputed into a
 //     fresh temporary elides against the first computation's check; the
 //     fact then records its HOLDER — the register whose bounds register
@@ -52,10 +43,9 @@ import (
 // check would report — so they are barriers that clear every lastType
 // fact. Bounds facts survive barriers because bounds_check never
 // consults metadata: it compares the pointer against the bounds register
-// file, which deallocation does not rewrite. In both cross-block passes
-// a kill or barrier on any path into a block invalidates the fact there,
-// so a use-after-free on one arm of a branch is still re-checked and
-// reported at the join.
+// file, which deallocation does not rewrite. A kill or barrier on any
+// path into a block invalidates the fact there, so a use-after-free on
+// one arm of a branch is still re-checked and reported at the join.
 
 // vnKeyBase offsets value-number fact keys so they can never collide
 // with register-indexed keys (registers are bounded by NumRegs, far
@@ -63,9 +53,8 @@ import (
 const vnKeyBase = int64(1) << 32
 
 // elideCtx carries the per-function configuration the fact engine needs:
-// the type-check-reuse gate and, under the path-sensitive pass with
-// check motion enabled, the value-number table that keys lastType facts
-// on values.
+// the type-check-reuse gate and, with check motion enabled, the
+// value-number table that keys lastType facts on values.
 type elideCtx struct {
 	reuse bool
 	vals  *mir.ValueTable // nil: key lastType on registers
@@ -92,9 +81,10 @@ func (c *elideCtx) sameValue(a, b int) bool {
 }
 
 // sizeFact and typeFact carry a fact plus whether it was inherited from
-// another block (inherited elisions are the cross-block wins the
-// per-block pass cannot see). The inherited flag is attribution
-// metadata only: the dataflow meet and equality ignore it.
+// another block (inherited elisions are the cross-block wins a
+// block-local pass cannot see, counted in Stats.ElidedPathSensitive).
+// The inherited flag is attribution metadata only: the dataflow meet
+// and equality ignore it.
 type sizeFact struct {
 	v         int64
 	inherited bool
@@ -304,9 +294,9 @@ const (
 // updated to reflect the decision: an elided check leaves the facts
 // untouched (it will not execute), an elideVN one applies the
 // replacement bounds-copy's effects, a kept one applies its own. This
-// single function is the transfer semantics shared by all pass
-// implementations, the dataflow fixpoint AND the PRE edge-replay, so a
-// rewrite can never disagree with the solution it came from.
+// single function is the transfer semantics shared by the rewrite, the
+// dataflow fixpoint AND the PRE edge-replay, so a rewrite can never
+// disagree with the solution it came from.
 func (s *elideState) step(ctx *elideCtx, ins *mir.Instr) (elisionKind, bool, int) {
 	switch ins.Op {
 	case mir.OpBoundsCheck:
@@ -375,58 +365,13 @@ func (s *elideState) step(ctx *elideCtx, ins *mir.Instr) (elisionKind, bool, int
 	return elideNone, false, -1
 }
 
-// blockEffects summarises what a block can do to facts flowing past it:
-// the registers whose facts it may change, and whether it contains a
-// deallocation barrier. Used only by the dominator-tree ablation; the
-// dataflow pass applies step per instruction instead.
-type blockEffects struct {
-	killed  map[int]bool
-	barrier bool
-}
-
-func summarizeBlock(b *mir.Block) blockEffects {
-	eff := blockEffects{killed: map[int]bool{}}
-	for i := range b.Instrs {
-		ins := &b.Instrs[i]
-		switch ins.Op {
-		case mir.OpFree, mir.OpRealloc, mir.OpCall:
-			eff.barrier = true
-		case mir.OpTypeCheck, mir.OpBoundsGet, mir.OpBoundsNarrow, mir.OpBoundsMov:
-			// These rewrite the register's bounds (and, for narrow, the
-			// narrow state), so facts about it cannot cross this block.
-			eff.killed[ins.A] = true
-		}
-		_, defs := ins.Regs()
-		for _, d := range defs {
-			if d >= 0 {
-				eff.killed[d] = true
-			}
-		}
-	}
-	return eff
-}
-
-// apply filters a state by a block's effects — used on every block that
-// can execute between a dominating block and its dominated reuse site.
-func (s *elideState) apply(eff blockEffects) {
-	if eff.barrier {
-		clear(s.lastType)
-	}
-	for r := range eff.killed {
-		s.invalidate(r)
-	}
-}
-
 // elideBlock rewrites one block's instructions against the incoming
-// fact state, mutating state to the block's end-of-block facts. cross
-// is the counter charged for elisions justified by inherited facts —
-// Stats.ElidedCrossBlock under the dominator walk,
-// Stats.ElidedPathSensitive under the dataflow pass, nil for the
-// block-local ablation (which can never inherit); the two cross-block
-// counters therefore partition removed checks and never both count one.
-// Value-numbered elisions are charged to ValueNumberedElisions ONLY —
-// they partition from both the per-kind and the cross-block counters.
-func elideBlock(instrs []mir.Instr, ctx *elideCtx, s *elideState, st *Stats, cross *int) []mir.Instr {
+// fact state, mutating state to the block's end-of-block facts.
+// Elisions justified by inherited facts are also charged to
+// Stats.ElidedPathSensitive. Value-numbered elisions are charged to
+// ValueNumberedElisions ONLY — they partition from both the per-kind
+// and the cross-block counters.
+func elideBlock(instrs []mir.Instr, ctx *elideCtx, s *elideState, st *Stats) []mir.Instr {
 	var out []mir.Instr
 	for i := range instrs {
 		kind, inherited, holder := s.step(ctx, &instrs[i])
@@ -447,24 +392,23 @@ func elideBlock(instrs []mir.Instr, ctx *elideCtx, s *elideState, st *Stats, cro
 				A: instrs[i].A, B: holder, C: -1, Site: instrs[i].Site})
 			continue // attribution is ValueNumberedElisions alone
 		}
-		if inherited && cross != nil {
-			*cross++
+		if inherited {
+			st.ElidedPathSensitive++
 		}
 	}
 	return out
 }
 
-// elidePathSensitive is the default §5.3 pass: a per-fact
+// elidePathSensitive is the §5.3 elision pass: a per-fact
 // available-check dataflow over the CFG. The lattice element is the
 // (provenance, fact) set of elideState; the meet is set intersection
 // over predecessors (meetStates); the transfer function replays step
 // over the block. SolveForward iterates to the greatest fixpoint in
 // reverse postorder, then every block is rewritten against its solved
 // in-state: a check is elided exactly when the same fact is available
-// on every incoming path. This closes the dominator walk's diamond-join
-// gap — a fact established on both arms of a branch (but not before it)
-// survives the meet and elides the join's re-check, which the paper's
-// scheme removes but the dominator pass cannot see.
+// on every incoming path. A fact established on both arms of a branch
+// (but not before it) survives the meet and elides the join's re-check,
+// which a walk over the dominator tree cannot see.
 //
 // With check motion enabled the lastType facts are additionally keyed
 // by VALUE NUMBER, so a pointer recomputed into a fresh temporary
@@ -489,10 +433,10 @@ func elidePathSensitive(f *mir.Func, opts Options, st *Stats) {
 			// a block was established elsewhere).
 			s = in[bi].inherit()
 		} else {
-			// Blocks unreachable from the entry get the block-local pass.
+			// Blocks unreachable from the entry start from no facts.
 			s = newElideState()
 		}
-		b.Instrs = elideBlock(b.Instrs, ctx, s, st, &st.ElidedPathSensitive)
+		b.Instrs = elideBlock(b.Instrs, ctx, s, st)
 	}
 }
 
@@ -526,99 +470,6 @@ func solveAvailability(cfg *mir.CFG, f *mir.Func, ctx *elideCtx) ([]*elideState,
 		Meet:  meetStates,
 		Equal: statesEqual,
 	})
-}
-
-// elideDomTree is the PR-2 dominator-tree pass, kept as the
-// Options.DomTreeElision ablation: a block inherits the end-of-block
-// facts of its immediate dominator, filtered by everything that can run
-// in between. Facts established in a sibling subtree never flow in —
-// only dominating checks are guaranteed to have executed, which is
-// exactly the diamond-join precision gap the dataflow pass closes.
-//
-// Effect summaries are taken lazily, at descent time: a between-block
-// whose own (redundant) check was already elided no longer rewrites the
-// register's bounds at runtime, so it must not count as a kill — which
-// is what lets the entry check of a diamond serve both arms AND the
-// join. Children are visited in reverse postorder, so a join's arms are
-// processed (and their redundant checks removed) before the join
-// itself; unprocessed between-blocks keep their conservative
-// pre-elision summaries. The walk is an explicit stack, not recursion —
-// pathological progen CFGs nest dominators thousands deep — and block
-// summaries are cached until the block is rewritten, so each block is
-// summarised O(1) times instead of once per dominator-tree edge.
-func elideDomTree(f *mir.Func, opts Options, st *Stats) {
-	ctx := &elideCtx{reuse: !opts.NoCheckReuse}
-	cfg := mir.NewCFG(f)
-	n := len(f.Blocks)
-	visited := make([]bool, n)
-	summaries := make([]blockEffects, n)
-	haveSummary := make([]bool, n)
-	summary := func(x int) blockEffects {
-		if !haveSummary[x] {
-			summaries[x] = summarizeBlock(f.Blocks[x])
-			haveSummary[x] = true
-		}
-		return summaries[x]
-	}
-
-	// Each frame carries the block and its immediate dominator's
-	// end-of-block state (shared across siblings, copied on use). The
-	// between filter runs at pop time, preserving the recursive walk's
-	// lazy-summary order: a sibling subtree visited earlier has already
-	// been rewritten when a later sibling's between-blocks are
-	// summarised.
-	type frame struct {
-		b        int
-		domState *elideState // nil for the entry block
-	}
-	stack := []frame{{b: 0}}
-	for len(stack) > 0 {
-		fr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		var in *elideState
-		if fr.domState == nil {
-			in = newElideState()
-		} else {
-			in = fr.domState.inherit()
-			for _, x := range cfg.Between(cfg.Idom(fr.b), fr.b) {
-				in.apply(summary(x))
-			}
-		}
-		visited[fr.b] = true
-		f.Blocks[fr.b].Instrs = elideBlock(f.Blocks[fr.b].Instrs, ctx, in, st, &st.ElidedCrossBlock)
-		haveSummary[fr.b] = false // rewritten: stale summary
-		children := cfg.DomChildren(fr.b)
-		// Push in reverse so the pop order matches the recursive DFS:
-		// the first (lowest-RPO) child's entire subtree before the next.
-		for i := len(children) - 1; i >= 0; i-- {
-			stack = append(stack, frame{b: children[i], domState: in})
-		}
-	}
-	// Blocks unreachable from the entry still get the block-local pass.
-	for i, b := range f.Blocks {
-		if !visited[i] {
-			b.Instrs = elideBlock(b.Instrs, ctx, newElideState(), st, nil)
-		}
-	}
-}
-
-// elideChecks runs the elision pass over one function: the
-// path-sensitive dataflow pass by default, the dominator-tree walk
-// under DomTreeElision, or the block-local form under
-// NoCrossBlockElision (the per-block ablation — exactly what the pass
-// did before it had CFG visibility).
-func elideChecks(f *mir.Func, opts Options, st *Stats) {
-	switch {
-	case opts.NoCrossBlockElision:
-		ctx := &elideCtx{reuse: !opts.NoCheckReuse}
-		for _, b := range f.Blocks {
-			b.Instrs = elideBlock(b.Instrs, ctx, newElideState(), st, nil)
-		}
-	case opts.DomTreeElision:
-		elideDomTree(f, opts, st)
-	default:
-		elidePathSensitive(f, opts, st)
-	}
 }
 
 // assignSiteIDs numbers every OpTypeCheck in the instrumented program

@@ -18,23 +18,38 @@ func countChecks(p *mir.Program) int {
 	return n
 }
 
-// instrumentAll runs the same source program through the three elision
-// passes and returns (program, stats) per pass name.
-func instrumentAll(build func(tb *ctypes.Table) *mir.Program, base Options) (map[string]*mir.Program, map[string]Stats) {
-	progs := map[string]*mir.Program{}
-	stats := map[string]Stats{}
-	for name, mod := range map[string]func(o *Options){
-		"dataflow": func(o *Options) {},
-		"domtree":  func(o *Options) { o.DomTreeElision = true },
-		"perblock": func(o *Options) { o.NoCrossBlockElision = true },
-	} {
-		opts := base
-		mod(&opts)
-		ip, st := Instrument(build(ctypes.NewTable()), opts)
-		progs[name] = ip
-		stats[name] = st
-	}
-	return progs, stats
+// Counts recorded from the two elision passes the dataflow pass
+// replaced: the dominator-tree walk (a block inherits only its immediate
+// dominator's facts) and the block-local pass (no fact crosses a block
+// boundary). They were measured at commit d72a461, the last revision
+// that had both passes, with Options{Variant: Full, NoStaticElision:
+// true, Naive: true}; the tests below pin the dataflow pass against
+// them so the precision gap stays visible without the passes.
+const (
+	// buildBranchy: the entry check dominates both arms and the join.
+	branchyDomTreeChecks     = 2 // checks left by the dominator walk
+	branchyDomTreeCrossBlock = 6 // its cross-block elisions
+	branchyPerBlockChecks    = 8 // checks left by the block-local pass
+	branchyPerBlockRechecks  = 0 // its type-check reuses
+	// buildDiamondJoin: both arms check, no dominating block does.
+	diamondDomTreeChecks     = 6
+	diamondDomTreeCrossBlock = 0
+	// The irreducible loop of TestElisionCFGEdgeCases: the dominator
+	// tree describes none of it, so the walk elided nothing.
+	irreducibleDomTreeChecks = 8
+	// buildDiamondChain(2000): the walk elided every post-entry check,
+	// 3*depth rechecks and 3*depth subsumed bounds checks, all of them
+	// cross-block — the same as the dataflow pass.
+	deepDomTreeCrossBlock = 12000
+)
+
+// runUnoptimized instruments build's program with every optimisation
+// off and runs it — the reference an elided program must agree with.
+func runUnoptimized(t *testing.T, build func(tb *ctypes.Table) *mir.Program, opts Options) (uint64, *core.Reporter) {
+	t.Helper()
+	opts.NoOptimize = true
+	ip, _ := Instrument(build(ctypes.NewTable()), opts)
+	return runPass(t, ip)
 }
 
 // runPass executes a program under a fresh runtime and returns the
@@ -63,8 +78,8 @@ func runPass(t *testing.T, ip *mir.Program) (uint64, *core.Reporter) {
 //	join:  load arr; ret
 //
 // The join's checks are redundant — every incoming path just performed
-// them — but no dominating block did, so the dominator-tree walk must
-// keep them while the available-check dataflow elides them.
+// them — but no dominating block did, so a dominator-tree walk keeps
+// them while the available-check dataflow elides them.
 func buildDiamondJoin(tb *ctypes.Table) *mir.Program {
 	p := mir.NewProgram(tb)
 	b := mir.NewFunc(p, "main", ctypes.Long)
@@ -86,48 +101,39 @@ func buildDiamondJoin(tb *ctypes.Table) *mir.Program {
 	return p
 }
 
-// TestPathSensitiveClosesDiamondJoinGap is the tentpole acceptance
-// test: on a diamond whose arms both re-check, the dataflow pass elides
-// the join's type and bounds checks (available on every incoming path)
-// while the dominator-tree pass cannot (no dominating block holds the
-// fact). Detection behaviour is identical.
+// TestPathSensitiveClosesDiamondJoinGap: on a diamond whose arms both
+// re-check, the dataflow pass elides the join's type and bounds checks
+// (available on every incoming path), which the dominator-tree walk
+// could not (no dominating block holds the fact). Behaviour is
+// identical to the unoptimised program.
 func TestPathSensitiveClosesDiamondJoinGap(t *testing.T) {
-	progs, stats := instrumentAll(buildDiamondJoin, Options{Variant: Full, NoStaticElision: true, Naive: true})
+	opts := Options{Variant: Full, NoStaticElision: true, Naive: true}
+	ip, st := Instrument(buildDiamondJoin(ctypes.NewTable()), opts)
 
-	if got, want := countChecks(progs["dataflow"]), countChecks(progs["domtree"]); got >= want {
-		t.Fatalf("dataflow left %d checks, domtree %d: want strictly fewer", got, want)
+	if got := countChecks(ip); got >= diamondDomTreeChecks {
+		t.Fatalf("dataflow left %d checks, the dominator walk left %d: want strictly fewer",
+			got, diamondDomTreeChecks)
 	}
 	// The join's naive type check and its bounds check are exactly the
-	// path-sensitive wins.
-	if st := stats["dataflow"]; st.ElidedPathSensitive != 2 || st.ElidedCrossBlock != 0 {
-		t.Errorf("dataflow attribution = path %d / cross %d, want 2 / 0",
-			st.ElidedPathSensitive, st.ElidedCrossBlock)
-	}
-	// The dominator walk sees no cross-block redundancy here at all.
-	if st := stats["domtree"]; st.ElidedCrossBlock != 0 || st.ElidedPathSensitive != 0 {
-		t.Errorf("domtree attribution = cross %d / path %d, want 0 / 0",
-			st.ElidedCrossBlock, st.ElidedPathSensitive)
+	// path-sensitive wins; the dominator walk found fewer.
+	if st.ElidedPathSensitive != 2 || st.ElidedPathSensitive <= diamondDomTreeCrossBlock {
+		t.Errorf("ElidedPathSensitive = %d, want 2 (the dominator walk: %d)",
+			st.ElidedPathSensitive, diamondDomTreeCrossBlock)
 	}
 
-	var wantVal uint64
-	for i, name := range []string{"dataflow", "domtree", "perblock"} {
-		v, rep := runPass(t, progs[name])
-		if rep.Total() != 0 {
-			t.Fatalf("%s: clean program reported errors:\n%s", name, rep.Log())
-		}
-		if i == 0 {
-			wantVal = v
-		} else if v != wantVal {
-			t.Fatalf("%s: result %d, want %d", name, v, wantVal)
-		}
+	v, rep := runPass(t, ip)
+	if rep.Total() != 0 {
+		t.Fatalf("clean program reported errors:\n%s", rep.Log())
+	}
+	if want, _ := runUnoptimized(t, buildDiamondJoin, opts); v != want {
+		t.Fatalf("result %d, want %d", v, want)
 	}
 }
 
 // TestElisionAttributionPartition pins the stat-partition contract:
-// across the full elision ablation matrix, a removed check is charged
-// to exactly one of ElidedCrossBlock / ElidedPathSensitive — the
-// counter of the pass that ran — and the cross-block counters never
-// exceed the per-kind elision totals they attribute.
+// ElidedPathSensitive attributes a subset of the per-kind elisions, so
+// it never exceeds their total, with and without the static safety pass
+// in front.
 func TestElisionAttributionPartition(t *testing.T) {
 	builders := map[string]func(tb *ctypes.Table) *mir.Program{
 		"branchy":     buildBranchy,
@@ -136,26 +142,13 @@ func TestElisionAttributionPartition(t *testing.T) {
 	}
 	for bname, build := range builders {
 		for _, naive := range []bool{false, true} {
-			_, stats := instrumentAll(build, Options{Variant: Full, Naive: naive})
-			for pass, st := range stats {
+			for _, noStatic := range []bool{false, true} {
+				_, st := Instrument(build(ctypes.NewTable()),
+					Options{Variant: Full, Naive: naive, NoStaticElision: noStatic})
 				total := st.ElidedSubsume + st.ElidedNarrows + st.ElidedRechecks
-				if st.ElidedCrossBlock+st.ElidedPathSensitive > total {
-					t.Errorf("%s/%s naive=%v: cross %d + path %d exceed total elisions %d (double count)",
-						bname, pass, naive, st.ElidedCrossBlock, st.ElidedPathSensitive, total)
-				}
-				switch pass {
-				case "dataflow":
-					if st.ElidedCrossBlock != 0 {
-						t.Errorf("%s dataflow naive=%v: ElidedCrossBlock = %d, want 0", bname, naive, st.ElidedCrossBlock)
-					}
-				case "domtree":
-					if st.ElidedPathSensitive != 0 {
-						t.Errorf("%s domtree naive=%v: ElidedPathSensitive = %d, want 0", bname, naive, st.ElidedPathSensitive)
-					}
-				case "perblock":
-					if st.ElidedCrossBlock != 0 || st.ElidedPathSensitive != 0 {
-						t.Errorf("%s perblock naive=%v: claimed cross-block wins: %+v", bname, naive, st)
-					}
+				if st.ElidedPathSensitive > total {
+					t.Errorf("%s naive=%v nostatic=%v: path %d exceeds total elisions %d (double count)",
+						bname, naive, noStatic, st.ElidedPathSensitive, total)
 				}
 			}
 		}
@@ -170,19 +163,19 @@ func TestElisionCFGEdgeCases(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func(tb *ctypes.Table) *mir.Program
-		// per-pass assertions on the instrumentation stats
-		assert map[string]func(t *testing.T, st Stats)
-		// expected issue kinds when executed (identical across passes)
+		// assertions on the instrumentation stats
+		assert func(t *testing.T, ip *mir.Program, st Stats)
+		// expected issue kinds when executed (identical without elision)
 		wantKinds map[core.ErrorKind]int
 	}{
 		{
 			// entry: malloc; load arr; br -> {a, b}; a: load; jmp b;
 			// b: load; br -> {a, exit}; exit: load; ret.
 			// The {a, b} loop has two entries — irreducible, so the
-			// dominator tree describes none of it (Between sees the
-			// whole loop body on every edge and kills everything), but
-			// every path into a, b and exit has checked arr with no
-			// kills: the dataflow elides all six checks.
+			// dominator tree describes none of it (the dominator walk
+			// elided nothing), but every path into a, b and exit has
+			// checked arr with no kills: the dataflow elides all six
+			// checks.
 			name: "irreducible-loop",
 			build: func(tb *ctypes.Table) *mir.Program {
 				p := mir.NewProgram(tb)
@@ -206,26 +199,23 @@ func TestElisionCFGEdgeCases(t *testing.T) {
 				b.Ret(s)
 				return p
 			},
-			assert: map[string]func(t *testing.T, st Stats){
-				"dataflow": func(t *testing.T, st Stats) {
-					if st.ElidedRechecks != 3 || st.ElidedSubsume != 3 || st.ElidedPathSensitive != 6 {
-						t.Errorf("irreducible loop under dataflow: %+v, want 3 rechecks + 3 subsumed, all path-sensitive", st)
-					}
-				},
-				"domtree": func(t *testing.T, st Stats) {
-					if st.ElidedCrossBlock != 0 {
-						t.Errorf("domtree claimed %d cross-block wins on an irreducible loop, want 0", st.ElidedCrossBlock)
-					}
-				},
+			assert: func(t *testing.T, ip *mir.Program, st Stats) {
+				if st.ElidedRechecks != 3 || st.ElidedSubsume != 3 || st.ElidedPathSensitive != 6 {
+					t.Errorf("irreducible loop: %+v, want 3 rechecks + 3 subsumed, all path-sensitive", st)
+				}
+				if got := countChecks(ip); got >= irreducibleDomTreeChecks {
+					t.Errorf("%d checks left, the dominator walk left %d: want strictly fewer",
+						got, irreducibleDomTreeChecks)
+				}
 			},
 			wantKinds: map[core.ErrorKind]int{},
 		},
 		{
 			// A block no path reaches, holding a redundant re-check:
-			// the cross-block passes must not inherit facts into it
-			// (there is no incoming path), but the block-local pass
-			// still applies inside it — and no cross-block counter
-			// moves.
+			// no facts may be inherited into it (there is no incoming
+			// path), but elision still applies inside it — and the
+			// cross-block counter does not move. The dominator walk
+			// gave the same counts.
 			name: "unreachable-block",
 			build: func(tb *ctypes.Table) *mir.Program {
 				p := mir.NewProgram(tb)
@@ -240,19 +230,12 @@ func TestElisionCFGEdgeCases(t *testing.T) {
 				b.Ret(b.Bin(mir.BinAdd, ctypes.Long, d1, d2))
 				return p
 			},
-			assert: map[string]func(t *testing.T, st Stats){
-				"dataflow": func(t *testing.T, st Stats) {
-					// The dead block's first check is kept (no path in,
-					// no facts in); its second is a block-local win.
-					if st.ElidedRechecks != 1 || st.ElidedPathSensitive != 0 || st.ElidedCrossBlock != 0 {
-						t.Errorf("unreachable block under dataflow: %+v, want 1 local recheck, no cross-block attribution", st)
-					}
-				},
-				"domtree": func(t *testing.T, st Stats) {
-					if st.ElidedRechecks != 1 || st.ElidedCrossBlock != 0 {
-						t.Errorf("unreachable block under domtree: %+v, want 1 local recheck, no cross-block attribution", st)
-					}
-				},
+			assert: func(t *testing.T, ip *mir.Program, st Stats) {
+				// The dead block's first check is kept (no path in,
+				// no facts in); its second is a block-local win.
+				if st.ElidedRechecks != 1 || st.ElidedPathSensitive != 0 {
+					t.Errorf("unreachable block: %+v, want 1 local recheck, no cross-block attribution", st)
+				}
 			},
 			wantKinds: map[core.ErrorKind]int{},
 		},
@@ -260,11 +243,12 @@ func TestElisionCFGEdgeCases(t *testing.T) {
 			// Diamond whose arms contain exactly one barrier each — a
 			// free on one, a may-free call on the other. The lastType
 			// fact dies at the join on BOTH paths, so the join's type
-			// check must survive every pass: it is the check that
-			// reports the use-after-free when the freeing arm ran. And
-			// because that kept type check re-establishes the bounds
-			// register, it conservatively invalidates the inherited
-			// bounds fact too — nothing at the join may be elided.
+			// check must survive: it is the check that reports the
+			// use-after-free when the freeing arm ran. And because that
+			// kept type check re-establishes the bounds register, it
+			// conservatively invalidates the inherited bounds fact too
+			// — nothing at the join may be elided (nor was it under the
+			// dominator walk).
 			name: "diamond-barrier-each-arm",
 			build: func(tb *ctypes.Table) *mir.Program {
 				p := mir.NewProgram(tb)
@@ -287,17 +271,10 @@ func TestElisionCFGEdgeCases(t *testing.T) {
 				b.Ret(b.Bin(mir.BinAdd, ctypes.Long, v0, v1))
 				return p
 			},
-			assert: map[string]func(t *testing.T, st Stats){
-				"dataflow": func(t *testing.T, st Stats) {
-					if st.ElidedRechecks != 0 || st.ElidedSubsume != 0 || st.ElidedPathSensitive != 0 {
-						t.Errorf("fact crossed barrier arms under dataflow: %+v", st)
-					}
-				},
-				"domtree": func(t *testing.T, st Stats) {
-					if st.ElidedRechecks != 0 || st.ElidedSubsume != 0 || st.ElidedCrossBlock != 0 {
-						t.Errorf("fact crossed barrier arms under domtree: %+v", st)
-					}
-				},
+			assert: func(t *testing.T, ip *mir.Program, st Stats) {
+				if st.ElidedRechecks != 0 || st.ElidedSubsume != 0 || st.ElidedPathSensitive != 0 {
+					t.Errorf("fact crossed barrier arms: %+v", st)
+				}
 			},
 			wantKinds: map[core.ErrorKind]int{core.UseAfterFree: 1},
 		},
@@ -305,27 +282,24 @@ func TestElisionCFGEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			progs, stats := instrumentAll(tc.build, Options{Variant: Full, NoStaticElision: true, Naive: true})
-			for pass, fn := range tc.assert {
-				fn(t, stats[pass])
-			}
-			var wantVal uint64
-			for i, name := range []string{"dataflow", "domtree", "perblock"} {
-				v, rep := runPass(t, progs[name])
-				kinds := rep.IssuesByKind()
+			opts := Options{Variant: Full, NoStaticElision: true, Naive: true}
+			ip, st := Instrument(tc.build(ctypes.NewTable()), opts)
+			tc.assert(t, ip, st)
+			v, rep := runPass(t, ip)
+			wantVal, wantRep := runUnoptimized(t, tc.build, opts)
+			for name, r := range map[string]*core.Reporter{"elided": rep, "unoptimised": wantRep} {
+				kinds := r.IssuesByKind()
 				if len(kinds) != len(tc.wantKinds) {
-					t.Fatalf("%s: issue kinds %v, want %v\n%s", name, kinds, tc.wantKinds, rep.Log())
+					t.Fatalf("%s: issue kinds %v, want %v\n%s", name, kinds, tc.wantKinds, r.Log())
 				}
 				for k, n := range tc.wantKinds {
 					if kinds[k] != n {
 						t.Fatalf("%s: %v reported %d times, want %d", name, k, kinds[k], n)
 					}
 				}
-				if i == 0 {
-					wantVal = v
-				} else if v != wantVal {
-					t.Fatalf("%s: result %d, want %d (elision changed semantics)", name, v, wantVal)
-				}
+			}
+			if v != wantVal {
+				t.Fatalf("result %d, want %d (elision changed semantics)", v, wantVal)
 			}
 		})
 	}
@@ -335,7 +309,7 @@ func TestElisionCFGEdgeCases(t *testing.T) {
 // re-dereferencing the same pointer on both arms and at the join. The
 // dominator tree of the result is `depth` levels deep — the shape that
 // made the recursive walk a stack-depth hazard — and every check after
-// the entry's is redundant under both CFG-aware passes.
+// the entry's is redundant.
 func buildDiamondChain(tb *ctypes.Table, depth int) *mir.Program {
 	p := mir.NewProgram(tb)
 	b := mir.NewFunc(p, "main", ctypes.Long)
@@ -361,36 +335,30 @@ func buildDiamondChain(tb *ctypes.Table, depth int) *mir.Program {
 	return p
 }
 
-// TestDomTreeWalkDeepCFG: the dominator-tree walk must survive a
-// pathologically deep dominator tree (it is an explicit stack, not
-// recursion) and still elide every post-entry check; the dataflow pass
-// must agree on this reducible shape.
-func TestDomTreeWalkDeepCFG(t *testing.T) {
+// TestElisionDeepCFG: the dataflow pass must survive a pathologically
+// deep dominator tree and still elide every post-entry check, as the
+// dominator walk did on this reducible shape.
+func TestElisionDeepCFG(t *testing.T) {
 	const depth = 2000
-	for _, pass := range []string{"dataflow", "domtree"} {
-		opts := Options{Variant: Full, NoStaticElision: true, Naive: true, DomTreeElision: pass == "domtree"}
-		ip, st := Instrument(buildDiamondChain(ctypes.NewTable(), depth), opts)
-		// Entry's type+bounds check survive; all 3*depth re-derefs lose
-		// both their checks.
-		if got := countChecks(ip); got != 2 {
-			t.Fatalf("%s: %d checks survive a %d-deep diamond chain, want 2", pass, got, depth)
-		}
-		wantElided := 3 * depth
-		if st.ElidedRechecks != wantElided || st.ElidedSubsume != wantElided {
-			t.Fatalf("%s: elided %d rechecks / %d subsumed, want %d each",
-				pass, st.ElidedRechecks, st.ElidedSubsume, wantElided)
-		}
-		cross := st.ElidedCrossBlock + st.ElidedPathSensitive
-		if cross != 2*wantElided {
-			t.Fatalf("%s: %d cross-block attributions, want %d", pass, cross, 2*wantElided)
-		}
+	opts := Options{Variant: Full, NoStaticElision: true, Naive: true}
+	ip, st := Instrument(buildDiamondChain(ctypes.NewTable(), depth), opts)
+	// Entry's type+bounds check survive; all 3*depth re-derefs lose
+	// both their checks.
+	if got := countChecks(ip); got != 2 {
+		t.Fatalf("%d checks survive a %d-deep diamond chain, want 2", got, depth)
+	}
+	wantElided := 3 * depth
+	if st.ElidedRechecks != wantElided || st.ElidedSubsume != wantElided {
+		t.Fatalf("elided %d rechecks / %d subsumed, want %d each",
+			st.ElidedRechecks, st.ElidedSubsume, wantElided)
+	}
+	if st.ElidedPathSensitive != deepDomTreeCrossBlock {
+		t.Fatalf("%d cross-block attributions, want %d", st.ElidedPathSensitive, deepDomTreeCrossBlock)
 	}
 }
 
-// Instrumentation-time benchmarks over a deep diamond chain — the
-// shape that made the dominator walk quadratic before Between results
-// were memoized and block summaries cached. Run with -bench to compare
-// the two CFG-aware passes' instrumentation cost.
+// Instrumentation-time benchmark over a deep diamond chain, the shape
+// with the deepest dominator tree per block.
 func benchmarkElide(b *testing.B, depth int, opts Options) {
 	p := buildDiamondChain(ctypes.NewTable(), depth)
 	b.ReportAllocs()
@@ -401,14 +369,6 @@ func benchmarkElide(b *testing.B, depth int, opts Options) {
 			b.Fatal("elision inert")
 		}
 		_ = ip
-	}
-}
-
-func BenchmarkElideDomTreeDeep(b *testing.B) {
-	for _, depth := range []int{50, 400} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchmarkElide(b, depth, Options{Variant: Full, NoStaticElision: true, Naive: true, DomTreeElision: true})
-		})
 	}
 }
 

@@ -27,8 +27,7 @@
 // Then the §5.3 elision pass (elide.go) removes dynamically redundant
 // checks with full CFG visibility: an available-check dataflow over
 // mir.CFG elides any check whose fact is available on every incoming
-// path, with free/realloc/call acting as barriers (the dominator-tree
-// walk and a block-local pass remain as ablations). Surviving type
+// path, with free/realloc/call acting as barriers. Surviving type
 // checks then receive stable site IDs for the runtime's per-site
 // inline caches.
 package instrument
@@ -84,18 +83,6 @@ type Options struct {
 	// instead of re-checking), leaving the other optimisations on — to
 	// isolate §5.3's redundant-check removal.
 	NoCheckReuse bool
-	// NoCrossBlockElision restricts the elision pass to single basic
-	// blocks (the pre-CFG behaviour): the CFG-aware pass is replaced by
-	// the block-local one, so checks established in another block are
-	// re-run — the "per-block" Fig. 8 ablation.
-	NoCrossBlockElision bool
-	// DomTreeElision replaces the default path-sensitive
-	// available-check dataflow with the dominator-tree walk (the PR-2
-	// pass): facts flow only from dominating blocks, so a diamond whose
-	// arms both establish a fact loses it at the join — the "dom-tree"
-	// Fig. 8 ablation, kept to measure what path sensitivity buys.
-	// Ignored under NoCrossBlockElision.
-	DomTreeElision bool
 	// Naive replaces the input-pointer discipline with a type check
 	// before every single dereference — the strawman the schema's check
 	// minimisation is measured against (ablation only).
@@ -103,9 +90,8 @@ type Options struct {
 	// NoCheckMotion disables the §5.3 check-MOTION suite while keeping
 	// check removal on: no value-numbered provenance in the elision
 	// lattice, no loop-invariant check hoisting, no partial-redundancy
-	// insertion — the "no-motion" Fig. 8 ablation. Motion requires the
-	// path-sensitive dataflow, so it is implicitly off under
-	// NoCrossBlockElision, DomTreeElision and NoOptimize.
+	// insertion — the "no-motion" Fig. 8 ablation. Motion rides on the
+	// elision pass, so it is implicitly off under NoOptimize.
 	NoCheckMotion bool
 	// NoIntrinsics leaves libc intrinsic calls unchecked: no check-site
 	// IDs are reserved for them, so the interpreter runs the bare
@@ -113,13 +99,6 @@ type Options struct {
 	// library-boundary ablation. Detection through intrinsic calls then
 	// degrades to whatever the surrounding raw-access checks see.
 	NoIntrinsics bool
-	// EpochChecks lowers every check op to its evidence-recording form
-	// (OpTypeRecord/OpBoundsRecord/OpEscapeRecord) as a FINAL pass, after
-	// all elision/motion passes and site-ID assignment — the optimisers
-	// and the site numbering see exactly the precise-mode program, so
-	// epoch and precise configurations share site IDs and check counts.
-	// Requires a runtime built with core.Options.EpochChecks.
-	EpochChecks bool
 	// NoStaticElision disables the interprocedural static safety pass
 	// (staticsafe.go): no check is deleted by abstract interpretation
 	// alone and no STATIC-UNSAFE diagnostics are produced — the
@@ -144,15 +123,9 @@ type Stats struct {
 	ElidedNarrows  int // redundant narrowing operations removed
 	ElidedUnused   int // input checks skipped on never-used pointers
 	ElidedRechecks int // type checks reusing an earlier check's bounds
-	// ElidedCrossBlock and ElidedPathSensitive count the subset of the
-	// elisions above whose justifying check lives in ANOTHER block —
-	// the wins only a CFG-aware pass can see (both zero under
-	// NoCrossBlockElision). They partition by pass: a removed check is
-	// charged to ElidedCrossBlock when the dominator-tree walk
-	// (DomTreeElision) removed it, and to ElidedPathSensitive when the
-	// default available-check dataflow did; exactly one pass runs per
-	// instrumentation, so no check is ever counted in both.
-	ElidedCrossBlock    int
+	// ElidedPathSensitive counts the subset of the elisions above whose
+	// justifying fact was established in ANOTHER block and is available
+	// on every incoming path — the wins only a CFG-aware pass can see.
 	ElidedPathSensitive int
 	// The check-MOTION counters (all zero under NoCheckMotion). They
 	// partition from the elision counters above: a check removed via
@@ -172,9 +145,6 @@ type Stats struct {
 	// from the same counter as CheckSites so every site keeps its own
 	// inline-cache slot). Zero under NoIntrinsics.
 	IntrinsicSites int
-	// RecordOps is the number of check ops rewritten to record ops by the
-	// EpochChecks lowering (zero unless Options.EpochChecks).
-	RecordOps int
 	// The static safety pass counters (staticsafe.go; all zero under
 	// NoStaticElision/NoOptimize). They partition from every counter
 	// above: a STATIC-SAFE check is deleted BEFORE the dynamic
@@ -215,37 +185,7 @@ func Instrument(p *mir.Program, opts Options) (*mir.Program, Stats) {
 	}
 	assignSiteIDs(out, opts, &st)
 	fillStaticDiagSiteIDs(out, &st)
-	if opts.EpochChecks {
-		lowerEpochRecords(out, &st)
-	}
 	return out, st
-}
-
-// lowerEpochRecords rewrites every check op to its evidence-recording
-// form. It runs strictly last: elision, motion and site-ID assignment
-// have all completed, so the lowered program is the precise program with
-// check ops renamed op-for-op — same sites, same operands, same order.
-// OpBoundsGet and OpBoundsNarrow are untouched: bounds_get is pure
-// arithmetic and narrow composes handles in the runtime (BoundsNarrow
-// detects evidence handles itself and appends chain nodes).
-func lowerEpochRecords(p *mir.Program, st *Stats) {
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				switch b.Instrs[i].Op {
-				case mir.OpTypeCheck:
-					b.Instrs[i].Op = mir.OpTypeRecord
-					st.RecordOps++
-				case mir.OpBoundsCheck:
-					b.Instrs[i].Op = mir.OpBoundsRecord
-					st.RecordOps++
-				case mir.OpEscapeCheck:
-					b.Instrs[i].Op = mir.OpEscapeRecord
-					st.RecordOps++
-				}
-			}
-		}
-	}
 }
 
 // instrumentFunc rewrites one function in place.
@@ -289,7 +229,7 @@ func optimizeFunc(f *mir.Func, opts Options, st *Stats) {
 		hoistChecks(f, st)
 		preInsertChecks(f, opts, st)
 	}
-	elideChecks(f, opts, st)
+	elidePathSensitive(f, opts, st)
 }
 
 // inputCheck builds the check instruction for an input pointer: a type

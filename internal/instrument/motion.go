@@ -36,12 +36,9 @@ import (
 // do the §5.3 work alone.
 
 // motionEnabled reports whether the check-motion suite (hoisting, PRE,
-// and value-numbered provenance in the elision lattice) runs. Motion
-// rides on the path-sensitive dataflow, so the block-local and
-// dominator-tree ablations implicitly disable it.
+// and value-numbered provenance in the elision lattice) runs.
 func motionEnabled(opts Options) bool {
-	return !opts.NoOptimize && !opts.NoCheckMotion &&
-		!opts.NoCrossBlockElision && !opts.DomTreeElision
+	return !opts.NoOptimize && !opts.NoCheckMotion
 }
 
 // hoistable ops for operand chains: pure, non-trapping instructions

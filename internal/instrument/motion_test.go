@@ -446,7 +446,7 @@ func TestPREInsertsOnLoopEntryEdge(t *testing.T) {
 	if st.PREInsertions != 1 {
 		t.Fatalf("PREInsertions = %d, want 1", st.PREInsertions)
 	}
-	elideChecks(f, opts, &st)
+	elidePathSensitive(f, opts, &st)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestPREInsertsOnLoopEntryEdge(t *testing.T) {
 	// header execution.
 	p2, _ := preSkeleton(ctypes.NewTable(), false, false)
 	var st2 Stats
-	elideChecks(p2.Funcs["f"], opts, &st2)
+	elidePathSensitive(p2.Funcs["f"], opts, &st2)
 	addPREMain(p)
 	addPREMain(p2)
 	vOn, dynOn, repOn := runWithStats(t, p)
@@ -635,8 +635,8 @@ func TestValueNumberedElision(t *testing.T) {
 
 // TestMotionStatPartition: the motion counters and the elision counters
 // never double-charge — a VN elision is NOT an ElidedRecheck and NOT an
-// ElidedPathSensitive, and under every motion-off ablation all three
-// motion counters stay zero.
+// ElidedPathSensitive, and under every motion-off configuration all
+// three motion counters stay zero.
 func TestMotionStatPartition(t *testing.T) {
 	_, stVN := Instrument(buildTempRecompute(ctypes.NewTable()), Options{Variant: Full, NoStaticElision: true})
 	if stVN.ValueNumberedElisions != 3 || stVN.ElidedRechecks != 0 {
@@ -648,8 +648,6 @@ func TestMotionStatPartition(t *testing.T) {
 
 	for name, mod := range map[string]func(o *Options){
 		"nomotion": func(o *Options) { o.NoCheckMotion = true },
-		"perblock": func(o *Options) { o.NoCrossBlockElision = true },
-		"domtree":  func(o *Options) { o.DomTreeElision = true },
 		"noopt":    func(o *Options) { o.NoOptimize = true },
 	} {
 		opts := Options{Variant: Full, NoStaticElision: true}

@@ -186,8 +186,7 @@ func neededBoundsRegs(p *mir.Program, f *mir.Func, skip map[[2]int]bool) map[int
 		for ii := range b.Instrs {
 			ins := &b.Instrs[ii]
 			switch ins.Op {
-			case mir.OpBoundsCheck, mir.OpEscapeCheck,
-				mir.OpBoundsRecord, mir.OpEscapeRecord:
+			case mir.OpBoundsCheck, mir.OpEscapeCheck:
 				if !skip[[2]int{bi, ii}] {
 					needed[ins.A] = true
 				}
@@ -241,7 +240,7 @@ func fillStaticDiagSiteIDs(p *mir.Program, st *Stats) {
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
 				ins := &b.Instrs[i]
-				if (ins.Op == mir.OpTypeCheck || ins.Op == mir.OpTypeRecord) && ins.Aux > 0 {
+				if ins.Op == mir.OpTypeCheck && ins.Aux > 0 {
 					k := [2]string{name, ins.Site}
 					if _, ok := ids[k]; !ok {
 						ids[k] = ins.Aux

@@ -181,7 +181,6 @@ func TestIntrinsicEdgeCases(t *testing.T) {
 		sanitizers.ToolEffectiveSan,
 		sanitizers.ToolEffectiveSan.Uncached().Named("EffectiveSan-uncached"),
 		sanitizers.ToolEffectiveSan.WithoutOptimizations().Named("EffectiveSan-noopt"),
-		sanitizers.ToolEffectiveSan.PerBlockElision().Named("EffectiveSan-perblock"),
 	}
 	for _, tc := range edgeCases {
 		t.Run(tc.name, func(t *testing.T) {

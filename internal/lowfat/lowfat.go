@@ -446,10 +446,3 @@ func (a *Allocator) flush(c int, slots []uint64) {
 
 // quarantineEnabled reports whether the allocator delays slot reuse.
 func (a *Allocator) quarantineEnabled() bool { return a.opts.Quarantine > 0 }
-
-// EpochTick returns a counter that advances whenever the quarantine FIFO
-// evicts slots under byte pressure — the central heap's epoch-boundary
-// signal for the EffectiveSan runtime's deferred-check mode: a slot
-// leaving quarantine is about to be reused, so pending evidence should
-// be validated first.
-func (a *Allocator) EpochTick() uint64 { return a.stats.quarEvicted.Load() }

@@ -164,13 +164,5 @@ func (m *Magazine) LegacyAlloc(size uint64) uint64 {
 	return m.central.LegacyAlloc(size)
 }
 
-// EpochTick layers the magazine's own flush count onto the central
-// heap's quarantine tick, so both a magazine flush and a central
-// quarantine eviction are epoch boundaries for the owning worker's
-// deferred-check log.
-func (m *Magazine) EpochTick() uint64 {
-	return m.central.EpochTick() + m.stats.Flushes
-}
-
 // Mem returns the underlying memory.
 func (m *Magazine) Mem() *mem.Memory { return m.central.mem }

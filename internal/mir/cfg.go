@@ -1,13 +1,10 @@
 package mir
 
-import mathbits "math/bits"
-
 // This file provides the control-flow analyses the §5.3 check-elision
-// pass needs: block successors/predecessors derived from the terminators
-// (OpJmp/OpBr/OpRet), a reverse postorder, immediate dominators via the
-// Cooper-Harvey-Kennedy algorithm ("A Simple, Fast Dominance Algorithm"),
-// and a may-reach relation used to find the blocks that can execute
-// between a dominating check and its dominated reuse site.
+// and check-motion passes need: block successors/predecessors derived
+// from the terminators (OpJmp/OpBr/OpRet), a reverse postorder, and
+// immediate dominators via the Cooper-Harvey-Kennedy algorithm ("A
+// Simple, Fast Dominance Algorithm") with an O(1) Dominates test.
 //
 // The paper's optimiser runs on LLVM IR with full CFG visibility; the
 // reproduction's instrument pass previously reused checks within one
@@ -17,7 +14,7 @@ import mathbits "math/bits"
 // function must not be mutated structurally (blocks added/removed,
 // terminators changed) while the CFG is in use. Instruction-level edits
 // inside blocks are fine — the graph only depends on terminators. A CFG
-// is not safe for concurrent use: Between memoizes its results.
+// is immutable once NewCFG returns, so concurrent readers may share it.
 type CFG struct {
 	f *Func
 
@@ -36,42 +33,6 @@ type CFG struct {
 	children [][]int // dominator-tree children, ordered by RPO
 	pre      []int   // dominator-tree DFS entry numbering (for Dominates)
 	post     []int   // dominator-tree DFS exit numbering
-	reach    []bits  // reach[b] = blocks reachable from b via >= 1 edge
-
-	// between memoizes Between results per (a, b) pair. The elision
-	// passes query one pair per dominator-tree edge per run, but
-	// repeated runs over a shared CFG (ablation matrices, tests) and
-	// any client querying a pair twice hit the cache instead of
-	// rescanning the reachability bitsets.
-	between map[uint64][]int
-}
-
-// bits is a simple fixed-size bitset over block indices.
-type bits []uint64
-
-func newBits(n int) bits      { return make(bits, (n+63)/64) }
-func (b bits) set(i int)      { b[i/64] |= 1 << (i % 64) }
-func (b bits) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-func (b bits) or(o bits) bool { // union in place; reports change
-	changed := false
-	for i := range b {
-		if n := b[i] | o[i]; n != b[i] {
-			b[i] = n
-			changed = true
-		}
-	}
-	return changed
-}
-
-// forEach calls fn for every set bit in ascending order — cheaper than
-// probing every block index when the set is sparse.
-func (b bits) forEach(fn func(i int)) {
-	for wi, w := range b {
-		for w != 0 {
-			fn(wi*64 + mathbits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }
 
 // blockSuccs returns the successor block indices of b per its terminator.
@@ -94,8 +55,8 @@ func blockSuccs(b *Block) []int {
 	return nil
 }
 
-// NewCFG builds the control-flow graph, reverse postorder, dominator
-// tree and reachability closure of f.
+// NewCFG builds the control-flow graph, reverse postorder and dominator
+// tree of f.
 func NewCFG(f *Func) *CFG {
 	n := len(f.Blocks)
 	c := &CFG{
@@ -116,7 +77,6 @@ func NewCFG(f *Func) *CFG {
 	c.buildRPO()
 	c.buildDominators()
 	c.buildDomTree()
-	c.buildReach()
 	return c
 }
 
@@ -259,48 +219,6 @@ func (c *CFG) buildDomTree() {
 	}
 }
 
-// buildReach computes the may-reach closure: reach[b] holds every block
-// reachable from b along one or more CFG edges (so a block is in its own
-// reach set exactly when it lies on a cycle). Computed by iterating
-// reach[b] = union over successors s of ({s} ∪ reach[s]) to fixpoint in
-// postorder, which converges in O(loop nesting) sweeps.
-func (c *CFG) buildReach() {
-	n := len(c.f.Blocks)
-	c.reach = make([]bits, n)
-	for i := range c.reach {
-		c.reach[i] = newBits(n)
-	}
-	for changed := true; changed; {
-		changed = false
-		// Postorder (reverse of RPO) visits successors first.
-		for i := len(c.RPO) - 1; i >= 0; i-- {
-			b := c.RPO[i]
-			for _, s := range c.Succs[b] {
-				if !c.reach[b].has(s) {
-					c.reach[b].set(s)
-					changed = true
-				}
-				if c.reach[b].or(c.reach[s]) {
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-// Reachable reports whether control can flow from block a to block b
-// along one or more edges (Reachable(b, b) is true only when b is on a
-// cycle).
-func (c *CFG) Reachable(a, b int) bool { return c.reach[a].has(b) }
-
-// Idom returns the immediate dominator of block b, or -1 for the entry
-// block and for blocks unreachable from it.
-func (c *CFG) Idom(b int) int { return c.idom[b] }
-
-// DomChildren returns the dominator-tree children of block b in reverse
-// postorder.
-func (c *CFG) DomChildren(b int) []int { return c.children[b] }
-
 // Dominates reports whether block a dominates block b (every path from
 // the entry to b passes through a; a dominates itself). Unreachable
 // blocks dominate nothing and are dominated by nothing.
@@ -309,33 +227,4 @@ func (c *CFG) Dominates(a, b int) bool {
 		return false
 	}
 	return c.pre[a] <= c.pre[b] && c.post[b] <= c.post[a]
-}
-
-// Between returns the blocks that can execute strictly between the end
-// of block a and the start of block b on some a→b control-flow path,
-// where a dominates b: every X (other than a itself) with X reachable
-// from a and b reachable from X. b itself is included exactly when b
-// lies on a cycle, in which case a path may revisit b's interior before
-// re-entering it. The check-elision pass uses this set to decide which
-// kills and barriers can invalidate a dominating check before its reuse
-// site runs; a itself is excluded because re-executing a (on a cycle
-// through a) re-establishes a's own end-of-block facts, and any other
-// block on such a cycle is in the set.
-// Results are memoized per (a, b) pair for the lifetime of the CFG.
-func (c *CFG) Between(a, b int) []int {
-	key := uint64(uint32(a))<<32 | uint64(uint32(b))
-	if out, ok := c.between[key]; ok {
-		return out
-	}
-	var out []int
-	c.reach[a].forEach(func(x int) {
-		if x != a && c.reach[x].has(b) {
-			out = append(out, x)
-		}
-	})
-	if c.between == nil {
-		c.between = make(map[uint64][]int)
-	}
-	c.between[key] = out
-	return out
 }

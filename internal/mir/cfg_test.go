@@ -48,11 +48,11 @@ func TestCFGDiamond(t *testing.T) {
 			t.Errorf("entry should dominate block %d", b)
 		}
 	}
-	if c.Idom(3) != 0 {
-		t.Errorf("idom(join) = %d, want 0", c.Idom(3))
+	if c.idom[3] != 0 {
+		t.Errorf("idom(join) = %d, want 0", c.idom[3])
 	}
-	if c.Idom(1) != 0 || c.Idom(2) != 0 {
-		t.Errorf("idom(branches) = %d,%d, want 0,0", c.Idom(1), c.Idom(2))
+	if c.idom[1] != 0 || c.idom[2] != 0 {
+		t.Errorf("idom(branches) = %d,%d, want 0,0", c.idom[1], c.idom[2])
 	}
 	if c.Dominates(1, 3) || c.Dominates(2, 3) {
 		t.Error("a branch arm must not dominate the join")
@@ -60,21 +60,10 @@ func TestCFGDiamond(t *testing.T) {
 	if c.Dominates(3, 1) {
 		t.Error("join must not dominate an arm")
 	}
-	if c.Idom(0) != -1 {
-		t.Errorf("idom(entry) = %d, want -1", c.Idom(0))
+	if c.idom[0] != -1 {
+		t.Errorf("idom(entry) = %d, want -1", c.idom[0])
 	}
 
-	// Between(entry, join) is exactly the two arms: they can run between
-	// the entry's end and the join's start. No block is on a cycle.
-	between := c.Between(0, 3)
-	if len(between) != 2 || between[0] != 1 || between[1] != 2 {
-		t.Fatalf("Between(entry, join) = %v, want [1 2]", between)
-	}
-	for b := 0; b < 4; b++ {
-		if c.Reachable(b, b) {
-			t.Errorf("acyclic graph: block %d reaches itself", b)
-		}
-	}
 }
 
 // buildLoop builds entry(0) -> head(1); head -> {body(2), exit(3)};
@@ -102,34 +91,14 @@ func TestCFGLoop(t *testing.T) {
 	f := buildLoop(t)
 	c := NewCFG(f)
 
-	if c.Idom(1) != 0 || c.Idom(2) != 1 || c.Idom(3) != 1 {
-		t.Fatalf("idoms = %d,%d,%d, want 0,1,1", c.Idom(1), c.Idom(2), c.Idom(3))
+	if c.idom[1] != 0 || c.idom[2] != 1 || c.idom[3] != 1 {
+		t.Fatalf("idoms = %d,%d,%d, want 0,1,1", c.idom[1], c.idom[2], c.idom[3])
 	}
 	if !c.Dominates(1, 2) || !c.Dominates(1, 3) {
 		t.Error("loop head must dominate body and exit")
 	}
 	if c.Dominates(2, 1) {
 		t.Error("body must not dominate head (entry edge bypasses it)")
-	}
-	// head and body are on a cycle; entry and exit are not.
-	if !c.Reachable(1, 1) || !c.Reachable(2, 2) {
-		t.Error("loop blocks should reach themselves")
-	}
-	if c.Reachable(0, 0) || c.Reachable(3, 3) {
-		t.Error("entry/exit are not on a cycle")
-	}
-	// Between(head, body): the back edge lets body and head themselves
-	// re-run between an execution of head and the next entry of body.
-	between := c.Between(1, 2)
-	want := map[int]bool{2: true} // body on its own cycle; head excluded by rule
-	for _, x := range between {
-		if !want[x] {
-			t.Errorf("Between(head, body) contains unexpected block %d", x)
-		}
-		delete(want, x)
-	}
-	if len(want) != 0 {
-		t.Errorf("Between(head, body) missing %v", want)
 	}
 }
 
@@ -148,8 +117,8 @@ func TestCFGUnreachableBlock(t *testing.T) {
 	if len(c.RPO) != 1 {
 		t.Fatalf("RPO = %v, want entry only", c.RPO)
 	}
-	if c.Idom(dead) != -1 {
-		t.Errorf("unreachable block has idom %d", c.Idom(dead))
+	if c.idom[dead] != -1 {
+		t.Errorf("unreachable block has idom %d", c.idom[dead])
 	}
 	if c.Dominates(0, dead) || c.Dominates(dead, 0) {
 		t.Error("unreachable blocks neither dominate nor are dominated")
@@ -183,20 +152,14 @@ func TestCFGNestedLoops(t *testing.T) {
 	}
 	c := NewCFG(b.F)
 
-	if c.Idom(outer) != 0 || c.Idom(inner) != outer || c.Idom(innerBody) != inner ||
-		c.Idom(outerLatch) != inner {
+	if c.idom[outer] != 0 || c.idom[inner] != outer || c.idom[innerBody] != inner ||
+		c.idom[outerLatch] != inner {
 		t.Fatalf("unexpected idoms: outer=%d inner=%d body=%d latch=%d",
-			c.Idom(outer), c.Idom(inner), c.Idom(innerBody), c.Idom(outerLatch))
+			c.idom[outer], c.idom[inner], c.idom[innerBody], c.idom[outerLatch])
 	}
 	// exit is reached from innerBody and outerLatch, whose common
 	// dominator is inner.
-	if c.Idom(exit) != inner {
-		t.Fatalf("idom(exit) = %d, want inner (%d)", c.Idom(exit), inner)
-	}
-	if !c.Reachable(outer, outer) || !c.Reachable(inner, inner) {
-		t.Error("loop headers should be on cycles")
-	}
-	if c.Reachable(exit, exit) {
-		t.Error("exit is not on a cycle")
+	if c.idom[exit] != inner {
+		t.Fatalf("idom(exit) = %d, want inner (%d)", c.idom[exit], inner)
 	}
 }

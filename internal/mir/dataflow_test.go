@@ -155,21 +155,6 @@ func TestSolveForwardIrreducible(t *testing.T) {
 	wantSet(t, "in[exit]", in[3], 0, 2)
 }
 
-// TestBetweenMemoized: repeated Between queries return the cached slice
-// and stay consistent.
-func TestBetweenMemoized(t *testing.T) {
-	f := buildDiamond(t)
-	c := NewCFG(f)
-	first := c.Between(0, 3)
-	second := c.Between(0, 3)
-	if len(first) != 2 || first[0] != 1 || first[1] != 2 {
-		t.Fatalf("Between(entry, join) = %v, want [1 2]", first)
-	}
-	if &first[0] != &second[0] {
-		t.Error("second query did not hit the memo")
-	}
-}
-
 // ---------------------------------------------------------------------
 // Infinite-height lattices: widening and the non-monotone backstop.
 

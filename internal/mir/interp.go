@@ -48,12 +48,6 @@ type Interp struct {
 	mem      *mem.Memory
 	out      io.Writer
 	maxSteps uint64
-	// inlineChecks runs the passing case of bounds and escape checks and
-	// every bounds narrow in the executor, tallied per Run, instead of
-	// calling the runtime. Set for a precise-mode runtime, where those
-	// calls have no effect on success but a counter; epoch mode defers
-	// them and always calls.
-	inlineChecks bool
 
 	globalsOnce sync.Once
 	globalAddrs []uint64
@@ -86,15 +80,14 @@ func New(p *Program, opts Options) (*Interp, error) {
 		maxSteps = 1 << 33
 	}
 	return &Interp{
-		prog:         p,
-		funcs:        decode(p),
-		env:          opts.Env,
-		eff:          eff,
-		hooks:        opts.Hooks,
-		mem:          opts.Env.Mem(),
-		out:          out,
-		maxSteps:     maxSteps,
-		inlineChecks: eff != nil && !eff.EpochEnabled(),
+		prog:     p,
+		funcs:    decode(p),
+		env:      opts.Env,
+		eff:      eff,
+		hooks:    opts.Hooks,
+		mem:      opts.Env.Mem(),
+		out:      out,
+		maxSteps: maxSteps,
 	}, nil
 }
 
@@ -158,15 +151,7 @@ func (in *Interp) run(fn string, args []uint64) (res, steps uint64, err error) {
 	}()
 	regs, bregs, _ := rs.push(f.numRegs)
 	copy(regs, args)
-	res = in.exec(rs, f, regs, bregs)
-	if in.eff != nil {
-		// End-of-run epoch boundary (no-op in precise mode): no register
-		// can hold an evidence handle past this point, so pending evidence
-		// validates and the provenance log is released. An AbortError from
-		// the sweep is recovered above, like any mid-run abort.
-		in.eff.EpochFlush()
-	}
-	return res, 0, nil
+	return in.exec(rs, f, regs, bregs), 0, nil
 }
 
 // runState is one Run's mutable state: its step budget, its check
@@ -176,7 +161,7 @@ type runState struct {
 	budget uint64
 
 	// bounds and narrows tally the passing bounds and escape checks and
-	// the bounds narrows the executor ran inline (Interp.inlineChecks);
+	// the bounds narrows the executor ran inline (see exec);
 	// run folds them into the runtime's counters when it returns.
 	bounds, narrows uint64
 
@@ -309,9 +294,6 @@ const (
 	xBoundsCheckDyn // extent in register b (memcpy/memset)
 	xEscapeCheck
 	xBoundsMov
-	xTypeRecord
-	xBoundsRecord
-	xEscapeRecord
 )
 
 // xinstr is one decoded instruction. The register operands and the
@@ -468,12 +450,6 @@ func (xf *xfunc) decode(funcs map[string]*xfunc, start []int32) []int32 {
 				d.op = xEscapeCheck
 			case OpBoundsMov:
 				d.op = xBoundsMov
-			case OpTypeRecord:
-				d.op = xTypeRecord
-			case OpBoundsRecord:
-				d.op = xBoundsRecord
-			case OpEscapeRecord:
-				d.op = xEscapeRecord
 			}
 			xf.code = append(xf.code, d)
 		}
@@ -596,13 +572,18 @@ func (in *Interp) popAllocas(rs *runState, mark int, site string) {
 
 // exec runs one activation of f to completion in the window regs/bregs,
 // whose leading registers hold the arguments.
+//
+// With a runtime attached, exec runs the passing case of bounds and
+// escape checks and every bounds narrow itself, tallied in rs, instead
+// of calling the runtime: those calls have no effect on success but a
+// counter.
 func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bounds) uint64 {
 	if f.allocas {
 		// Deferred so the frame's stack objects die on every exit,
 		// including a simulation error or abort unwinding through it.
 		defer in.popAllocas(rs, len(rs.allocas), f.framepop)
 	}
-	hooks, m, code, inlineChecks := in.hooks, in.mem, f.code, in.inlineChecks
+	hooks, m, code, inlineChecks := in.hooks, in.mem, f.code, in.eff != nil
 	rs.spend(f.entry)
 	for pc := 0; ; {
 		d := &code[pc]
@@ -839,17 +820,6 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 			}
 		case xBoundsMov:
 			bregs[d.a] = bregs[d.b]
-
-		case xTypeRecord:
-			bregs[d.a] = in.effRT(d.ins).TypeRecordAt(regs[d.a], d.ins.Type, d.k, d.ins.Site)
-		case xBoundsRecord:
-			size := uint64(d.k)
-			if d.b != -1 {
-				size = regs[d.b] // dynamic extent (memcpy/memset)
-			}
-			in.effRT(d.ins).BoundsRecord(regs[d.a], size, bregs[d.a], d.ins.Type, d.ins.Site)
-		case xEscapeRecord:
-			in.effRT(d.ins).EscapeRecord(regs[d.a], bregs[d.a], d.ins.Site)
 
 		default:
 			panic(simError{fmt.Sprintf("%s: unknown op %d", d.ins.Site, d.ins.Op)})

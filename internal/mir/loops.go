@@ -1,6 +1,9 @@
 package mir
 
-import "fmt"
+import (
+	"fmt"
+	mathbits "math/bits"
+)
 
 // This file provides the natural-loop analysis the §5.3 check-MOTION
 // passes (package instrument) run on: back edges found via the dominator
@@ -43,6 +46,24 @@ type Loop struct {
 
 // Contains reports whether block b belongs to the loop.
 func (l *Loop) Contains(b int) bool { return l.blocks.has(b) }
+
+// bits is a simple fixed-size bitset over block indices.
+type bits []uint64
+
+func newBits(n int) bits      { return make(bits, (n+63)/64) }
+func (b bits) set(i int)      { b[i/64] |= 1 << (i % 64) }
+func (b bits) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+
+// forEach calls fn for every set bit in ascending order — cheaper than
+// probing every block index when the set is sparse.
+func (b bits) forEach(fn func(i int)) {
+	for wi, w := range b {
+		for w != 0 {
+			fn(wi*64 + mathbits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+}
 
 // LoopInfo is the result of FindLoops over one CFG.
 type LoopInfo struct {

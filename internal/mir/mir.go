@@ -104,17 +104,6 @@ const (
 	// receive the earlier check's result for downstream narrows and
 	// bounds checks. It never consults the runtime.
 	OpBoundsMov
-
-	// Epoch-mode record ops (core/epoch.go): same operand shapes as
-	// their precise counterparts, but the runtime appends evidence to
-	// the per-worker log instead of checking synchronously; a batch
-	// validator replays the log at epoch boundaries. The instrument pass
-	// lowers the check ops to these as its final pass when
-	// Options.EpochChecks is set, after all elision and motion passes —
-	// the optimisers never see them.
-	OpTypeRecord   // bounds[A] = type_record(A, Type[]), Aux = site ID
-	OpBoundsRecord // bounds_record(A, size Aux or reg B, bounds[A])
-	OpEscapeRecord // escape record of pointer A against bounds[A]
 )
 
 // BinKind selects an OpBin operation (Instr.Aux).

@@ -60,8 +60,7 @@ func (p *Program) validateFunc(f *Func) error {
 				}
 			}
 			switch in.Op {
-			case OpConst, OpLoad, OpStore, OpAlloca, OpMalloc, OpField, OpIndex, OpCast, OpTypeCheck,
-				OpTypeRecord:
+			case OpConst, OpLoad, OpStore, OpAlloca, OpMalloc, OpField, OpIndex, OpCast, OpTypeCheck:
 				if in.Type == nil {
 					return fail(bi, ii, "op %d requires a type annotation", in.Op)
 				}
@@ -157,9 +156,9 @@ func (in *Instr) regs() (uses []int, defs []int) {
 			return u, []int{in.Dst}
 		}
 		return u, nil
-	case OpBoundsCheck, OpBoundsMov, OpBoundsRecord:
+	case OpBoundsCheck, OpBoundsMov:
 		return []int{in.A, in.B}, nil
-	case OpTypeCheck, OpBoundsGet, OpBoundsNarrow, OpEscapeCheck, OpTypeRecord, OpEscapeRecord:
+	case OpTypeCheck, OpBoundsGet, OpBoundsNarrow, OpEscapeCheck:
 		return []int{in.A}, nil
 	}
 	return nil, nil

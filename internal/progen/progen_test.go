@@ -114,15 +114,14 @@ func TestShapeOptions(t *testing.T) {
 // TestDiamondInteriorSoundness extends the differential net to the
 // diamond-heavy and interior-pointer shapes: for a spread of seeds the
 // programs stay clean (no reports) and semantics-preserving under every
-// EffectiveSan variant AND under every elision pass — the shapes were
-// added precisely to stress the §5.3 optimiser, so they must never
+// EffectiveSan variant AND with check elision on and off — the shapes
+// were added precisely to stress the §5.3 optimiser, so they must never
 // change what the program computes.
 func TestDiamondInteriorSoundness(t *testing.T) {
 	tools := []*sanitizers.Tool{
 		sanitizers.ToolUninstrumented,
 		sanitizers.ToolEffectiveSan,
-		sanitizers.ToolEffectiveSan.WithDomTreeElision().Named("EffectiveSan-domtree"),
-		sanitizers.ToolEffectiveSan.PerBlockElision().Named("EffectiveSan-perblock"),
+		sanitizers.ToolEffectiveSan.WithoutOptimizations().Named("EffectiveSan-noopt"),
 		sanitizers.ToolEffBounds,
 		sanitizers.ToolEffType,
 	}

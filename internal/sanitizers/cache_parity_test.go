@@ -54,22 +54,23 @@ func TestCheckCachingDetectionParityFig1(t *testing.T) {
 }
 
 // knobMatrix returns the eight §5.3 knob combinations: per-site inline
-// cache × shared memo cache × cross-block elision, each on and off. The
-// base tool is copied, so the matrix composes with quarantine and mode
-// settings.
+// cache × shared memo cache × check motion, each on and off (motion
+// changes which checks survive and so how sites map to inline caches).
+// The base tool is copied, so the matrix composes with quarantine and
+// mode settings.
 func knobMatrix(base *Tool) []*Tool {
 	var tools []*Tool
 	for _, inline := range []bool{false, true} {
 		for _, shared := range []bool{false, true} {
-			for _, perblock := range []bool{false, true} {
+			for _, nomotion := range []bool{false, true} {
 				cp := *base
 				cp.NoInlineCache = inline
 				if shared {
 					cp.CheckCache = -1
 				}
-				cp.NoCrossBlockElision = perblock
-				cp.Name = fmt.Sprintf("inline=%v shared=%v crossblock=%v",
-					!inline, !shared, !perblock)
+				cp.NoCheckMotion = nomotion
+				cp.Name = fmt.Sprintf("inline=%v shared=%v motion=%v",
+					!inline, !shared, !nomotion)
 				tools = append(tools, &cp)
 			}
 		}

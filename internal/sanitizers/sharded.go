@@ -113,22 +113,8 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 		plain = mir.NewPlainEnv(nil)
 		res.Reporter = core.NewReporter(core.ModeLog, 0)
 	} else {
-		runee, res.InstrStats = instrument.Instrument(prog, instrument.Options{
-			Variant: t.Variant, NoOptimize: t.NoOptimize,
-			NoCrossBlockElision: t.NoCrossBlockElision,
-			DomTreeElision:      t.DomTreeElision,
-			NoCheckMotion:       t.NoCheckMotion,
-			NoIntrinsics:        t.NoIntrinsics,
-			EpochChecks:         t.EpochChecks,
-			NoStaticElision:     t.NoStaticElision,
-			StaticEntry:         entry,
-		})
-		rt = core.NewRuntime(core.Options{
-			Types: prog.Types, Mode: t.Mode, Quarantine: t.Quarantine,
-			CheckCacheSize: t.CheckCache, NoInlineCache: t.NoInlineCache,
-			EpochChecks: t.EpochChecks, EpochCap: t.EpochCap,
-			LayoutCacheCap: t.LayoutCacheCap,
-		})
+		runee, res.InstrStats = instrument.Instrument(prog, t.InstrumentOptions(entry))
+		rt = core.NewRuntime(t.RuntimeOptions(prog.Types))
 		res.Reporter = rt.Reporter
 	}
 	if err := runee.Validate(); err != nil {
@@ -160,11 +146,6 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 					mag = rt.NewMagazine()
 					view = view.HeapView(mag)
 				}
-				if t.EpochChecks {
-					// Each worker owns its evidence log; the shared epoch
-					// generation (RequestEpoch) still reaches every view.
-					view = view.EpochView()
-				}
 				env = mir.NewEffEnv(view)
 			} else if !t.NoMagazines {
 				mag = plain.Heap().NewMagazine()
@@ -194,12 +175,6 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 				ws.Jobs++
 			}
 			ws.BusyNs = time.Since(begin).Nanoseconds()
-			if view != nil && t.EpochChecks {
-				// Worker retirement is an epoch boundary: validate any
-				// evidence a failed job left pending before the worker's
-				// sink is snapshotted (a clean Run flushes on its own).
-				view.EpochFlush()
-			}
 			if mag != nil {
 				// Return cached slots to the central heap so nothing is
 				// stranded when the worker retires; canonical Stats never

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ctypes"
 	"repro/internal/instrument"
 	"repro/internal/mir"
 )
@@ -37,15 +38,6 @@ type Tool struct {
 	// NoOptimize disables the instrumentation check-elision optimisations
 	// (the Fig. 8 "no-opt" configuration).
 	NoOptimize bool
-	// NoCrossBlockElision restricts check elision to single basic blocks
-	// (the "per-block" Fig. 8 ablation) —
-	// instrument.Options.NoCrossBlockElision.
-	NoCrossBlockElision bool
-	// DomTreeElision swaps the default path-sensitive available-check
-	// dataflow for the dominator-tree elision walk (the "dom-tree"
-	// Fig. 8 ablation; loses the diamond-join wins) —
-	// instrument.Options.DomTreeElision.
-	DomTreeElision bool
 	// NoCheckMotion disables the §5.3 check-motion suite — loop-invariant
 	// check hoisting, partial-redundancy insertion and value-numbered
 	// provenance in the elision lattice — leaving check removal on (the
@@ -61,16 +53,6 @@ type Tool struct {
 	// "no-static" Fig. 8 ablation) —
 	// instrument.Options.NoStaticElision.
 	NoStaticElision bool
-	// EpochChecks selects the evidence-based epoch checking mode
-	// (DoubleTake-style): check ops are lowered to record ops that append
-	// evidence to a per-worker log, and a batch validator replays the log
-	// at epoch boundaries. Detection (bucket kinds and counts) is
-	// identical to precise mode; only report LOCATION may coarsen
-	// (FirstSite/ordering) — the contract the difftest oracle enforces.
-	EpochChecks bool
-	// EpochCap bounds the pending-evidence log; a full log forces an
-	// epoch (0 = default). Small caps stress mid-loop epoch boundaries.
-	EpochCap int
 	// LayoutCacheCap bounds the number of resident layout tables (clock
 	// eviction, rebuild on demand; 0 = unbounded) —
 	// core.Options.LayoutCacheCap. Any cap is detection-identical; small
@@ -125,23 +107,6 @@ func (t *Tool) WithoutOptimizations() *Tool {
 	return &cp
 }
 
-// PerBlockElision returns a copy of the tool with check elision
-// restricted to single basic blocks (the pre-CFG instrumentation).
-func (t *Tool) PerBlockElision() *Tool {
-	cp := *t
-	cp.NoCrossBlockElision = true
-	return &cp
-}
-
-// WithDomTreeElision returns a copy of the tool that elides checks with
-// the dominator-tree walk instead of the default path-sensitive
-// dataflow — the ablation that prices the diamond-join precision gap.
-func (t *Tool) WithDomTreeElision() *Tool {
-	cp := *t
-	cp.DomTreeElision = true
-	return &cp
-}
-
 // WithoutCheckMotion returns a copy of the tool with the check-motion
 // suite (hoisting, PRE, value-numbered provenance) disabled — the
 // ablation that prices what moving checks buys over removing them.
@@ -182,26 +147,6 @@ func (t *Tool) WithoutStaticElision() *Tool {
 	return &cp
 }
 
-// WithEpochChecks returns a copy of the tool in evidence-based epoch
-// checking mode: hot-path checks only record evidence, validated in
-// batches at epoch boundaries (quarantine/magazine flush, worker
-// retirement, run exit). Same detection as precise mode, coarser report
-// locations.
-func (t *Tool) WithEpochChecks() *Tool {
-	cp := *t
-	cp.EpochChecks = true
-	return &cp
-}
-
-// WithEpochCap returns a copy of the tool with an explicit pending-
-// evidence cap (implies epoch mode). Small caps force epochs mid-loop.
-func (t *Tool) WithEpochCap(n int) *Tool {
-	cp := *t
-	cp.EpochChecks = true
-	cp.EpochCap = n
-	return &cp
-}
-
 // WithLayoutCacheCap returns a copy of the tool with a bound on resident
 // layout tables (0 = unbounded). Evicted tables rebuild on demand —
 // tables are pure functions of the type — so detection is identical at
@@ -226,6 +171,34 @@ func (t *Tool) Threaded(n int) *Tool {
 	cp := *t
 	cp.Threads = n
 	return &cp
+}
+
+// InstrumentOptions returns the instrumentation options for running
+// entry under the tool — the one mapping from Tool knobs to
+// instrument.Options, shared by Exec, ExecSharded and cmd/effsan.
+func (t *Tool) InstrumentOptions(entry string) instrument.Options {
+	return instrument.Options{
+		Variant:         t.Variant,
+		NoOptimize:      t.NoOptimize,
+		NoCheckMotion:   t.NoCheckMotion,
+		NoIntrinsics:    t.NoIntrinsics,
+		NoStaticElision: t.NoStaticElision,
+		StaticEntry:     entry,
+	}
+}
+
+// RuntimeOptions returns the EffectiveSan runtime options for a program
+// with type table types — the one mapping from Tool knobs to
+// core.Options, shared by Exec, ExecSharded and cmd/effsan.
+func (t *Tool) RuntimeOptions(types *ctypes.Table) core.Options {
+	return core.Options{
+		Types:          types,
+		Mode:           t.Mode,
+		Quarantine:     t.Quarantine,
+		CheckCacheSize: t.CheckCache,
+		NoInlineCache:  t.NoInlineCache,
+		LayoutCacheCap: t.LayoutCacheCap,
+	}
 }
 
 // RunResult reports one Exec.
@@ -300,23 +273,9 @@ func (t *Tool) Exec(prog *mir.Program, entry string, out io.Writer, args ...uint
 		res.HeapPeak = env.Heap().Stats().Peak
 		res.MemPages = env.Mem().TouchedBytes()
 	default:
-		ip, ist := instrument.Instrument(prog, instrument.Options{
-			Variant: t.Variant, NoOptimize: t.NoOptimize,
-			NoCrossBlockElision: t.NoCrossBlockElision,
-			DomTreeElision:      t.DomTreeElision,
-			NoCheckMotion:       t.NoCheckMotion,
-			NoIntrinsics:        t.NoIntrinsics,
-			EpochChecks:         t.EpochChecks,
-			NoStaticElision:     t.NoStaticElision,
-			StaticEntry:         entry,
-		})
+		ip, ist := instrument.Instrument(prog, t.InstrumentOptions(entry))
 		res.InstrStats = ist
-		rt := core.NewRuntime(core.Options{
-			Types: prog.Types, Mode: t.Mode, Quarantine: t.Quarantine,
-			CheckCacheSize: t.CheckCache, NoInlineCache: t.NoInlineCache,
-			EpochChecks: t.EpochChecks, EpochCap: t.EpochCap,
-			LayoutCacheCap: t.LayoutCacheCap,
-		})
+		rt := core.NewRuntime(t.RuntimeOptions(prog.Types))
 		res.Reporter = rt.Reporter
 		in, err = mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt), Out: out})
 		if err != nil {

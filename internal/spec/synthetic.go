@@ -12,9 +12,9 @@ import "repro/internal/progen"
 //   - progen-diamond: branch-heavy helpers that dereference both
 //     pointer parameters on each arm and again at every join — the
 //     join re-checks are redundant on every incoming path but
-//     dominated by no earlier check, so only the path-sensitive
-//     dataflow pass elides them (the "dom-tree" Fig. 8 bar keeps
-//     them, separating the two);
+//     dominated by no earlier check, so only a path-sensitive
+//     dataflow pass elides them (a dominator-tree walk keeps them;
+//     the tests pin that gap against recorded counts);
 //   - progen-interior: hot checks arrive through interior pointers
 //     (array fields inside heap structs), resolving at sub-object
 //     offsets that miss the exact-match fast path and land on the
@@ -38,9 +38,9 @@ func Synthetic() []*Benchmark {
 			Name: "progen-diamond",
 			// Diamonds and Rounds are sized so the diamond joins, not the
 			// shared sweep/list scaffolding, dominate the check count —
-			// the per-block vs dom-tree vs path-sensitive gaps must be
-			// visible in InstrStats and the dynamic check counters, not
-			// inferred from wall-clock noise.
+			// the path-sensitive pass's gap over a dominator-tree walk
+			// must be visible in InstrStats and the dynamic check
+			// counters, not inferred from wall-clock noise.
 			Source: progen.Generate(41, progen.Options{
 				Types: 2, Funcs: 1, Rounds: 48, Diamonds: 12,
 			}),
