@@ -154,8 +154,14 @@ func BenchmarkToolComparison(b *testing.B) {
 // paper's call-site caching targets — and beats "shared" (the sharded
 // memo cache alone) because a hit is one pointer load and three compares
 // with no hashing; "uncached" is the baseline that runs the layout-table
-// match every time. The reported metrics show the mechanism: layout
-// matches per op collapse and the per-level hit rates stay high.
+// match every time. The mixed sites walk the array's 64 elements, so
+// only element 0's base pointer is an allocation base: the mixed cases
+// take the fast path on 1 check in 320. "fastpath" checks only the
+// allocation base against its own type, so every check takes the
+// level-1 exact-match fast path. The reported metrics show the
+// mechanism: layout matches per op collapse and the per-level hit rates
+// stay high. internal/harness's cost model takes its per-level
+// type-check costs from these cases.
 func BenchmarkTypeCheckCached(b *testing.B) {
 	type site struct {
 		off int64
@@ -165,10 +171,12 @@ func BenchmarkTypeCheckCached(b *testing.B) {
 		name   string
 		opts   core.Options
 		inline bool // call TypeCheckAt with per-site IDs
+		fast   bool // only the allocation base, against its own type
 	}{
-		{"inline", core.Options{}, true},
-		{"shared", core.Options{NoInlineCache: true}, false},
-		{"uncached", core.Options{CheckCacheSize: -1, NoInlineCache: true}, false},
+		{"fastpath", core.Options{}, true, true},
+		{"inline", core.Options{}, true, false},
+		{"shared", core.Options{NoInlineCache: true}, false, false},
+		{"uncached", core.Options{CheckCacheSize: -1, NoInlineCache: true}, false, false},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			tb := ctypes.NewTable()
@@ -186,16 +194,20 @@ func BenchmarkTypeCheckCached(b *testing.B) {
 			sz := uint64(T.Size())
 			charPtr := tb.PointerTo(ctypes.Char)
 			sites := []site{
-				{0, T},           // base pointer vs own type (fast path)
+				{0, T},           // element base vs the element type
 				{8, ctypes.Int},  // t.a[0]
 				{16, ctypes.Int}, // t.a[2]
 				{24, charPtr},    // t.s
 				{12, ctypes.Int}, // t.a[1]
 			}
+			walk := uint64(elems)
+			if cfg.fast {
+				sites, walk = sites[:1], 1
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st := sites[i%len(sites)]
-				q := p + uint64(i%elems)*sz + uint64(st.off)
+				q := p + uint64(i)%walk*sz + uint64(st.off)
 				if cfg.inline {
 					// One stable site ID per static check site, as the
 					// instrument pass would assign.
@@ -207,6 +219,7 @@ func BenchmarkTypeCheckCached(b *testing.B) {
 			b.StopTimer()
 			s := rt.Stats()
 			b.ReportMetric(float64(s.LayoutMatches)/float64(b.N), "layout-matches/op")
+			b.ReportMetric(float64(s.CheckFastPath)/float64(b.N)*100, "fastpath-%")
 			b.ReportMetric(s.CheckCacheHitRate()*100, "shared-hit-%")
 			b.ReportMetric(s.InlineCacheHitRate()*100, "inline-hit-%")
 		})

@@ -65,6 +65,10 @@ type fig8JSON struct {
 	// parallelism matched before reading small deltas as regressions.
 	GoMaxProcs      int                `json:"gomaxprocs"`
 	GeomeanOverhead map[string]float64 `json:"geomean_overhead"`
+	// CostOverhead is the geomean overhead of each bar's cost column
+	// (harness.RunCost): deterministic, so it compares across machines
+	// and runs where the wall-clock overheads do not.
+	CostOverhead map[string]float64 `json:"cost_geomean_overhead"`
 	// Caveat flags measurement conditions that bias the bars — currently
 	// set when GOMAXPROCS is 1, where timer resolution and run-to-run
 	// scheduling noise dominate the cheap ablation gaps.
@@ -194,12 +198,13 @@ func main() {
 		if err != nil || *jsonPath == "" {
 			return err
 		}
-		out := fig8JSON{Experiment: "fig8", Rows: rows,
-			GoMaxProcs: runtime.GOMAXPROCS(0), GeomeanOverhead: map[string]float64{}}
+		out := fig8JSON{Experiment: "fig8", Rows: rows, GoMaxProcs: runtime.GOMAXPROCS(0),
+			GeomeanOverhead: map[string]float64{}, CostOverhead: map[string]float64{}}
 		if out.GoMaxProcs == 1 {
-			out.Caveat = "bars measured with GOMAXPROCS=1: scheduling noise " +
+			out.Caveat = "timings measured with GOMAXPROCS=1: scheduling noise " +
 				"and timer resolution dominate the cheap ablation gaps, so " +
-				"read only the large-overhead orderings"
+				"read only the large-overhead orderings (the cost columns " +
+				"are deterministic)"
 			fmt.Fprintf(os.Stderr, "effbench: warning: %s\n", out.Caveat)
 		}
 		// Derive the instrumented configurations from the rows themselves,
@@ -208,6 +213,7 @@ func main() {
 			for cfg := range rows[0].Seconds {
 				if cfg != "Uninstrumented" {
 					out.GeomeanOverhead[cfg] = harness.OverheadGeomean(rows, cfg)
+					out.CostOverhead[cfg] = harness.CostOverheadGeomean(rows, cfg)
 				}
 			}
 		}

@@ -154,12 +154,14 @@ func Fig7(w io.Writer) ([]Fig7Row, error) {
 	return rows, nil
 }
 
-// Fig8Row is one benchmark's timing line: seconds per configuration.
-// The JSON shape is committed as BENCH_fig8.json by cmd/effbench -json,
-// giving successive PRs a perf trajectory.
+// Fig8Row is one benchmark's line: wall-clock seconds and cost-model
+// nanoseconds (RunCost) per configuration. The JSON shape is committed
+// as BENCH_fig8.json by cmd/effbench -json, giving successive changes a
+// perf trajectory.
 type Fig8Row struct {
 	Name    string             `json:"name"`
 	Seconds map[string]float64 `json:"seconds"` // config name -> seconds
+	Cost    map[string]float64 `json:"cost"`    // config name -> RunCost ns
 }
 
 // fig8Config pairs a tool with the short column header used in the
@@ -224,7 +226,8 @@ func Fig8Tools() []*sanitizers.Tool {
 // under the nine configurations of Fig. 8 (uninstrumented, full
 // EffectiveSan and its ablations, and the two reduced-instrumentation
 // variants), in counting mode like the paper's performance runs.
-// repeat > 1 keeps the fastest of several runs.
+// repeat > 1 keeps the fastest of several runs. Each bar also gets its
+// RunCost, the same on every repeat.
 func Fig8(w io.Writer, repeat int) ([]Fig8Row, error) {
 	if repeat < 1 {
 		repeat = 1
@@ -236,7 +239,7 @@ func Fig8(w io.Writer, repeat int) ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Fig8Row{Name: b.Name, Seconds: map[string]float64{}}
+		row := Fig8Row{Name: b.Name, Seconds: map[string]float64{}, Cost: map[string]float64{}}
 		for _, cfg := range configs {
 			best := math.MaxFloat64
 			for i := 0; i < repeat; i++ {
@@ -247,6 +250,7 @@ func Fig8(w io.Writer, repeat int) ([]Fig8Row, error) {
 				if s := res.Elapsed.Seconds(); s < best {
 					best = s
 				}
+				row.Cost[cfg.tool.Name] = RunCost(res.Steps, res.Stats)
 			}
 			row.Seconds[cfg.tool.Name] = best
 		}
@@ -267,8 +271,8 @@ func Fig8(w io.Writer, repeat int) ([]Fig8Row, error) {
 		fmt.Fprintln(w)
 	}
 	for _, cfg := range configs[1:] {
-		oh := OverheadGeomean(rows, cfg.tool.Name)
-		fmt.Fprintf(w, "geomean overhead %-24s %+.0f%%\n", cfg.tool.Name, oh*100)
+		fmt.Fprintf(w, "geomean overhead %-24s %+5.0f%%  cost model %+5.0f%%\n", cfg.tool.Name,
+			OverheadGeomean(rows, cfg.tool.Name)*100, CostOverheadGeomean(rows, cfg.tool.Name)*100)
 	}
 	fmt.Fprintln(w, "(paper: EffectiveSan +288%, -bounds +115%, -type +49%; the no-opt/nocache/")
 	fmt.Fprintln(w, " no-inline/no-motion/no-static bars are the §5.3/§6.2 ablations,")
@@ -277,13 +281,23 @@ func Fig8(w io.Writer, repeat int) ([]Fig8Row, error) {
 	return rows, nil
 }
 
-// OverheadGeomean returns the geometric-mean overhead of a configuration
-// relative to the uninstrumented baseline ((t/t0) - 1).
+// OverheadGeomean returns the geometric-mean wall-clock overhead of a
+// configuration relative to the uninstrumented baseline ((t/t0) - 1).
 func OverheadGeomean(rows []Fig8Row, config string) float64 {
+	return geomeanOverhead(rows, config, func(r Fig8Row) map[string]float64 { return r.Seconds })
+}
+
+// CostOverheadGeomean is OverheadGeomean over the cost-model column: a
+// deterministic overhead, the same on every machine and every run.
+func CostOverheadGeomean(rows []Fig8Row, config string) float64 {
+	return geomeanOverhead(rows, config, func(r Fig8Row) map[string]float64 { return r.Cost })
+}
+
+func geomeanOverhead(rows []Fig8Row, config string, col func(Fig8Row) map[string]float64) float64 {
 	logSum, n := 0.0, 0
 	for _, r := range rows {
-		base := r.Seconds["Uninstrumented"]
-		t := r.Seconds[config]
+		base := col(r)["Uninstrumented"]
+		t := col(r)[config]
 		if base <= 0 || t <= 0 {
 			continue
 		}

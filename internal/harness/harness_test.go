@@ -2,11 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/bugsuite"
+	"repro/internal/sanitizers"
+	"repro/internal/spec"
 )
 
 // TestFig1Shape asserts the capability matrix reproduces the paper's
@@ -76,20 +79,27 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
-// TestFig8Ordering asserts the Fig. 8 cost ordering:
-// full > bounds > type > uninstrumented (geomean).
+// TestFig8Ordering asserts the Fig. 8 ordering on the cost-model column
+// (RunCost), which is deterministic: full > bounds > type >
+// uninstrumented (geomean overhead), and a full overhead of at least
+// minFullCostOverhead, so instrumentation that went inert fails. The
+// wall-clock overheads are logged, not asserted: since the interpreter
+// got faster, their run-to-run noise crosses both assertions.
 func TestFig8Ordering(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing run")
+		t.Skip("runs every Fig. 8 bar")
 	}
+	// The full bar's cost overhead is 0.33 on this tree; a quarter is the
+	// floor the wall-clock test asserted before the cost column existed.
+	const minFullCostOverhead = 0.25
 	var buf bytes.Buffer
-	rows, err := Fig8(&buf, 2)
+	rows, err := Fig8(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every bar must be present with positive timings, on the 19 SPEC
-	// rows and the five synthetic progen rows. The bar list comes from
-	// the canonical Fig8BarNames, never hand-copied.
+	// Every bar must be present with a positive timing and cost, on the
+	// 19 SPEC rows and the five synthetic progen rows. The bar list comes
+	// from the canonical Fig8BarNames, never hand-copied.
 	wantBars := Fig8BarNames()
 	if len(wantBars) != 9 {
 		t.Fatalf("%d bars, want 9: %v", len(wantBars), wantBars)
@@ -98,28 +108,52 @@ func TestFig8Ordering(t *testing.T) {
 		t.Fatalf("%d rows, want 24 (19 SPEC + 5 progen)", len(rows))
 	}
 	for _, r := range rows {
-		if len(r.Seconds) != len(wantBars) {
-			t.Fatalf("%s: %d bars, want %d: %v", r.Name, len(r.Seconds), len(wantBars), r.Seconds)
+		if len(r.Seconds) != len(wantBars) || len(r.Cost) != len(wantBars) {
+			t.Fatalf("%s: %d timed and %d costed bars, want %d", r.Name, len(r.Seconds), len(r.Cost), len(wantBars))
 		}
 		for _, bar := range wantBars {
-			if r.Seconds[bar] <= 0 {
+			if r.Seconds[bar] <= 0 || r.Cost[bar] <= 0 {
 				t.Errorf("%s: bar %q missing or non-positive", r.Name, bar)
 			}
 		}
 	}
-	full := OverheadGeomean(rows, "EffectiveSan")
-	bounds := OverheadGeomean(rows, "EffectiveSan-bounds")
-	typ := OverheadGeomean(rows, "EffectiveSan-type")
-	// The type variant's true overhead is near zero on these workloads,
-	// so under parallel-test CPU contention it can measure slightly
-	// negative; allow generous noise floors while still requiring the
-	// full > bounds > type ordering to be visible.
-	if !(full > bounds && bounds > typ && typ > -0.25) {
-		t.Errorf("overhead ordering violated: full=%.2f bounds=%.2f type=%.2f",
+	full := CostOverheadGeomean(rows, "EffectiveSan")
+	bounds := CostOverheadGeomean(rows, "EffectiveSan-bounds")
+	typ := CostOverheadGeomean(rows, "EffectiveSan-type")
+	t.Logf("cost overhead: full=%.4f bounds=%.4f type=%.4f", full, bounds, typ)
+	t.Logf("wall-clock overhead (not asserted): full=%.2f bounds=%.2f type=%.2f",
+		OverheadGeomean(rows, "EffectiveSan"), OverheadGeomean(rows, "EffectiveSan-bounds"),
+		OverheadGeomean(rows, "EffectiveSan-type"))
+	if !(full > bounds && bounds > typ && typ > 0) {
+		t.Errorf("cost overhead ordering violated: full=%.4f bounds=%.4f type=%.4f, want full > bounds > type > 0",
 			full, bounds, typ)
 	}
-	if full < 0.25 {
-		t.Errorf("full overhead %.2f suspiciously low; instrumentation inert?", full)
+	if full < minFullCostOverhead {
+		t.Errorf("full cost overhead %.4f below %.2f; instrumentation inert?", full, minFullCostOverhead)
+	}
+}
+
+// TestRunCostDeterministic runs one kernel twice under full EffectiveSan:
+// the step count, every counter and so the cost must repeat exactly.
+func TestRunCostDeterministic(t *testing.T) {
+	b := spec.Benchmarks()[0]
+	prog, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var costs [2]float64
+	for i := range costs {
+		res, err := sanitizers.ToolEffectiveSan.Counting().Exec(prog, b.Entry, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps == 0 || res.Stats.TypeChecks == 0 {
+			t.Fatalf("%s: dead counts: %d steps, %d type checks", b.Name, res.Steps, res.Stats.TypeChecks)
+		}
+		costs[i] = RunCost(res.Steps, res.Stats)
+	}
+	if costs[0] != costs[1] {
+		t.Fatalf("%s: cost %v then %v", b.Name, costs[0], costs[1])
 	}
 }
 

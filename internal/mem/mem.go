@@ -13,13 +13,14 @@
 // covers the page table, while racing byte accesses to the same address
 // are the simulated program's own concern, exactly as on real hardware.
 //
-// The page table is striped: each stripe holds an immutable
-// copy-on-write map republished atomically on page materialisation, so
-// accesses to already-materialised pages — the steady state — are
-// entirely lock-free, and materialisation of fresh pages only contends
-// within one stripe. Stripes mix the low-fat region index with the page
-// index, so the per-size-class regions of the low-fat layout spread
-// across stripes instead of re-serialising on one page-table lock.
+// The page table is a flat directory with one slot per 4 GiB region —
+// the low-fat layout's unit, one region per size class with legacy
+// memory above them — indexed by addr>>32. Each slot holds that region's
+// page slice, grown lazily to cover the highest page touched and
+// republished atomically, so an access to an already-materialised page —
+// the steady state — is two indexed loads and no lock. Materialisation
+// and growth happen under one lock. Addresses above the directory (wild
+// or sparse high pointers) fall back to one small copy-on-write map.
 package mem
 
 import (
@@ -37,48 +38,41 @@ const PageBits = 16
 // PageSize is the size of one page in bytes.
 const PageSize = 1 << PageBits
 
-// stripeBits is the log2 of the page-table stripe count.
-const stripeBits = 6
+// RegionBits is the log2 of the span of one page-directory slot: 4 GiB,
+// the low-fat region size.
+const RegionBits = 32
 
-// numStripes is the number of page-table stripes.
-const numStripes = 1 << stripeBits
+// regionPages is the number of pages in one region.
+const regionPages = 1 << (RegionBits - PageBits)
+
+// DirRegions is the number of regions the page directory indexes
+// directly: addresses below DirRegions<<RegionBits (2 TiB). It covers
+// every low-fat size-class region and the legacy region above them
+// (TestDirectoryCoversLowFat pins this against package lowfat).
+const DirRegions = 512
+
+// minRegionPages is a region's first page-slice length.
+const minRegionPages = 16
 
 // Memory is a sparse 64-bit address space. The zero value is not usable;
 // call New.
 type Memory struct {
-	stripes [numStripes]stripe
+	dir [DirRegions]atomic.Pointer[[]atomic.Pointer[page]]
+
+	mu   sync.Mutex                       // serialises materialisation
+	high atomic.Pointer[map[uint64]*page] // pages above the directory, copy-on-write
 
 	touched atomic.Int64 // pages materialised so far
-}
-
-// stripe is one shard of the page table. pages holds an immutable map
-// republished under mu on every insert (pages are never unmapped, and
-// materialisation is rare next to access), so the read path is one
-// atomic load plus a map lookup — no lock.
-type stripe struct {
-	mu    sync.Mutex
-	pages atomic.Pointer[map[uint64]*page]
 }
 
 type page struct {
 	data [PageSize]byte
 }
 
-// stripeOf maps a page index to its stripe: the low-fat region index
-// (pageIdx >> (32-PageBits)) XOR the page index, so distinct size-class
-// regions land on distinct stripes and large spans within one region
-// still spread.
-func stripeOf(pageIdx uint64) uint64 {
-	return (pageIdx ^ (pageIdx >> (32 - PageBits))) & (numStripes - 1)
-}
-
 // New returns an empty address space.
 func New() *Memory {
 	m := &Memory{}
-	for i := range m.stripes {
-		empty := make(map[uint64]*page)
-		m.stripes[i].pages.Store(&empty)
-	}
+	m.high.Store(&map[uint64]*page{})
 	return m
 }
 
@@ -89,24 +83,66 @@ func (m *Memory) TouchedBytes() int64 {
 	return m.touched.Load() * PageSize
 }
 
-func (m *Memory) page(idx uint64, create bool) *page {
-	s := &m.stripes[stripeOf(idx)]
-	if p := (*s.pages.Load())[idx]; p != nil || !create {
+// lookup returns page idx, or nil if it was never materialised.
+func (m *Memory) lookup(idx uint64) *page {
+	r := idx >> (RegionBits - PageBits)
+	if r >= DirRegions {
+		return (*m.high.Load())[idx]
+	}
+	ps := m.dir[r].Load()
+	if i := idx & (regionPages - 1); ps != nil && i < uint64(len(*ps)) {
+		return (*ps)[i].Load()
+	}
+	return nil
+}
+
+// page returns page idx, materialising it if needed.
+func (m *Memory) page(idx uint64) *page {
+	if p := m.lookup(idx); p != nil {
 		return p
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := *s.pages.Load()
-	if p := cur[idx]; p != nil {
+	return m.materialize(idx)
+}
+
+// materialize creates page idx under the lock, growing its region's
+// page slice or copying the high map as needed.
+func (m *Memory) materialize(idx uint64) *page {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p := m.lookup(idx); p != nil {
 		return p
-	}
-	next := make(map[uint64]*page, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
 	}
 	p := new(page)
-	next[idx] = p
-	s.pages.Store(&next)
+	if r := idx >> (RegionBits - PageBits); r < DirRegions {
+		i := idx & (regionPages - 1)
+		ps := m.dir[r].Load()
+		if ps == nil || i >= uint64(len(*ps)) {
+			n := minRegionPages
+			if ps != nil {
+				n = 2 * len(*ps)
+			}
+			for uint64(n) <= i {
+				n *= 2
+			}
+			grown := make([]atomic.Pointer[page], min(n, regionPages))
+			if ps != nil {
+				for j := range *ps {
+					grown[j].Store((*ps)[j].Load())
+				}
+			}
+			ps = &grown
+			m.dir[r].Store(ps)
+		}
+		(*ps)[i].Store(p)
+	} else {
+		cur := *m.high.Load()
+		next := make(map[uint64]*page, len(cur)+1)
+		for k, v := range cur {
+			next[k] = v
+		}
+		next[idx] = p
+		m.high.Store(&next)
+	}
 	m.touched.Add(1)
 	return p
 }
@@ -117,7 +153,7 @@ func (m *Memory) page(idx uint64, create bool) *page {
 func (m *Memory) Load(addr uint64, size int) uint64 {
 	off := addr & (PageSize - 1)
 	if int(off)+size <= PageSize {
-		p := m.page(addr>>PageBits, false)
+		p := m.lookup(addr >> PageBits)
 		if p == nil {
 			return 0
 		}
@@ -145,7 +181,7 @@ func (m *Memory) Load(addr uint64, size int) uint64 {
 func (m *Memory) Store(addr uint64, size int, val uint64) {
 	off := addr & (PageSize - 1)
 	if int(off)+size <= PageSize {
-		p := m.page(addr>>PageBits, true)
+		p := m.page(addr >> PageBits)
 		switch size {
 		case 1:
 			p.data[off] = byte(val)
@@ -170,7 +206,7 @@ func (m *Memory) ReadBytes(addr uint64, buf []byte) {
 	for n := 0; n < len(buf); {
 		off := (addr + uint64(n)) & (PageSize - 1)
 		chunk := min(PageSize-int(off), len(buf)-n)
-		p := m.page((addr+uint64(n))>>PageBits, false)
+		p := m.lookup((addr + uint64(n)) >> PageBits)
 		if p == nil {
 			for i := 0; i < chunk; i++ {
 				buf[n+i] = 0
@@ -187,7 +223,7 @@ func (m *Memory) WriteBytes(addr uint64, buf []byte) {
 	for n := 0; n < len(buf); {
 		off := (addr + uint64(n)) & (PageSize - 1)
 		chunk := min(PageSize-int(off), len(buf)-n)
-		p := m.page((addr+uint64(n))>>PageBits, true)
+		p := m.page((addr + uint64(n)) >> PageBits)
 		copy(p.data[off:], buf[n:n+chunk])
 		n += chunk
 	}

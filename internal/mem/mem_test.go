@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -178,25 +179,49 @@ func TestCopyOverlapLarge(t *testing.T) {
 }
 
 // TestStripedMaterialization hammers page creation across regions from
-// many goroutines: every page must materialise exactly once (TouchedBytes
-// exact) and reads must see the writes.
+// many goroutines while others read: every page must materialise exactly
+// once (TouchedBytes exact), a region's page slice grows several times
+// under the racing writers and readers (run it under -race), and reads
+// must see the writes. The page set spans several 4 GiB regions and
+// climbs each region's page index, so the directory slots are created
+// and regrown while in use.
 func TestStripedMaterialization(t *testing.T) {
 	m := New()
-	const pages = 64
+	const pages = 256
 	const workers = 8
+	addr := func(i, g uint64) uint64 { return (i%4)<<RegionBits + i*PageSize + g*8 }
+	// Pages written before the race starts: readers must see them
+	// through every regrowth of their region's slice.
+	const pre = 4
+	for i := uint64(0); i < pre; i++ {
+		m.Store(addr(i, workers), 8, i+1)
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
+	for g := uint64(0); g < workers; g++ {
+		wg.Add(2)
+		go func() {
 			defer wg.Done()
 			for i := uint64(0); i < pages; i++ {
-				// All goroutines race to materialise the same page set
-				// (spanning several 4 GiB regions, hence stripes), each
+				// All writers race to materialise the same page set, each
 				// writing its own disjoint slot within the page.
-				addr := i*PageSize + (i%4)<<32 + uint64(g)*8
-				m.Store(addr, 8, i+uint64(g)+1)
+				m.Store(addr(i, g), 8, i+g+1)
 			}
-		}(g)
+		}()
+		go func() {
+			defer wg.Done()
+			// Readers race the growth on bytes no writer touches: the
+			// pre-written slots keep their values, the rest read zero.
+			for i := uint64(0); i < pages; i++ {
+				want := uint64(0)
+				if i < pre {
+					want = i + 1
+				}
+				if got := m.Load(addr(i, workers), 8); got != want {
+					t.Errorf("page %d: racing Load = %d, want %d", i, got, want)
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	if got := m.TouchedBytes(); got != pages*PageSize {
@@ -204,11 +229,67 @@ func TestStripedMaterialization(t *testing.T) {
 	}
 	for g := uint64(0); g < workers; g++ {
 		for i := uint64(0); i < pages; i++ {
-			addr := i*PageSize + (i%4)<<32 + g*8
-			if got := m.Load(addr, 8); got != i+g+1 {
+			if got := m.Load(addr(i, g), 8); got != i+g+1 {
 				t.Fatalf("page %d worker %d: Load = %d, want %d", i, g, got, i+g+1)
 			}
 		}
+	}
+}
+
+// TestOutsideDirectory stores and loads at addresses the directory does
+// not index — 1<<60 and the first byte past it — next to the last
+// directory page, and across the boundary between them; each page counts
+// once in TouchedBytes whichever table holds it.
+func TestOutsideDirectory(t *testing.T) {
+	m := New()
+	top := uint64(DirRegions) << RegionBits
+	addrs := []uint64{1 << 60, top, top - 8, 1<<60 + 3*PageSize}
+	for i, a := range addrs {
+		m.Store(a, 8, uint64(i)+100)
+	}
+	for i, a := range addrs {
+		if got := m.Load(a, 8); got != uint64(i)+100 {
+			t.Errorf("Load(%#x) = %d, want %d", a, got, i+100)
+		}
+	}
+	if got := m.Load(1<<60+PageSize, 8); got != 0 {
+		t.Errorf("unwritten high page = %#x, want 0", got)
+	}
+	if got, want := m.TouchedBytes(), int64(len(addrs))*PageSize; got != want {
+		t.Fatalf("TouchedBytes = %d, want %d", got, want)
+	}
+	// A straddling store spans the last directory page and the first
+	// page above the directory.
+	m.Store(top-4, 8, 0x1122334455667788)
+	if got := m.Load(top-4, 8); got != 0x1122334455667788 {
+		t.Fatalf("straddling load across the directory's end = %#x", got)
+	}
+	if got, want := m.TouchedBytes(), int64(len(addrs))*PageSize; got != want {
+		t.Fatalf("TouchedBytes after straddle = %d, want %d", got, want)
+	}
+}
+
+// TestRegionGrowthKeepsPages writes pages in one region in increasing and
+// then decreasing page order, so the region's slice regrows past pages it
+// already holds; every earlier page must survive each regrowth.
+func TestRegionGrowthKeepsPages(t *testing.T) {
+	m := New()
+	base := uint64(7) << RegionBits
+	idxs := []uint64{0, 1, 15, 16, 17, 100, 1000, regionPages - 1, 40000, 3}
+	for n, i := range idxs {
+		m.Store(base+i*PageSize, 8, i+1)
+		for _, j := range idxs {
+			want := j + 1
+			if !slices.Contains(idxs[:n+1], j) {
+				want = 0
+			}
+			if got := m.Load(base+j*PageSize, 8); got != want {
+				t.Fatalf("after page %d: page %d = %d, want %d", i, j, got, want)
+			}
+		}
+	}
+	if got, want := m.TouchedBytes(), int64(len(idxs))*PageSize; got != want {
+		t.Fatalf("TouchedBytes = %d, want %d", got, want)
 	}
 }
 
@@ -239,5 +320,37 @@ func BenchmarkCopyOverlapping(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Copy(PageSize/2, 0, n)
+	}
+}
+
+// BenchmarkMemLoadStore measures an 8-byte store plus load on
+// materialised pages: within one page, striding across the pages of one
+// region, and striding across low-fat regions — the three patterns of
+// the page-table lookup every interpreted access pays.
+func BenchmarkMemLoadStore(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		stride uint64
+		n      uint64
+	}{
+		{"page", 8, PageSize / 8},
+		{"pages", PageSize + 8, 64},
+		{"regions", 1<<RegionBits + PageSize + 8, 64},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := New()
+			base := uint64(1) << RegionBits
+			for i := uint64(0); i < c.n; i++ {
+				m.Store(base+i*c.stride, 8, i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				a := base + uint64(i)%c.n*c.stride
+				m.Store(a, 8, sum)
+				sum += m.Load(a, 8)
+			}
+		})
 	}
 }

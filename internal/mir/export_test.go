@@ -1,7 +1,5 @@
 package mir
 
-// RunSteps is Run, also returning the number of instructions the Run
-// executed.
-func (in *Interp) RunSteps(fn string, args ...uint64) (res, steps uint64, err error) {
-	return in.run(fn, args)
-}
+// Unfuse re-decodes in's program without fused op pairs, as a hooked
+// interpreter runs it, so tests can compare the two executors.
+func Unfuse(in *Interp) { in.funcs = decode(in.prog, false) }

@@ -22,6 +22,8 @@ type Options struct {
 	// running instrumented code without it is an error.
 	Eff *core.Runtime
 	// Hooks intercepts execution for baseline sanitizers. Optional.
+	// Without hooks the decoder fuses hot op pairs (see fusedOp); with
+	// them every op runs on its own, so each hook sees every op.
 	Hooks Hooks
 	// Out receives OpPrint/OpPuts output. Defaults to io.Discard.
 	Out io.Writer
@@ -81,7 +83,7 @@ func New(p *Program, opts Options) (*Interp, error) {
 	}
 	return &Interp{
 		prog:     p,
-		funcs:    decode(p),
+		funcs:    decode(p, opts.Hooks == nil),
 		env:      opts.Env,
 		eff:      eff,
 		hooks:    opts.Hooks,
@@ -116,13 +118,15 @@ func (in *Interp) materializeGlobals() {
 // A core.AbortError escapes as an error when the runtime's abort-after-N
 // limit is configured.
 func (in *Interp) Run(fn string, args ...uint64) (uint64, error) {
-	res, _, err := in.run(fn, args)
+	res, _, err := in.RunSteps(fn, args...)
 	return res, err
 }
 
-// run is Run, also returning the number of instructions the Run
-// executed: the steps it charged against MaxSteps.
-func (in *Interp) run(fn string, args []uint64) (res, steps uint64, err error) {
+// RunSteps is Run, also returning the number of MIR instructions the
+// Run executed: the steps it charged against MaxSteps, counted from the
+// program's instructions (nops included) whether or not the decoder
+// fused them, so the count is exact and deterministic.
+func (in *Interp) RunSteps(fn string, args ...uint64) (res, steps uint64, err error) {
 	f, ok := in.funcs[fn]
 	if !ok {
 		return 0, 0, fmt.Errorf("mir: no function %q", fn)
@@ -294,7 +298,55 @@ const (
 	xBoundsCheckDyn // extent in register b (memcpy/memset)
 	xEscapeCheck
 	xBoundsMov
+
+	// Fused pairs, hottest first (see fusedOp). Each runs its own
+	// record's op, then the op of the next record, which keeps its pc.
+	xCheckLoadU  // xBoundsCheck, then xLoadU
+	xCheckLoadS  // xBoundsCheck, then xLoadS
+	xCheckStore  // xBoundsCheck, then xStore
+	xIndexCheck  // xIndex, then xBoundsCheck
+	xMovJmp      // xMov, then xJmp
+	xConstAdd    // xConst, then xAdd
+	xAddMov      // xAdd, then xMov
+	xConstSub    // xConst, then xSub
+	xLtSBr       // xLtS, then xBr
+	xFieldNarrow // xField, then xBoundsNarrow
+	xGtSBr       // xGtS, then xBr
 )
+
+// fusedOp returns the superinstruction that runs first and then second,
+// or xBad if the pair is not fused. The pairs are the most frequent
+// adjacent ops of the Fig. 7 kernels under EffectiveSan; fusing one
+// saves a dispatch. The fused cases make none of the hook calls their
+// loads, stores and derivations would, which is sound because the
+// decoder fuses nothing when hooks are set.
+func fusedOp(first, second xop) xop {
+	switch {
+	case first == xBoundsCheck && second == xLoadU:
+		return xCheckLoadU
+	case first == xBoundsCheck && second == xLoadS:
+		return xCheckLoadS
+	case first == xBoundsCheck && second == xStore:
+		return xCheckStore
+	case first == xIndex && second == xBoundsCheck:
+		return xIndexCheck
+	case first == xMov && second == xJmp:
+		return xMovJmp
+	case first == xConst && second == xAdd:
+		return xConstAdd
+	case first == xAdd && second == xMov:
+		return xAddMov
+	case first == xConst && second == xSub:
+		return xConstSub
+	case first == xLtS && second == xBr:
+		return xLtSBr
+	case first == xField && second == xBoundsNarrow:
+		return xFieldNarrow
+	case first == xGtS && second == xBr:
+		return xGtSBr
+	}
+	return xBad
+}
 
 // xinstr is one decoded instruction. The register operands and the
 // immediate are its Instr's, except where an op's comment says
@@ -329,8 +381,8 @@ type xfunc struct {
 	cmp  *xfunc
 }
 
-// decode translates every function of p.
-func decode(p *Program) map[string]*xfunc {
+// decode translates every function of p, fusing hot op pairs if fuse.
+func decode(p *Program, fuse bool) map[string]*xfunc {
 	funcs := make(map[string]*xfunc, len(p.Funcs))
 	for name, f := range p.Funcs {
 		funcs[name] = &xfunc{fn: f, numRegs: f.NumRegs, framepop: f.Name + ":framepop"}
@@ -338,16 +390,20 @@ func decode(p *Program) map[string]*xfunc {
 	var start []int32
 	for _, xf := range funcs {
 		start = xf.decode(funcs, start)
+		if fuse {
+			xf.fuse(start)
+		}
 	}
 	return funcs
 }
 
 // decode translates xf.fn, resolving calls through funcs. start is
-// scratch space for each block's first pc, returned for reuse.
+// scratch space for each block's first pc, returned for reuse holding
+// xf's block starts.
 func (xf *xfunc) decode(funcs map[string]*xfunc, start []int32) []int32 {
 	f := xf.fn
 	if len(f.Blocks) == 0 {
-		return start
+		return start[:0]
 	}
 	start = slices.Grow(start[:0], len(f.Blocks))[:len(f.Blocks)]
 	n, calls := 0, 0
@@ -455,6 +511,35 @@ func (xf *xfunc) decode(funcs map[string]*xfunc, start []int32) []int32 {
 		}
 	}
 	return start
+}
+
+// fuse rewrites adjacent op pairs within each block, whose first pcs are
+// start, into their fused ops, left to right. A pair is left alone when
+// its second op begins a hotter pair (lower fused op), so an
+// xIndex→xBoundsCheck→xLoadU run fuses the check with the load. The
+// second record of a pair keeps its pc and op, so branch targets do not
+// move; only the first record's op changes.
+func (xf *xfunc) fuse(start []int32) {
+	code := xf.code
+	for bi, lo := range start {
+		hi := len(code)
+		if bi+1 < len(start) {
+			hi = int(start[bi+1])
+		}
+		for i := int(lo); i+1 < hi; i++ {
+			op := fusedOp(code[i].op, code[i+1].op)
+			if op == xBad {
+				continue
+			}
+			if i+2 < hi {
+				if next := fusedOp(code[i+1].op, code[i+2].op); next != xBad && next < op {
+					continue
+				}
+			}
+			code[i].op = op
+			i++
+		}
+	}
 }
 
 // binOp specialises OpBin kind k on operand type t.
@@ -820,6 +905,98 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 			}
 		case xBoundsMov:
 			bregs[d.a] = bregs[d.b]
+
+		// Fused pairs: d's half as its unfused case runs it (hooks are
+		// nil), then e's, the next record, whose pc is then skipped.
+		case xCheckLoadU, xCheckLoadS:
+			if p := regs[d.a]; inlineChecks && bregs[d.a].Contains(p, uint64(d.k)) {
+				rs.bounds++
+			} else {
+				in.effRT(d.ins).BoundsCheck(p, uint64(d.k), bregs[d.a], d.ins.Type, d.ins.Site)
+			}
+			e := &code[pc]
+			pc++
+			addr := regs[e.a]
+			if addr < nullPage {
+				nullTrap(addr, e.ins.Site)
+			}
+			v := m.Load(addr, int(e.k))
+			if d.op == xCheckLoadS {
+				v = uint64(int64(v<<(64-8*e.k)) >> (64 - 8*e.k))
+			}
+			regs[e.dst] = v
+			bregs[e.dst] = core.Wide
+		case xCheckStore:
+			if p := regs[d.a]; inlineChecks && bregs[d.a].Contains(p, uint64(d.k)) {
+				rs.bounds++
+			} else {
+				in.effRT(d.ins).BoundsCheck(p, uint64(d.k), bregs[d.a], d.ins.Type, d.ins.Site)
+			}
+			e := &code[pc]
+			pc++
+			addr := regs[e.a]
+			if addr < nullPage {
+				nullTrap(addr, e.ins.Site)
+			}
+			m.Store(addr, int(e.k), regs[e.b])
+		case xIndexCheck:
+			regs[d.dst] = regs[d.a] + uint64(int64(regs[d.b])*d.k)
+			bregs[d.dst] = bregs[d.a]
+			e := &code[pc]
+			pc++
+			if p := regs[e.a]; inlineChecks && bregs[e.a].Contains(p, uint64(e.k)) {
+				rs.bounds++
+			} else {
+				in.effRT(e.ins).BoundsCheck(p, uint64(e.k), bregs[e.a], e.ins.Type, e.ins.Site)
+			}
+		case xMovJmp:
+			regs[d.dst] = regs[d.a]
+			bregs[d.dst] = bregs[d.a]
+			e := &code[pc]
+			pc = int(e.dst)
+			rs.spend(uint64(e.k))
+		case xConstAdd:
+			regs[d.dst] = uint64(d.k)
+			e := &code[pc]
+			pc++
+			regs[e.dst] = regs[e.a] + regs[e.b]
+		case xAddMov:
+			regs[d.dst] = regs[d.a] + regs[d.b]
+			e := &code[pc]
+			pc++
+			regs[e.dst] = regs[e.a]
+			bregs[e.dst] = bregs[e.a]
+		case xConstSub:
+			regs[d.dst] = uint64(d.k)
+			e := &code[pc]
+			pc++
+			regs[e.dst] = regs[e.a] - regs[e.b]
+		case xLtSBr, xGtSBr:
+			if d.op == xLtSBr {
+				regs[d.dst] = b2u(int64(regs[d.a]) < int64(regs[d.b]))
+			} else {
+				regs[d.dst] = b2u(int64(regs[d.a]) > int64(regs[d.b]))
+			}
+			e := &code[pc]
+			if regs[e.a] != 0 {
+				pc = int(e.dst)
+				rs.spend(uint64(uint32(e.k)))
+			} else {
+				pc = int(e.b)
+				rs.spend(uint64(e.k >> 32))
+			}
+		case xFieldNarrow:
+			regs[d.dst] = regs[d.a] + uint64(d.k)
+			bregs[d.dst] = bregs[d.a]
+			e := &code[pc]
+			pc++
+			p := regs[e.a]
+			if inlineChecks {
+				bregs[e.a] = bregs[e.a].Intersect(core.Bounds{Lo: p, Hi: p + uint64(e.k)})
+				rs.narrows++
+			} else {
+				bregs[e.a] = in.effRT(e.ins).BoundsNarrow(bregs[e.a], p, p+uint64(e.k))
+			}
 
 		default:
 			panic(simError{fmt.Sprintf("%s: unknown op %d", d.ins.Site, d.ins.Op)})

@@ -20,9 +20,8 @@
 // mirroring how runtime-interception tools work.
 //
 // CFG (cfg.go) provides the control-flow analyses the instrumenter's
-// §5.3 elision pass runs on: successors from the block terminators,
-// reverse postorder, Cooper-Harvey-Kennedy dominators and a may-reach
-// relation.
+// §5.3 elision and motion passes run on: successors from the block
+// terminators, reverse postorder and Cooper-Harvey-Kennedy dominators.
 package mir
 
 import (

@@ -211,8 +211,12 @@ type RunResult struct {
 	// uninstrumented tool) — tests assert elision attribution on it.
 	InstrStats instrument.Stats
 	Elapsed    time.Duration
-	HeapPeak   uint64 // peak live heap bytes
-	MemPages   int64  // simulated memory materialised (bytes)
+	// Steps is the number of MIR instructions the run executed
+	// (mir.Interp.RunSteps): deterministic, unlike Elapsed. Zero when
+	// Threads > 1 routed the run through the sharded pool.
+	Steps    uint64
+	HeapPeak uint64 // peak live heap bytes
+	MemPages int64  // simulated memory materialised (bytes)
 	// Workers carries the per-worker breakdown when Threads > 1 routed
 	// the run through the sharded pool (nil for single-threaded runs).
 	Workers []WorkerStats
@@ -251,7 +255,7 @@ func (t *Tool) Exec(prog *mir.Program, entry string, out io.Writer, args ...uint
 			return nil, err
 		}
 		start := time.Now()
-		res.Value, err = in.Run(entry, args...)
+		res.Value, res.Steps, err = in.RunSteps(entry, args...)
 		res.Elapsed = time.Since(start)
 		if s, ok := san.(interface{ HeapStats() (uint64, int64) }); ok {
 			res.HeapPeak, res.MemPages = s.HeapStats()
@@ -268,7 +272,7 @@ func (t *Tool) Exec(prog *mir.Program, entry string, out io.Writer, args ...uint
 		}
 		res.Reporter = core.NewReporter(core.ModeLog, 0)
 		start := time.Now()
-		res.Value, err = in.Run(entry, args...)
+		res.Value, res.Steps, err = in.RunSteps(entry, args...)
 		res.Elapsed = time.Since(start)
 		res.HeapPeak = env.Heap().Stats().Peak
 		res.MemPages = env.Mem().TouchedBytes()
@@ -282,7 +286,7 @@ func (t *Tool) Exec(prog *mir.Program, entry string, out io.Writer, args ...uint
 			return nil, err
 		}
 		start := time.Now()
-		res.Value, err = in.Run(entry, args...)
+		res.Value, res.Steps, err = in.RunSteps(entry, args...)
 		res.Elapsed = time.Since(start)
 		res.Stats = rt.Stats()
 		res.HeapPeak = rt.Heap().Stats().Peak
