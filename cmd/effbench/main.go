@@ -116,6 +116,11 @@ type layoutmemJSON struct {
 	Rows       []harness.LayoutMemRow `json:"rows"`
 }
 
+// defaultThreads is the -threads default on a machine with numCPU CPUs:
+// 16, capped at numCPU. Past the CPU count the scalability curve measures
+// oversubscription, not the runtime.
+func defaultThreads(numCPU int) int { return max(1, min(16, numCPU)) }
+
 func main() {
 	experiment := flag.String("experiment", "all",
 		"which experiment to run: fig1, fig7, fig8, fig9, fig10, tools, all, "+
@@ -124,8 +129,9 @@ func main() {
 	seed := flag.Int64("seed", 1,
 		"base progen seed for the difftest experiment's generated programs")
 	repeat := flag.Int("repeat", 3, "timing repetitions (best-of) for fig8")
-	threads := flag.Int("threads", 16,
-		"top of the fig10 scalability thread curve (measures 1,2,4,... up to N)")
+	threads := flag.Int("threads", defaultThreads(runtime.NumCPU()),
+		"top of the fig10 scalability thread curve (measures 1,2,4,... up to N); "+
+			"defaults to 16 or the CPU count, whichever is smaller")
 	jobs := flag.Int("jobs", 16,
 		"jobs per workload per fig10 scalability point")
 	allocHeavy := flag.Bool("alloc-heavy", true,

@@ -127,3 +127,130 @@ func TestConcurrentLayoutCacheFirstUse(t *testing.T) {
 		t.Fatalf("layout cache entries = %d, want 1", r.Layouts().Len())
 	}
 }
+
+// TestConcurrentTypeIDCache races the type-id path: half the goroutines
+// allocate through per-worker views (own stats sink, magazine and
+// TypeIDCache, as the sharded harness gives each worker), the other half
+// through the shared Runtime, alternating TypeMalloc with
+// TypeMallocCached over one cache they all share (as interpreter Runs
+// sharing an environment do). Six types overflow the cache's ways, so
+// hits, misses and evictions interleave; every allocation's header must
+// still name its own type.
+func TestConcurrentTypeIDCache(t *testing.T) {
+	const (
+		workers = 8
+		rounds  = 300
+	)
+	tb := ctypes.NewTable()
+	r := NewRuntime(Options{Types: tb})
+	types := []*ctypes.Type{
+		tb.MustParse("struct A { int a; }"),
+		tb.MustParse("struct B { long b[2]; }"),
+		tb.MustParse("struct C { char c[24]; }"),
+		tb.MustParse("struct D { double d; int n; }"),
+		ctypes.Int, ctypes.Double,
+	}
+	var shared TypeIDCache
+	sinks := make([]*Stats, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		sinks[w] = &Stats{}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rt, ids := r, &shared
+			if w%2 == 0 {
+				mag := r.NewMagazine()
+				defer mag.Flush()
+				rt, ids = r.StatsView(sinks[w]).HeapView(mag), &TypeIDCache{}
+			}
+			for i := 0; i < rounds; i++ {
+				T := types[(i*(w+1)+w)%len(types)]
+				var p uint64
+				var err error
+				if i%3 == 0 {
+					p, err = rt.TypeMalloc(T, uint64(T.Size()), HeapAlloc)
+				} else {
+					p, err = rt.TypeMallocCached(ids, T, uint64(T.Size()), HeapAlloc)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, _, _, ok := rt.DynamicType(p); !ok || got != T {
+					t.Errorf("worker %d: allocation of %v reads back as %v", w, T, got)
+					return
+				}
+				rt.TypeCheck(p, T, "typeid-race")
+				rt.TypeFree(p, "typeid-race")
+			}
+		}(w)
+	}
+	wg.Wait()
+	if r.Reporter.Total() != 0 {
+		t.Fatalf("unexpected errors: %s", r.Reporter.Log())
+	}
+	st := r.Stats()
+	for _, s := range sinks {
+		st = st.Add(s.Snapshot())
+	}
+	if st.HeapAllocs != workers*rounds || st.Frees != workers*rounds {
+		t.Fatalf("HeapAllocs=%d Frees=%d, want %d each", st.HeapAllocs, st.Frees, workers*rounds)
+	}
+}
+
+// TestTypeIDsFollowFirstUse pins metadata type ids to first-use order
+// whichever allocation route interns a type: the cached route hands out
+// the ids TypeMalloc would, a cache that evicts re-resolves the same
+// ids, and a cache carried over to another runtime hands out that
+// runtime's ids, never its first runtime's.
+func TestTypeIDsFollowFirstUse(t *testing.T) {
+	tb := ctypes.NewTable()
+	var ts []*ctypes.Type
+	for _, src := range []string{
+		"struct A { int a; }", "struct B { long b; }", "struct C { char c[3]; }",
+		"struct D { double d; }", "struct E { int e[2]; }", "struct F { short f; }",
+	} {
+		ts = append(ts, tb.MustParse(src))
+	}
+	tid := func(r *Runtime, p uint64) uint64 { return r.Mem().Load(p-MetaSize, 8) }
+
+	// Ids 0 and 1 are reserved (invalid, FREE); first uses count up
+	// from 2 and a repeat keeps its id, through the cache or around it.
+	order := []int{0, 1, 0, 2, 3, 4, 5, 1, 0, 5, 2}
+	want := []uint64{2, 3, 2, 4, 5, 6, 7, 3, 2, 7, 4}
+	r := NewRuntime(Options{Types: tb})
+	var c TypeIDCache
+	for i, k := range order {
+		var p uint64
+		var err error
+		if i%2 == 0 {
+			p, err = r.TypeMallocCached(&c, ts[k], 8, HeapAlloc)
+		} else {
+			p, err = r.TypeMalloc(ts[k], 8, HeapAlloc)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tid(r, p); got != want[i] {
+			t.Fatalf("allocation %d (type %d): id %d, want %d", i, k, got, want[i])
+		}
+	}
+
+	// The same cache on a runtime that met the types in reverse order.
+	r2 := NewRuntime(Options{Types: tb})
+	for k := len(ts) - 1; k >= 0; k-- {
+		if _, err := r2.TypeMalloc(ts[k], 8, HeapAlloc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, T := range ts {
+		p, err := r2.TypeMallocCached(&c, T, 8, HeapAlloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tid(r2, p), uint64(2+len(ts)-1-k); got != want {
+			t.Fatalf("second runtime, type %d: id %d, want %d", k, got, want)
+		}
+	}
+}

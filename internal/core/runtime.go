@@ -229,6 +229,37 @@ func (r *Runtime) typeID(t *ctypes.Type) uint64 {
 	return id
 }
 
+// TypeIDCache remembers the metadata type ids of the last few types an
+// allocation route bound, so steady-state TypeMallocCached resolves its
+// id with a few compares instead of the registry's sync.Map. A cached id
+// is trusted only if the runtime's own registry maps it back to the
+// type, so a cache never hands out another runtime's id, and every miss
+// interns through the registry: ids and their first-use order are the
+// same with or without a cache. The zero value is ready to use. Keep one
+// cache per allocation route (mir.EffEnv keeps one per environment); its
+// slots are atomic because concurrent interpreter Runs may share an
+// environment.
+type TypeIDCache struct {
+	ids  [typeIDWays]atomic.Uint64
+	next atomic.Uint32 // round-robin victim of the next miss
+}
+
+// typeIDWays is the number of types a TypeIDCache holds.
+const typeIDWays = 4
+
+// cachedTypeID is typeID through c.
+func (r *Runtime) cachedTypeID(c *TypeIDCache, t *ctypes.Type) uint64 {
+	reg := *r.reg.typeOf.Load()
+	for i := range c.ids {
+		if id := c.ids[i].Load(); id < uint64(len(reg)) && reg[id] == t {
+			return id
+		}
+	}
+	id := r.typeID(t)
+	c.ids[c.next.Add(1)%typeIDWays].Store(id)
+	return id
+}
+
 func (r *Runtime) typeByID(id uint64) *ctypes.Type {
 	reg := *r.reg.typeOf.Load()
 	if id == 0 || id >= uint64(len(reg)) {
@@ -253,12 +284,31 @@ const (
 // allocator that stores {type, size} at the slot base and returns the
 // address just past the header. The returned memory is zeroed.
 func (r *Runtime) TypeMalloc(t *ctypes.Type, size uint64, kind AllocKind) (uint64, error) {
+	return r.typeMalloc(t, nil, size, kind)
+}
+
+// TypeMallocCached is TypeMalloc resolving t's metadata type id through
+// the allocation route's cache c. The result, the memory and every
+// counter are the same as TypeMalloc's.
+func (r *Runtime) TypeMallocCached(c *TypeIDCache, t *ctypes.Type, size uint64, kind AllocKind) (uint64, error) {
+	return r.typeMalloc(t, c, size, kind)
+}
+
+// typeMalloc is TypeMalloc with an optional type-id cache. The id is
+// resolved after the allocation succeeds, so a failed allocation never
+// interns its type.
+func (r *Runtime) typeMalloc(t *ctypes.Type, c *TypeIDCache, size uint64, kind AllocKind) (uint64, error) {
 	base, err := r.alloc.Alloc(MetaSize + size)
 	if err != nil {
 		return 0, fmt.Errorf("type_malloc(%s, %d): %w", t, size, err)
 	}
-	r.mem.Store(base, 8, r.typeID(t))
-	r.mem.Store(base+8, 8, size)
+	var tid uint64
+	if c != nil {
+		tid = r.cachedTypeID(c, t)
+	} else {
+		tid = r.typeID(t)
+	}
+	r.mem.StorePair(base, tid, size)
 	switch kind {
 	case HeapAlloc:
 		r.stats.HeapAllocs.Add(1)
@@ -317,13 +367,12 @@ func (r *Runtime) TypeFree(p uint64, site string) {
 		r.Reporter.Report(BadFree, "interior pointer", t, int64(p-(base+MetaSize)), site)
 		return
 	}
-	tid := r.mem.Load(base, 8)
-	if tid == freeTypeID {
-		t := "FREE"
-		r.Reporter.Report(DoubleFree, "", t, 0, site)
+	// Rebind the header's type word to FREE and read the old one in a
+	// single page lookup; a double free swaps FREE for FREE.
+	if r.mem.Swap(base, freeTypeID) == freeTypeID {
+		r.Reporter.Report(DoubleFree, "", "FREE", 0, site)
 		return
 	}
-	r.mem.Store(base, 8, freeTypeID)
 	// Size is preserved for diagnostics; the allocator keeps the header
 	// bytes intact until reuse.
 	if err := r.alloc.Free(base); err != nil {
@@ -341,12 +390,12 @@ func (r *Runtime) TypeRealloc(p uint64, newSize uint64, site string) (uint64, er
 	if base == 0 || p != base+MetaSize {
 		return 0, fmt.Errorf("type_realloc: %#x is not an allocation", p)
 	}
-	t := r.typeByID(r.mem.Load(base, 8))
+	tid, oldSize := r.mem.LoadPair(base)
+	t := r.typeByID(tid)
 	if t == nil || t == ctypes.Free {
 		r.Reporter.Report(UseAfterFree, "realloc", "FREE", 0, site)
 		t = ctypes.Char
 	}
-	oldSize := r.mem.Load(base+8, 8)
 	q, err := r.TypeMalloc(t, newSize, HeapAlloc)
 	if err != nil {
 		return 0, err
@@ -372,12 +421,12 @@ func (r *Runtime) dynamicType(p uint64) (t *ctypes.Type, tid, objBase, size uint
 	if base == 0 {
 		return nil, 0, 0, 0, false
 	}
-	tid = r.mem.Load(base, 8)
+	tid, size = r.mem.LoadPair(base)
 	t = r.typeByID(tid)
 	if t == nil {
 		return nil, 0, 0, 0, false
 	}
-	return t, tid, base + MetaSize, r.mem.Load(base+8, 8), true
+	return t, tid, base + MetaSize, size, true
 }
 
 // TypeCheck verifies that p points to a (sub-)object compatible with the

@@ -21,6 +21,12 @@
 // the steady state — is two indexed loads and no lock. Materialisation
 // and growth happen under one lock. Addresses above the directory (wild
 // or sparse high pointers) fall back to one small copy-on-write map.
+//
+// Every allocation takes two paths through here. Set, the allocator's
+// zero fill, works in place on each page's span after one lookup per
+// page. LoadPair and StorePair read and write a 16-byte object metadata
+// header, both words, with one lookup, and Swap rebinds one word while
+// returning the old one.
 package mem
 
 import (
@@ -272,24 +278,71 @@ func (m *Memory) Copy(dst, src, n uint64) {
 	}
 }
 
-// Set fills [addr, addr+n) with byte b, like memset.
+// Set fills [addr, addr+n) with byte b, like memset. Each page's span is
+// filled in place — cleared when b is zero, otherwise seeded with one
+// byte and doubled by copy — so the allocator's zero fill costs one page
+// lookup and one clear per page. Every page the span covers is
+// materialised, zero fill included, exactly as if the bytes had been
+// written one by one.
 func (m *Memory) Set(addr uint64, b byte, n uint64) {
-	if n == 0 {
+	for done := uint64(0); done < n; {
+		off := (addr + done) & (PageSize - 1)
+		chunk := min(PageSize-off, n-done)
+		span := m.page((addr + done) >> PageBits).data[off : off+chunk]
+		if b == 0 {
+			clear(span)
+		} else {
+			span[0] = b
+			for i := 1; i < len(span); i *= 2 {
+				copy(span[i:], span[:i])
+			}
+		}
+		done += chunk
+	}
+}
+
+// LoadPair reads the two little-endian 8-byte words at addr and addr+8 —
+// a 16-byte object metadata header — with one page lookup. Like Load, a
+// read of never-written memory returns zeros and materialises nothing.
+func (m *Memory) LoadPair(addr uint64) (w0, w1 uint64) {
+	off := addr & (PageSize - 1)
+	if off+16 > PageSize {
+		return m.Load(addr, 8), m.Load(addr+8, 8)
+	}
+	p := m.lookup(addr >> PageBits)
+	if p == nil {
+		return 0, 0
+	}
+	hdr := p.data[off : off+16]
+	return binary.LittleEndian.Uint64(hdr), binary.LittleEndian.Uint64(hdr[8:])
+}
+
+// StorePair writes w0 at addr and w1 at addr+8, little-endian, with one
+// page lookup: LoadPair's writing half.
+func (m *Memory) StorePair(addr uint64, w0, w1 uint64) {
+	off := addr & (PageSize - 1)
+	if off+16 > PageSize {
+		m.Store(addr, 8, w0)
+		m.Store(addr+8, 8, w1)
 		return
 	}
-	buf := copyBufPool.Get().(*[PageSize]byte)
-	defer copyBufPool.Put(buf)
-	c := min(int(n), PageSize)
-	chunk := buf[:c]
-	for i := range chunk {
-		chunk[i] = b
+	hdr := m.page(addr >> PageBits).data[off : off+16]
+	binary.LittleEndian.PutUint64(hdr, w0)
+	binary.LittleEndian.PutUint64(hdr[8:], w1)
+}
+
+// Swap stores the little-endian 8-byte val at addr and returns the value
+// it replaced, with one page lookup: a Load and a Store in one. Like
+// Store, it materialises the page.
+func (m *Memory) Swap(addr uint64, val uint64) (old uint64) {
+	off := addr & (PageSize - 1)
+	if off+8 > PageSize {
+		old = m.Load(addr, 8)
+		m.Store(addr, 8, val)
+		return old
 	}
-	for done := uint64(0); done < n; {
-		c := uint64(len(chunk))
-		if n-done < c {
-			c = n - done
-		}
-		m.WriteBytes(addr+done, chunk[:c])
-		done += c
-	}
+	w := m.page(addr >> PageBits).data[off : off+8]
+	old = binary.LittleEndian.Uint64(w)
+	binary.LittleEndian.PutUint64(w, val)
+	return old
 }

@@ -134,9 +134,13 @@ func (e *PlainEnv) LegacyAlloc(size uint64) uint64 { return e.alloc.LegacyAlloc(
 
 // EffEnv is the EffectiveSan environment: allocations are typed through
 // the core runtime (type_malloc/type_free), and the instrumentation
-// pseudo-ops consult the same runtime.
+// pseudo-ops consult the same runtime. Each environment keeps its own
+// cache of the metadata type ids it binds, so the sharded harness's
+// per-worker environments resolve them without sharing a cache line.
 type EffEnv struct {
 	RT *core.Runtime
+
+	ids core.TypeIDCache
 }
 
 // NewEffEnv returns an environment over the given runtime.
@@ -152,7 +156,7 @@ func (e *EffEnv) Malloc(t *ctypes.Type, size uint64, kind core.AllocKind, site s
 		// fallback for the simple program analysis).
 		t = ctypes.Char
 	}
-	p, err := e.RT.TypeMalloc(t, size, kind)
+	p, err := e.RT.TypeMallocCached(&e.ids, t, size, kind)
 	if err != nil {
 		panic(simError{fmt.Sprintf("%s: %v", site, err)})
 	}
