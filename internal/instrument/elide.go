@@ -404,8 +404,8 @@ func elideBlock(instrs []mir.Instr, ctx *elideCtx, s *elideState, st *Stats) []m
 // (provenance, fact) set of elideState; the meet is set intersection
 // over predecessors (meetStates); the transfer function replays step
 // over the block. SolveForward iterates to the greatest fixpoint in
-// reverse postorder, then every block is rewritten against its solved
-// in-state: a check is elided exactly when the same fact is available
+// weak topological order, then every block is rewritten against its
+// solved in-state: a check is elided exactly when the same fact is available
 // on every incoming path. A fact established on both arms of a branch
 // (but not before it) survives the meet and elides the join's re-check,
 // which a walk over the dominator tree cannot see.

@@ -14,7 +14,7 @@ package mir
 // The abstract domain combines three ingredients:
 //
 //   - integer value ranges: signed-int64 intervals with ±∞ sentinels,
-//     widened at loop heads (SolveForward's Widen hook) and refined
+//     widened on revisits (SolveForward's Widen hook) and refined
 //     along branch edges (EdgeTransfer on the OpCmp feeding an OpBr),
 //     so provably-bounded loop counters stay finite;
 //   - allocation-site provenance: which OpGlobal/OpAlloca/OpMalloc
@@ -109,6 +109,13 @@ type SafetyResult struct {
 // sound but blind to parameter provenance.
 func AnalyzeSafety(p *Program, roots []string) *SafetyResult {
 	a := newAnalysis(p)
+	a.solve(roots)
+	return a.classify()
+}
+
+// solve iterates the interprocedural fixpoint from roots: entries,
+// return summaries and site flags converge, no verdict is recorded.
+func (a *analysis) solve(roots []string) {
 	var queue []string
 	seed := func(name string) {
 		f := a.funcs[name]
@@ -147,10 +154,15 @@ func AnalyzeSafety(p *Program, roots []string) *SafetyResult {
 		fa.queued = false
 		a.analyze(fa, nil)
 	}
+}
 
-	// Classification replay: every reachable function gets one more
-	// solve with the converged entries, summaries and site flags, and a
-	// final in-order walk records the verdicts.
+// classify is the classification replay: every reachable function gets
+// one more solve with the converged entries, summaries and site flags,
+// and a final in-order walk records the verdicts. The replay may still
+// set site flags, but never one that changes a site's immortal() or
+// extent (TestReplayKeepsSiteFacts), so the verdicts do not depend on
+// the map order the functions are replayed in.
+func (a *analysis) classify() *SafetyResult {
 	res := &SafetyResult{Verdicts: map[string][]CheckVerdict{}}
 	for name, fa := range a.funcs {
 		if !fa.seeded {

@@ -1,10 +1,14 @@
 package mir
 
+import "math"
+
 // This file provides the control-flow analyses the §5.3 check-elision
 // and check-motion passes need: block successors/predecessors derived
-// from the terminators (OpJmp/OpBr/OpRet), a reverse postorder, and
+// from the terminators (OpJmp/OpBr/OpRet), a reverse postorder,
 // immediate dominators via the Cooper-Harvey-Kennedy algorithm ("A
-// Simple, Fast Dominance Algorithm") with an O(1) Dominates test.
+// Simple, Fast Dominance Algorithm") with an O(1) Dominates test, and
+// the weak topological order SolveForward iterates in (Bourdoncle,
+// "Efficient chaotic iteration strategies with widenings").
 //
 // The paper's optimiser runs on LLVM IR with full CFG visibility; the
 // reproduction's instrument pass previously reused checks within one
@@ -29,6 +33,8 @@ type CFG struct {
 	RPO []int
 
 	rpoPos   []int   // block -> RPO position, -1 if unreachable
+	wto      []int   // reachable blocks in weak topological order
+	wtoPos   []int   // block -> wto position, -1 if unreachable
 	idom     []int   // block -> immediate dominator, -1 for entry/unreachable
 	children [][]int // dominator-tree children, ordered by RPO
 	pre      []int   // dominator-tree DFS entry numbering (for Dominates)
@@ -55,8 +61,8 @@ func blockSuccs(b *Block) []int {
 	return nil
 }
 
-// NewCFG builds the control-flow graph, reverse postorder and dominator
-// tree of f.
+// NewCFG builds the control-flow graph, reverse postorder, dominator
+// tree and weak topological order of f.
 func NewCFG(f *Func) *CFG {
 	n := len(f.Blocks)
 	c := &CFG{
@@ -77,6 +83,7 @@ func NewCFG(f *Func) *CFG {
 	c.buildRPO()
 	c.buildDominators()
 	c.buildDomTree()
+	c.buildWTO()
 	return c
 }
 
@@ -119,6 +126,94 @@ func (c *CFG) buildRPO() {
 	for pos, b := range c.RPO {
 		c.rpoPos[b] = pos
 	}
+}
+
+// buildWTO computes a weak topological order of the blocks reachable
+// from block 0 with Bourdoncle's recursive algorithm. The order is
+// hierarchical: every component (a strongly connected region found by
+// the DFS, with nested components inside it) occupies a contiguous run
+// of positions, its head first, and every edge u->v either goes forward
+// (u before v) or back to the head of a component containing u. A
+// solver that always takes the pending block of lowest position
+// therefore stabilises each loop before it visits the loop's exits.
+//
+// Bourdoncle prepends each finished element or component to its
+// partition. buildWTO appends to one list instead — a component's
+// members are appended contiguously, then its head — and reverses the
+// list once at the end, which yields the same flattened order.
+func (c *CFG) buildWTO() {
+	n := len(c.f.Blocks)
+	c.wtoPos = make([]int, n)
+	for i := range c.wtoPos {
+		c.wtoPos[i] = -1
+	}
+	if n == 0 {
+		return
+	}
+	w := &wtoWalk{succs: c.Succs, dfn: make([]int, n), rev: make([]int, 0, len(c.RPO))}
+	w.visit(0)
+	c.wto = w.rev
+	for i, j := 0, len(c.wto)-1; i < j; i, j = i+1, j-1 {
+		c.wto[i], c.wto[j] = c.wto[j], c.wto[i]
+	}
+	for pos, b := range c.wto {
+		c.wtoPos[b] = pos
+	}
+}
+
+// wtoWalk is the state of Bourdoncle's algorithm: dfn is the DFS
+// number of a block (0 = not yet visited, wtoDone = placed in the
+// order), stack the blocks visited but not yet placed, rev the
+// flattened order in reverse.
+type wtoWalk struct {
+	succs [][]int
+	dfn   []int
+	num   int
+	stack []int
+	rev   []int
+}
+
+const wtoDone = math.MaxInt
+
+// visit numbers v, explores its successors and returns the smallest DFS
+// number reachable from v through blocks still on the stack. When that
+// is v's own number, v heads a component: the blocks above it on the
+// stack are reset and re-explored from v's successors, which places
+// the component's members (nested components included), then v.
+func (w *wtoWalk) visit(v int) int {
+	w.stack = append(w.stack, v)
+	w.num++
+	w.dfn[v] = w.num
+	head, loop := w.num, false
+	for _, s := range w.succs[v] {
+		low := w.dfn[s]
+		if low == 0 {
+			low = w.visit(s)
+		}
+		if low <= head {
+			head, loop = low, true
+		}
+	}
+	if head != w.dfn[v] {
+		return head
+	}
+	w.dfn[v] = wtoDone
+	top := w.stack[len(w.stack)-1]
+	w.stack = w.stack[:len(w.stack)-1]
+	if loop {
+		for top != v {
+			w.dfn[top] = 0
+			top = w.stack[len(w.stack)-1]
+			w.stack = w.stack[:len(w.stack)-1]
+		}
+		for _, s := range w.succs[v] {
+			if w.dfn[s] == 0 {
+				w.visit(s)
+			}
+		}
+	}
+	w.rev = append(w.rev, v)
+	return head
 }
 
 // buildDominators runs the Cooper-Harvey-Kennedy iterative dominance

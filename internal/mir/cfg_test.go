@@ -102,18 +102,26 @@ func TestCFGLoop(t *testing.T) {
 	}
 }
 
-func TestCFGUnreachableBlock(t *testing.T) {
+// buildUnreachable builds an entry that returns at once and a block
+// no edge reaches.
+func buildUnreachable(t *testing.T) (f *Func, dead int) {
+	t.Helper()
 	tb := ctypes.NewTable()
 	p := NewProgram(tb)
 	b := NewFunc(p, "u", ctypes.Int)
-	dead := b.Reserve("dead")
+	dead = b.Reserve("dead")
 	b.Ret(b.Const(ctypes.Int, 0))
 	b.SetBlock(dead)
 	b.Ret(b.Const(ctypes.Int, 1))
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCFG(b.F)
+	return b.F, dead
+}
+
+func TestCFGUnreachableBlock(t *testing.T) {
+	f, dead := buildUnreachable(t)
+	c := NewCFG(f)
 	if len(c.RPO) != 1 {
 		t.Fatalf("RPO = %v, want entry only", c.RPO)
 	}
@@ -128,29 +136,9 @@ func TestCFGUnreachableBlock(t *testing.T) {
 // TestCFGNestedLoops stresses the iterative dominance computation on a
 // nested loop with an early exit from the inner loop.
 func TestCFGNestedLoops(t *testing.T) {
-	tb := ctypes.NewTable()
-	p := NewProgram(tb)
-	b := NewFunc(p, "n", ctypes.Int, Param{Name: "c", Type: ctypes.Int})
-	outer := b.Reserve("outer")
-	inner := b.Reserve("inner")
-	innerBody := b.Reserve("innerBody")
-	outerLatch := b.Reserve("outerLatch")
-	exit := b.Reserve("exit")
-	b.Jmp(outer)
-	b.SetBlock(outer)
-	b.Jmp(inner)
-	b.SetBlock(inner)
-	b.Br(b.Param(0), innerBody, outerLatch)
-	b.SetBlock(innerBody)
-	b.Br(b.Param(0), inner, exit) // early exit from the inner loop
-	b.SetBlock(outerLatch)
-	b.Br(b.Param(0), outer, exit)
-	b.SetBlock(exit)
-	b.Ret(b.Const(ctypes.Int, 0))
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCFG(b.F)
+	f, outer, inner := buildNestedLoops(t)
+	innerBody, outerLatch, exit := inner+1, inner+2, inner+3
+	c := NewCFG(f)
 
 	if c.idom[outer] != 0 || c.idom[inner] != outer || c.idom[innerBody] != inner ||
 		c.idom[outerLatch] != inner {

@@ -5,7 +5,8 @@ package mir
 // analysis (package instrument), but is deliberately problem-agnostic:
 // a client supplies the lattice (Meet/Equal), the entry boundary value
 // and the per-block transfer function, and SolveForward iterates to the
-// greatest fixpoint with a worklist seeded in reverse postorder.
+// greatest fixpoint, always taking the pending block that comes first
+// in the CFG's weak topological order.
 //
 // The framework is optimistic: a block whose out-state has not been
 // computed yet is treated as ⊤ (the identity of Meet), which is what
@@ -13,8 +14,8 @@ package mir
 // available-expressions analysis. ⊤ never needs to be represented: a
 // predecessor with no out-state is simply skipped during the meet, and
 // every reachable non-entry block has at least one predecessor earlier
-// in reverse postorder (its DFS-tree parent), so the first visit always
-// has at least one computed input.
+// in the weak topological order (its DFS-tree parent), so the first
+// visit always has at least one computed input.
 
 // ForwardProblem describes a forward dataflow problem over the blocks
 // of one CFG. F is the fact-set (lattice element) type.
@@ -76,15 +77,21 @@ type ForwardProblem[F any] struct {
 // blocks keep the zero F and must be handled by the caller (the elision
 // pass falls back to block-local analysis for them).
 //
-// The worklist is seeded in reverse postorder, so an acyclic CFG solves
-// in one sweep and loops converge in O(loop-nesting) sweeps.
+// Iteration order. Every reachable block starts pending, and the solver
+// always takes the pending block with the lowest position in the CFG's
+// weak topological order (Bourdoncle 1993). In that order a loop's
+// blocks are contiguous with its head first and its exits after it, so
+// each loop stabilises before anything downstream is visited: an
+// acyclic CFG solves in one sweep, and a chain of k sequential loops
+// costs the sum of the loops' own iterations, not a re-run of every
+// later loop each time an earlier one's exit state grows (which a FIFO
+// worklist does, for O(k²) visits).
 func SolveForward[F any](c *CFG, p ForwardProblem[F]) (in []F, solved []bool) {
 	n := len(c.f.Blocks)
 	in = make([]F, n)
 	solved = make([]bool, n)
 	out := make([]F, n)
 	hasOut := make([]bool, n)
-	inQueue := make([]bool, n)
 	visits := make([]int, n)
 
 	widenAfter := p.WidenAfter
@@ -96,15 +103,19 @@ func SolveForward[F any](c *CFG, p ForwardProblem[F]) (in []F, solved []bool) {
 		maxVisits = 10000
 	}
 
-	queue := make([]int, 0, len(c.RPO))
-	for _, b := range c.RPO {
-		queue = append(queue, b)
-		inQueue[b] = true
+	// pending holds wto positions; every position below lo is clear.
+	pending := newBits(len(c.wto))
+	for pos := range c.wto {
+		pending.set(pos)
 	}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
-		inQueue[b] = false
+	for lo := 0; ; {
+		pos := pending.next(lo)
+		if pos < 0 {
+			break
+		}
+		pending.clear(pos)
+		lo = pos + 1
+		b := c.wto[pos]
 
 		var newIn F
 		if b == 0 {
@@ -129,7 +140,7 @@ func SolveForward[F any](c *CFG, p ForwardProblem[F]) (in []F, solved []bool) {
 			if first {
 				// Every predecessor is still ⊤. Cannot happen for a
 				// reachable block (the DFS-tree parent precedes it in
-				// RPO), so b leaked into the queue erroneously; skip.
+				// the order and started pending); skip.
 				continue
 			}
 		}
@@ -151,9 +162,10 @@ func SolveForward[F any](c *CFG, p ForwardProblem[F]) (in []F, solved []bool) {
 		out[b] = newOut
 		hasOut[b] = true
 		for _, s := range c.Succs[b] {
-			if !inQueue[s] {
-				queue = append(queue, s)
-				inQueue[s] = true
+			q := c.wtoPos[s]
+			pending.set(q)
+			if q < lo {
+				lo = q
 			}
 		}
 	}

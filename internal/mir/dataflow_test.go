@@ -1,6 +1,7 @@
 package mir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -92,17 +93,8 @@ func TestSolveForwardLoop(t *testing.T) {
 // TestSolveForwardUnreachable: blocks unreachable from the entry are
 // reported unsolved, not given a fabricated state.
 func TestSolveForwardUnreachable(t *testing.T) {
-	tb := ctypes.NewTable()
-	p := NewProgram(tb)
-	b := NewFunc(p, "u", ctypes.Int)
-	dead := b.Reserve("dead")
-	b.Ret(b.Const(ctypes.Int, 0))
-	b.SetBlock(dead)
-	b.Ret(b.Const(ctypes.Int, 1))
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	in, solved := SolveForward(NewCFG(b.F), availProblem())
+	f, dead := buildUnreachable(t)
+	in, solved := SolveForward(NewCFG(f), availProblem())
 	if !solved[0] || solved[dead] {
 		t.Fatalf("solved = %v, want entry only", solved)
 	}
@@ -334,4 +326,198 @@ func TestSolveForwardEdgeTransfer(t *testing.T) {
 	if want := (itv{0, 10}); in[3] != want {
 		t.Errorf("in[join] = %v, want %v", in[3], want)
 	}
+}
+
+// ---------------------------------------------------------------------
+// Iteration order.
+
+// buildChainedLoops builds k loops that run one after the other, the
+// shape of a function made of sequential counting loops:
+//
+//	entry(0) -> h1; hj -> {bj, h(j+1)}; bj -> hj; hk -> {bk, exit}
+//
+// with hj = 2j-1, bj = 2j and exit = 2k+1.
+func buildChainedLoops(tb testing.TB, k int) *Func {
+	tb.Helper()
+	p := NewProgram(ctypes.NewTable())
+	fb := NewFunc(p, "chain", ctypes.Int, Param{Name: "c", Type: ctypes.Int})
+	heads := make([]int, k)
+	for j := range heads {
+		heads[j] = fb.Reserve(fmt.Sprintf("h%d", j+1))
+		fb.Reserve(fmt.Sprintf("b%d", j+1))
+	}
+	exit := fb.Reserve("exit")
+	fb.Jmp(heads[0])
+	for j, h := range heads {
+		next := exit
+		if j+1 < k {
+			next = heads[j+1]
+		}
+		fb.SetBlock(h)
+		fb.Br(fb.Param(0), h+1, next)
+		fb.SetBlock(h + 1)
+		fb.Jmp(h)
+	}
+	fb.SetBlock(exit)
+	fb.Ret(fb.Const(ctypes.Int, 0))
+	if err := p.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	return fb.F
+}
+
+// chainedCounters is an interval problem over buildChainedLoops(k): the
+// state holds one counter per loop, and loop j's body increments
+// counter j. Each loop's exit state grows until its counter widens to
+// [0, +inf], and every later loop sees each of those states. *transfers
+// counts Transfer calls.
+func chainedCounters(k int, transfers *int) ForwardProblem[[]itv] {
+	return ForwardProblem[[]itv]{
+		Entry: func() []itv { return make([]itv, k) },
+		Transfer: func(b int, in []itv) []itv {
+			*transfers++
+			if b == 0 || b%2 == 1 || b > 2*k {
+				return in // entry, heads and exit only pass the state on
+			}
+			out := append([]itv(nil), in...)
+			out[b/2-1] = addItv(out[b/2-1], itv{1, 1})
+			return out
+		},
+		Meet: func(a, b []itv) []itv {
+			out := make([]itv, k)
+			for i := range out {
+				out[i] = joinItv(a[i], b[i])
+			}
+			return out
+		},
+		Equal: func(a, b []itv) bool {
+			for i := range a {
+				if a[i] != b[i] {
+					return false
+				}
+			}
+			return true
+		},
+		Widen: func(prev, next []itv) []itv {
+			out := make([]itv, k)
+			for i := range out {
+				out[i] = widenItv(prev[i], next[i])
+			}
+			return out
+		},
+	}
+}
+
+// TestSolveForwardChainedLoopsLinear bounds the solver's work on a chain
+// of loops: each loop must stabilise once, before its exit is visited,
+// so the Transfer calls grow linearly with the block count. A FIFO
+// worklist re-runs every later loop each time an earlier loop's exit
+// state grows: it needs 5.3, 12.2 and 22.1 transfers per block at
+// k = 5, 20 and 40, so it fails the bound at k = 20 and 40, where this
+// order needs 4.75, 5.29 and 5.39 (11 per loop, plus entry and exit).
+func TestSolveForwardChainedLoopsLinear(t *testing.T) {
+	const perBlock = 6
+	for _, k := range []int{5, 20, 40} {
+		f := buildChainedLoops(t, k)
+		transfers := 0
+		in, solved := SolveForward(NewCFG(f), chainedCounters(k, &transfers))
+		blocks := len(f.Blocks)
+		if transfers > perBlock*blocks {
+			t.Errorf("k=%d: %d transfers over %d blocks, want at most %d per block",
+				k, transfers, blocks, perBlock)
+		}
+		exit := 2*k + 1
+		if !solved[exit] {
+			t.Fatalf("k=%d: exit unsolved", k)
+		}
+		for j, c := range in[exit] {
+			if want := (itv{0, posInf}); c != want {
+				t.Errorf("k=%d: counter %d at exit = %v, want %v", k, j, c, want)
+			}
+		}
+	}
+}
+
+// TestWTOProperties checks the weak topological order on every CFG
+// shape of the solver and loop tests: it is a permutation of the
+// reachable blocks starting at the entry; each natural loop's body is
+// contiguous with its header first; and on reducible CFGs every edge
+// runs forward in the order or back to the header of a natural loop
+// containing its source, so a loop's exits come after all of it.
+func TestWTOProperties(t *testing.T) {
+	nested, _, _ := buildNestedLoops(t)
+	shared, _, _, _ := buildSharedHeader(t)
+	self, _ := buildSelfLoop(t)
+	unreachable, _ := buildUnreachable(t)
+	for _, tc := range []struct {
+		name string
+		f    *Func
+	}{
+		{"diamond", buildDiamond(t)},
+		{"loop", buildLoop(t)},
+		{"nested", nested},
+		{"shared-header", shared},
+		{"irreducible", buildIrreducible(t)},
+		{"unreachable", unreachable},
+		{"self-loop", self},
+		{"entry-loop", buildEntryLoop(t)},
+		{"chained", buildChainedLoops(t, 5)},
+	} {
+		c := NewCFG(tc.f)
+		if len(c.wto) != len(c.RPO) || len(c.wto) == 0 || c.wto[0] != 0 {
+			t.Errorf("%s: wto = %v, want the %d reachable blocks from the entry", tc.name, c.wto, len(c.RPO))
+			continue
+		}
+		for b := range tc.f.Blocks {
+			reachable := c.rpoPos[b] != -1
+			if pos := c.wtoPos[b]; reachable != (pos != -1) || (reachable && c.wto[pos] != b) {
+				t.Errorf("%s: block %d has wto position %d (wto %v)", tc.name, b, pos, c.wto)
+			}
+		}
+		li := FindLoops(c)
+		for _, l := range li.Loops {
+			h := c.wtoPos[l.Header]
+			for _, b := range l.Body {
+				if p := c.wtoPos[b]; p < h || p >= h+len(l.Body) {
+					t.Errorf("%s: loop headed %d: body block %d at position %d, outside [%d, %d)",
+						tc.name, l.Header, b, p, h, h+len(l.Body))
+				}
+			}
+		}
+		if li.Irreducible {
+			continue
+		}
+		for u, ss := range c.Succs {
+			if c.wtoPos[u] == -1 {
+				continue
+			}
+			for _, v := range ss {
+				if c.wtoPos[v] > c.wtoPos[u] {
+					continue
+				}
+				back := false
+				for _, l := range li.Loops {
+					back = back || (l.Header == v && l.Contains(u))
+				}
+				if !back {
+					t.Errorf("%s: edge %d->%d runs backwards in wto %v but is no loop back edge", tc.name, u, v, c.wto)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSolveChainedLoops solves the 40-loop chain; transfers/op is
+// the solver's visit count, which the iteration order sets.
+func BenchmarkSolveChainedLoops(b *testing.B) {
+	const k = 40
+	c := NewCFG(buildChainedLoops(b, k))
+	transfers := 0
+	p := chainedCounters(k, &transfers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SolveForward(c, p)
+	}
+	b.ReportMetric(float64(transfers)/float64(b.N), "transfers/op")
 }

@@ -53,6 +53,24 @@ type bits []uint64
 func newBits(n int) bits      { return make(bits, (n+63)/64) }
 func (b bits) set(i int)      { b[i/64] |= 1 << (i % 64) }
 func (b bits) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+func (b bits) clear(i int)    { b[i/64] &^= 1 << (i % 64) }
+
+// next returns the lowest set bit at or above i, or -1 when there is none.
+func (b bits) next(i int) int {
+	wi := i / 64
+	if wi >= len(b) {
+		return -1
+	}
+	w := b[wi] >> (i % 64) << (i % 64)
+	for w == 0 {
+		wi++
+		if wi == len(b) {
+			return -1
+		}
+		w = b[wi]
+	}
+	return wi*64 + mathbits.TrailingZeros64(w)
+}
 
 // forEach calls fn for every set bit in ascending order — cheaper than
 // probing every block index when the set is sparse.

@@ -47,9 +47,9 @@ func TestFindLoopsSimple(t *testing.T) {
 	}
 }
 
-// TestFindLoopsSelfLoop: a single block that branches back to itself is
-// a loop whose header is its own (only) latch.
-func TestFindLoopsSelfLoop(t *testing.T) {
+// buildSelfLoop builds entry(0) -> head; head -> {head, exit}.
+func buildSelfLoop(t *testing.T) (f *Func, head int) {
+	t.Helper()
 	tb := ctypes.NewTable()
 	p := NewProgram(tb)
 	b := NewFunc(p, "s", ctypes.Int, Param{Name: "c", Type: ctypes.Int})
@@ -62,8 +62,14 @@ func TestFindLoopsSelfLoop(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return b.F, head
+}
 
-	_, l := findOneLoop(t, b.F)
+// TestFindLoopsSelfLoop: a single block that branches back to itself is
+// a loop whose header is its own (only) latch.
+func TestFindLoopsSelfLoop(t *testing.T) {
+	f, head := buildSelfLoop(t)
+	_, l := findOneLoop(t, f)
 	if l.Header != head || len(l.Latches) != 1 || l.Latches[0] != head {
 		t.Errorf("header=%d latches=%v, want header==latch==%d", l.Header, l.Latches, head)
 	}
@@ -75,10 +81,11 @@ func TestFindLoopsSelfLoop(t *testing.T) {
 	}
 }
 
-// TestFindLoopsSharedHeader: two back edges into one header (a
-// `continue`-style shape) merge into ONE loop with two latches, not two
-// overlapping loops.
-func TestFindLoopsSharedHeader(t *testing.T) {
+// buildSharedHeader builds a loop with two back edges into one header
+// (a `continue`-style shape): entry(0) -> head; head -> {l1, exit};
+// l1 -> {head, l2}; l2 -> head.
+func buildSharedHeader(t *testing.T) (f *Func, head, l1, l2 int) {
+	t.Helper()
 	tb := ctypes.NewTable()
 	p := NewProgram(tb)
 	b := NewFunc(p, "m", ctypes.Int, Param{Name: "c", Type: ctypes.Int})
@@ -95,8 +102,14 @@ func TestFindLoopsSharedHeader(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return b.F, head, l1, l2
+}
 
-	_, l := findOneLoop(t, b.F)
+// TestFindLoopsSharedHeader: two back edges into one header merge into
+// ONE loop with two latches, not two overlapping loops.
+func TestFindLoopsSharedHeader(t *testing.T) {
+	f, head, l1, l2 := buildSharedHeader(t)
+	_, l := findOneLoop(t, f)
 	if l.Header != head {
 		t.Fatalf("header = %d, want %d", l.Header, head)
 	}
@@ -264,10 +277,10 @@ func TestAddPreheader(t *testing.T) {
 	}
 }
 
-// TestAddPreheaderEntryHeader: the entry block's implicit function-entry
-// edge cannot be retargeted, so a loop headed at the entry gets no
-// preheader.
-func TestAddPreheaderEntryHeader(t *testing.T) {
+// buildEntryLoop builds entry(0) -> {entry, exit}: a loop headed at the
+// entry block itself.
+func buildEntryLoop(t *testing.T) *Func {
+	t.Helper()
 	tb := ctypes.NewTable()
 	p := NewProgram(tb)
 	b := NewFunc(p, "e", ctypes.Int, Param{Name: "c", Type: ctypes.Int})
@@ -278,13 +291,20 @@ func TestAddPreheaderEntryHeader(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return b.F
+}
 
-	c := NewCFG(b.F)
+// TestAddPreheaderEntryHeader: the entry block's implicit function-entry
+// edge cannot be retargeted, so a loop headed at the entry gets no
+// preheader.
+func TestAddPreheaderEntryHeader(t *testing.T) {
+	f := buildEntryLoop(t)
+	c := NewCFG(f)
 	li := FindLoops(c)
 	if len(li.Loops) != 1 || li.Loops[0].Header != 0 {
 		t.Fatalf("loops = %+v, want one loop headed at entry", li.Loops)
 	}
-	if got := AddPreheader(b.F, c, li.Loops[0]); got != -1 {
+	if got := AddPreheader(f, c, li.Loops[0]); got != -1 {
 		t.Errorf("AddPreheader on the entry header returned %d, want -1", got)
 	}
 }

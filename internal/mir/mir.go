@@ -21,7 +21,8 @@
 //
 // CFG (cfg.go) provides the control-flow analyses the instrumenter's
 // §5.3 elision and motion passes run on: successors from the block
-// terminators, reverse postorder and Cooper-Harvey-Kennedy dominators.
+// terminators, reverse postorder, Cooper-Harvey-Kennedy dominators and
+// the weak topological order the dataflow solver iterates in.
 package mir
 
 import (
