@@ -158,10 +158,14 @@ func BenchmarkToolComparison(b *testing.B) {
 // only element 0's base pointer is an allocation base: the mixed cases
 // take the fast path on 1 check in 320. "fastpath" checks only the
 // allocation base against its own type, so every check takes the
-// level-1 exact-match fast path. The reported metrics show the
+// level-1 exact-match fast path. These cases call the public
+// TypeCheck/TypeCheckAt, which merge each check's counters into the
+// runtime's sink; "fastpath-into" runs the fast path as the interpreter
+// runs it, through TypeCheckInto into a snapshot merged once at the end,
+// as a Run does when it returns. The reported metrics show the
 // mechanism: layout matches per op collapse and the per-level hit rates
 // stay high. internal/harness's cost model takes its per-level
-// type-check costs from these cases.
+// type-check costs from the four public cases.
 func BenchmarkTypeCheckCached(b *testing.B) {
 	type site struct {
 		off int64
@@ -172,11 +176,13 @@ func BenchmarkTypeCheckCached(b *testing.B) {
 		opts   core.Options
 		inline bool // call TypeCheckAt with per-site IDs
 		fast   bool // only the allocation base, against its own type
+		into   bool // call TypeCheckInto with per-site IDs
 	}{
-		{"fastpath", core.Options{}, true, true},
-		{"inline", core.Options{}, true, false},
-		{"shared", core.Options{NoInlineCache: true}, false, false},
-		{"uncached", core.Options{CheckCacheSize: -1, NoInlineCache: true}, false, false},
+		{"fastpath", core.Options{}, true, true, false},
+		{"fastpath-into", core.Options{}, true, true, true},
+		{"inline", core.Options{}, true, false, false},
+		{"shared", core.Options{NoInlineCache: true}, false, false, false},
+		{"uncached", core.Options{CheckCacheSize: -1, NoInlineCache: true}, false, false, false},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			tb := ctypes.NewTable()
@@ -204,19 +210,25 @@ func BenchmarkTypeCheckCached(b *testing.B) {
 			if cfg.fast {
 				sites, walk = sites[:1], 1
 			}
+			var counts core.StatsSnapshot
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st := sites[i%len(sites)]
 				q := p + uint64(i)%walk*sz + uint64(st.off)
-				if cfg.inline {
-					// One stable site ID per static check site, as the
-					// instrument pass would assign.
-					rt.TypeCheckAt(q, st.s, int64(i%len(sites))+1, "bench")
-				} else {
+				// One stable site ID per static check site, as the
+				// instrument pass would assign.
+				siteID := int64(i%len(sites)) + 1
+				switch {
+				case cfg.into:
+					rt.TypeCheckInto(&counts, q, st.s, siteID, "bench")
+				case cfg.inline:
+					rt.TypeCheckAt(q, st.s, siteID, "bench")
+				default:
 					rt.TypeCheck(q, st.s, "bench")
 				}
 			}
 			b.StopTimer()
+			rt.MergeStats(counts)
 			s := rt.Stats()
 			b.ReportMetric(float64(s.LayoutMatches)/float64(b.N), "layout-matches/op")
 			b.ReportMetric(float64(s.CheckFastPath)/float64(b.N)*100, "fastpath-%")

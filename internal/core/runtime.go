@@ -451,32 +451,45 @@ func (r *Runtime) TypeCheck(p uint64, s *ctypes.Type, site string) Bounds {
 //	→ layout-table match    (the full L(T,k) lookup of Fig. 6)
 //
 // All three cache levels key on (tid, k, s), so metadata rebinding on
-// free/realloc (which changes tid) can never produce a stale hit.
+// free/realloc (which changes tid) can never produce a stale hit. The
+// check's counters reach the runtime's sink before it returns, also when
+// its report aborts (AbortError).
 func (r *Runtime) TypeCheckAt(p uint64, s *ctypes.Type, siteID int64, site string) Bounds {
-	r.stats.TypeChecks.Add(1)
+	var st StatsSnapshot
+	defer r.stats.Merge(&st)
+	return r.TypeCheckInto(&st, p, s, siteID, site)
+}
+
+// TypeCheckInto is TypeCheckAt counting into st, with plain adds,
+// instead of into the runtime's counter sink. st belongs to the caller,
+// which merges it into the sink once it is done (MergeStats) — on every
+// exit, an abort included. The interpreter keeps one per Run, so a check
+// costs no atomic operation; st must not be shared between goroutines.
+func (r *Runtime) TypeCheckInto(st *StatsSnapshot, p uint64, s *ctypes.Type, siteID int64, site string) Bounds {
+	st.TypeChecks++
 	if p == 0 {
 		// Null pointers are not objects; they are trapped on access, not
 		// at type checks. Counted apart from legacy pointers so the
 		// legacy ratio measures coverage of real objects.
-		r.stats.NullTypeChecks.Add(1)
+		st.NullTypeChecks++
 		return Wide
 	}
 	t, tid, objBase, size, ok := r.dynamicType(p)
 	if !ok {
 		// Legacy pointer: wide bounds for compatibility (Fig. 6 line 11).
-		r.stats.LegacyTypeChecks.Add(1)
+		st.LegacyTypeChecks++
 		return Wide
 	}
-	return r.typeCheckResolve(p, s, siteID, site, t, tid, objBase, size)
+	return r.typeCheckResolve(st, p, s, siteID, site, t, tid, objBase, size)
 }
 
 // typeCheckResolve is the post-metadata portion of the type check — the
 // coercions, the cache cascade and the layout-table match — given the
 // dynamic type and allocation read from the metadata header. It reports
-// any failure at site and returns the resulting bounds.
-func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64, site string,
+// any failure at site, counts into st and returns the resulting bounds.
+func (r *Runtime) typeCheckResolve(st *StatsSnapshot, p uint64, s *ctypes.Type, siteID int64, site string,
 	t *ctypes.Type, tid, objBase, size uint64) Bounds {
-	if b, ok := r.typeCheckTrivial(p, s, site, t, objBase, size); ok {
+	if b, ok := r.typeCheckTrivial(st, p, s, site, t, objBase, size); ok {
 		return b
 	}
 	k := int64(p - objBase)
@@ -503,9 +516,9 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64, site 
 			}
 		}
 		if resolved {
-			r.stats.InlineCacheHits.Add(1)
+			st.InlineCacheHits++
 		} else {
-			r.stats.InlineCacheMisses.Add(1)
+			st.InlineCacheMisses++
 		}
 	}
 	// Level 3: the shared memo cache; past it, the layout-table match.
@@ -518,15 +531,15 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64, site 
 			var hit bool
 			e, co, matched, hit = r.memo.lookup(tid, kn, sid, s)
 			if hit {
-				r.stats.CheckCacheHits.Add(1)
+				st.CheckCacheHits++
 			} else {
-				r.stats.CheckCacheMisses.Add(1)
-				r.stats.LayoutMatches.Add(1)
+				st.CheckCacheMisses++
+				st.LayoutMatches++
 				e, co, matched = tl.Match(s, kn)
 				r.memo.store(tid, kn, sid, s, e, co, matched)
 			}
 		} else {
-			r.stats.LayoutMatches.Add(1)
+			st.LayoutMatches++
 			e, co, matched = tl.Match(s, kn)
 		}
 		if slot != nil {
@@ -545,9 +558,9 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64, site 
 	}
 	switch co {
 	case layout.MatchChar:
-		r.stats.CharCoercions.Add(1)
+		st.CharCoercions++
 	case layout.MatchVoidPtr:
-		r.stats.VoidPtrCoercions.Add(1)
+		st.VoidPtrCoercions++
 	}
 	if e.FAM {
 		return Bounds{objBase + uint64(norm.FAMOffset), objBase + size}
@@ -571,7 +584,7 @@ func (r *Runtime) typeCheckResolve(p uint64, s *ctypes.Type, siteID int64, site 
 // table would map (t, t, 0) to the unbounded containing-array entry,
 // which clips to the allocation, so no lookup is needed at all; gated on
 // the memo cache so the uncached ablation measures the bare check).
-func (r *Runtime) typeCheckTrivial(p uint64, s *ctypes.Type, site string,
+func (r *Runtime) typeCheckTrivial(st *StatsSnapshot, p uint64, s *ctypes.Type, site string,
 	t *ctypes.Type, objBase, size uint64) (Bounds, bool) {
 	if t == ctypes.Free {
 		r.Reporter.Report(UseAfterFree, s.String(), "FREE", 0, site)
@@ -594,7 +607,7 @@ func (r *Runtime) typeCheckTrivial(p uint64, s *ctypes.Type, site string,
 		return alloc, true
 	}
 	if r.memo != nil && k == 0 && t == s {
-		r.stats.CheckFastPath.Add(1)
+		st.CheckFastPath++
 		return alloc, true
 	}
 	return Bounds{}, false

@@ -1,6 +1,9 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Stats holds the runtime's check counters, the quantities reported in
 // Fig. 7 (#Type, #Bound) and the legacy-pointer coverage ratio (§6.1).
@@ -12,7 +15,10 @@ import "sync/atomic"
 // each worker its own sink through Runtime.StatsView so per-worker and
 // aggregate numbers are both available: snapshot each worker's Stats,
 // combine with StatsSnapshot.Add, and fold the total back into the base
-// runtime with Runtime.MergeStats.
+// runtime with Runtime.MergeStats. Hot-path counts need not touch the
+// sink at all: the interpreter counts each Run's checks into a
+// StatsSnapshot of its own (Runtime.TypeCheckInto) and merges it once
+// when the Run ends.
 type Stats struct {
 	TypeChecks       atomic.Uint64
 	NullTypeChecks   atomic.Uint64
@@ -88,38 +94,25 @@ type StatsSnapshot struct {
 	LegacyFrees  uint64
 }
 
-// counters lists every counter in canonical order — the single source of
-// truth shared by Snapshot, Merge and the StatsSnapshot arithmetic. A
-// new counter is added here and in fields, in the same position
-// (TestStatsFieldParity enforces the pairing).
-func (s *Stats) counters() []*atomic.Uint64 {
-	return []*atomic.Uint64{
-		&s.TypeChecks, &s.NullTypeChecks, &s.LegacyTypeChecks,
-		&s.BoundsChecks, &s.BoundsGets, &s.BoundsNarrows,
-		&s.CharCoercions, &s.VoidPtrCoercions,
-		&s.CheckFastPath, &s.InlineCacheHits, &s.InlineCacheMisses,
-		&s.CheckCacheHits, &s.CheckCacheMisses, &s.LayoutMatches,
-		&s.LayoutTablesBuilt, &s.LayoutTablesInterned,
-		&s.LayoutTablesEvicted, &s.LayoutBytesResident,
-		&s.HeapAllocs, &s.StackAllocs, &s.GlobalAllocs,
-		&s.Frees, &s.LegacyFrees,
-	}
+// nCounters is the number of counters: Stats and StatsSnapshot declare
+// the same counters, one 8-byte word each, under the same names in the
+// same order (TestStatsFieldParity).
+const nCounters = unsafe.Sizeof(StatsSnapshot{}) / 8
+
+// counters views s as an array of its counters in declaration order —
+// the canonical order shared by Snapshot, Merge and the StatsSnapshot
+// arithmetic, so the struct declarations are the single source of
+// truth: a new counter is declared in both structs, in the same
+// position, and nothing else. A view costs nothing, which keeps Merge
+// cheap enough to run once per public TypeCheckAt.
+func (s *Stats) counters() *[nCounters]atomic.Uint64 {
+	return (*[nCounters]atomic.Uint64)(unsafe.Pointer(s))
 }
 
-// fields lists every snapshot field in the same canonical order as
-// Stats.counters.
-func (v *StatsSnapshot) fields() []*uint64 {
-	return []*uint64{
-		&v.TypeChecks, &v.NullTypeChecks, &v.LegacyTypeChecks,
-		&v.BoundsChecks, &v.BoundsGets, &v.BoundsNarrows,
-		&v.CharCoercions, &v.VoidPtrCoercions,
-		&v.CheckFastPath, &v.InlineCacheHits, &v.InlineCacheMisses,
-		&v.CheckCacheHits, &v.CheckCacheMisses, &v.LayoutMatches,
-		&v.LayoutTablesBuilt, &v.LayoutTablesInterned,
-		&v.LayoutTablesEvicted, &v.LayoutBytesResident,
-		&v.HeapAllocs, &v.StackAllocs, &v.GlobalAllocs,
-		&v.Frees, &v.LegacyFrees,
-	}
+// fields views v as an array of its fields in the same canonical order
+// as Stats.counters.
+func (v *StatsSnapshot) fields() *[nCounters]uint64 {
+	return (*[nCounters]uint64)(unsafe.Pointer(v))
 }
 
 // Snapshot returns a plain-value copy of the counters. Each counter is
@@ -128,9 +121,9 @@ func (v *StatsSnapshot) fields() []*uint64 {
 // sufficient) semantics for monotone statistics.
 func (s *Stats) Snapshot() StatsSnapshot {
 	var v StatsSnapshot
-	f := v.fields()
-	for i, c := range s.counters() {
-		*f[i] = c.Load()
+	c, f := s.counters(), v.fields()
+	for i := range c {
+		f[i] = c[i].Load()
 	}
 	return v
 }
@@ -138,11 +131,11 @@ func (s *Stats) Snapshot() StatsSnapshot {
 // Merge atomically folds every counter of d into s. The sharded harness
 // uses it to accumulate per-worker snapshots into the base runtime's
 // sink, so aggregate numbers remain readable from the Runtime itself.
-func (s *Stats) Merge(d StatsSnapshot) {
-	f := d.fields()
-	for i, c := range s.counters() {
-		if n := *f[i]; n != 0 {
-			c.Add(n)
+func (s *Stats) Merge(d *StatsSnapshot) {
+	c := s.counters()
+	for i, n := range d.fields() {
+		if n != 0 {
+			c[i].Add(n)
 		}
 	}
 }
@@ -152,7 +145,7 @@ func (s *Stats) Merge(d StatsSnapshot) {
 func (a StatsSnapshot) Add(b StatsSnapshot) StatsSnapshot {
 	af, bf := a.fields(), b.fields()
 	for i := range af {
-		*af[i] += *bf[i]
+		af[i] += bf[i]
 	}
 	return a
 }
@@ -162,7 +155,7 @@ func (a StatsSnapshot) Add(b StatsSnapshot) StatsSnapshot {
 func (a StatsSnapshot) Sub(b StatsSnapshot) StatsSnapshot {
 	af, bf := a.fields(), b.fields()
 	for i := range af {
-		*af[i] -= *bf[i]
+		af[i] -= bf[i]
 	}
 	return a
 }
@@ -177,22 +170,7 @@ func (r *Runtime) Stats() StatsSnapshot {
 // MergeStats atomically folds a snapshot into the runtime's counter sink
 // (see Stats.Merge).
 func (r *Runtime) MergeStats(d StatsSnapshot) {
-	r.stats.Merge(d)
-}
-
-// FoldChecks adds counts of checks a caller resolved without calling the
-// runtime — passing bounds and escape checks (bounds) and bounds
-// narrows (narrows) — to the BoundsChecks and BoundsNarrows counters.
-// The interpreter tallies the checks it runs inline per Run and
-// folds them here once when the Run returns, so the counters are exact
-// at quiescence without an atomic add per check.
-func (r *Runtime) FoldChecks(bounds, narrows uint64) {
-	if bounds != 0 {
-		r.stats.BoundsChecks.Add(bounds)
-	}
-	if narrows != 0 {
-		r.stats.BoundsNarrows.Add(narrows)
-	}
+	r.stats.Merge(&d)
 }
 
 // CheckCacheHitRate returns the fraction of shared check-cache lookups

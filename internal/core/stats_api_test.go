@@ -2,41 +2,41 @@ package core
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ctypes"
 )
 
-// TestStatsFieldParity pins the canonical counter order: Stats.counters
-// and StatsSnapshot.fields must enumerate every struct field, in struct
-// order, so Snapshot/Merge/Add/Sub stay in sync when a counter is added.
+// TestStatsFieldParity pins the layout that Stats.counters and
+// StatsSnapshot.fields view as arrays: both structs declare nCounters
+// counters, one 8-byte word each, under the same names in the same
+// order, and element i of each view is field i, so
+// Snapshot/Merge/Add/Sub stay in sync when a counter is added.
 func TestStatsFieldParity(t *testing.T) {
 	var s Stats
-	cs := s.counters()
-	sv := reflect.ValueOf(&s).Elem()
-	if sv.NumField() != len(cs) {
-		t.Fatalf("Stats has %d fields, counters() lists %d", sv.NumField(), len(cs))
-	}
-	for i := 0; i < sv.NumField(); i++ {
-		if sv.Field(i).Addr().Pointer() != reflect.ValueOf(cs[i]).Pointer() {
-			t.Errorf("counters()[%d] is not field %s", i, sv.Type().Field(i).Name)
-		}
-	}
-
 	var v StatsSnapshot
-	fs := v.fields()
-	vv := reflect.ValueOf(&v).Elem()
-	if vv.NumField() != len(fs) {
-		t.Fatalf("StatsSnapshot has %d fields, fields() lists %d", vv.NumField(), len(fs))
+	sv, vv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&v).Elem()
+	if sv.NumField() != int(nCounters) || vv.NumField() != int(nCounters) ||
+		unsafe.Sizeof(s) != nCounters*8 || unsafe.Sizeof(v) != nCounters*8 {
+		t.Fatalf("Stats has %d fields in %d bytes, StatsSnapshot %d in %d; want %d in %d",
+			sv.NumField(), unsafe.Sizeof(s), vv.NumField(), unsafe.Sizeof(v), nCounters, nCounters*8)
 	}
-	for i := 0; i < vv.NumField(); i++ {
-		if vv.Field(i).Addr().Pointer() != reflect.ValueOf(fs[i]).Pointer() {
-			t.Errorf("fields()[%d] is not field %s", i, vv.Type().Field(i).Name)
+	cs, fs := s.counters(), v.fields()
+	for i := 0; i < int(nCounters); i++ {
+		sf, vf := sv.Type().Field(i), vv.Type().Field(i)
+		if sf.Type != reflect.TypeOf(atomic.Uint64{}) || vf.Type != reflect.TypeOf(uint64(0)) {
+			t.Errorf("field %d: Stats.%s is %s, StatsSnapshot.%s is %s", i, sf.Name, sf.Type, vf.Name, vf.Type)
 		}
-		// The two structs must declare the same counters under the same
-		// names in the same order.
-		if sn, vn := sv.Type().Field(i).Name, vv.Type().Field(i).Name; sn != vn {
-			t.Errorf("field %d: Stats.%s vs StatsSnapshot.%s", i, sn, vn)
+		if sf.Name != vf.Name {
+			t.Errorf("field %d: Stats.%s vs StatsSnapshot.%s", i, sf.Name, vf.Name)
+		}
+		if sv.Field(i).Addr().Pointer() != uintptr(unsafe.Pointer(&cs[i])) {
+			t.Errorf("counters()[%d] is not field %s", i, sf.Name)
+		}
+		if vv.Field(i).Addr().Pointer() != uintptr(unsafe.Pointer(&fs[i])) {
+			t.Errorf("fields()[%d] is not field %s", i, vf.Name)
 		}
 	}
 }
@@ -55,8 +55,8 @@ func TestStatsMergeArithmetic(t *testing.T) {
 	}
 
 	var agg Stats
-	agg.Merge(snap)
-	agg.Merge(snap)
+	agg.Merge(&snap)
+	agg.Merge(&snap)
 	if got := agg.Snapshot().TypeChecks; got != 14 {
 		t.Fatalf("merged TypeChecks = %d, want 14", got)
 	}
@@ -127,5 +127,83 @@ func TestStatsView(t *testing.T) {
 	}
 	if rt.Reporter.Total() != 0 {
 		t.Fatalf("unexpected reports: %s", rt.Reporter.Log())
+	}
+}
+
+// TestTypeCheckAtMergesCascade runs the same checks through the public
+// TypeCheckAt on one runtime and through TypeCheckInto, counting into a
+// caller's snapshot, on a twin: the sink of the first must end up with
+// exactly the snapshot of the second, over every way the cascade
+// resolves — null, legacy, freed, fast path, inline hit and miss, memo
+// hit and miss, the void* coercion, a type error — and over a check whose report
+// aborts (AbortError), which must still be counted.
+func TestTypeCheckAtMergesCascade(t *testing.T) {
+	type fixture struct {
+		r                   *Runtime
+		T, S, voidPtr       *ctypes.Type
+		base, freed, legacy uint64
+	}
+	setup := func(abortAfter uint64) *fixture {
+		tb := ctypes.NewTable()
+		f := &fixture{r: NewRuntime(Options{Types: tb, AbortAfter: abortAfter})}
+		f.S = tb.MustParse("struct S { int a[3]; char *s; }")
+		f.T = tb.MustParse("struct T { float f; struct S t; }")
+		f.voidPtr = tb.PointerTo(ctypes.Void)
+		var err error
+		if f.base, err = f.r.NewArray(f.T, 4, HeapAlloc); err != nil {
+			t.Fatal(err)
+		}
+		f.freed, _ = f.r.New(f.T, HeapAlloc)
+		f.r.TypeFree(f.freed, "free")
+		f.legacy = f.r.LegacyAlloc(64)
+		return f
+	}
+	checks := []struct {
+		arg  func(f *fixture) (uint64, *ctypes.Type)
+		site int64
+	}{
+		{func(f *fixture) (uint64, *ctypes.Type) { return 0, f.T }, 1},                    // null
+		{func(f *fixture) (uint64, *ctypes.Type) { return f.legacy, f.T }, 2},             // legacy
+		{func(f *fixture) (uint64, *ctypes.Type) { return f.freed, f.T }, 3},              // freed: use after free
+		{func(f *fixture) (uint64, *ctypes.Type) { return f.base, f.T }, 4},               // fast path
+		{func(f *fixture) (uint64, *ctypes.Type) { return f.base + 8, f.S }, 5},           // inline miss
+		{func(f *fixture) (uint64, *ctypes.Type) { return f.base + 40, f.S }, 5},          // inline hit
+		{func(f *fixture) (uint64, *ctypes.Type) { return f.base + 72, f.S }, 0},          // unsited: memo hit
+		{func(f *fixture) (uint64, *ctypes.Type) { return f.base + 72, ctypes.Int }, 0},   // memo miss
+		{func(f *fixture) (uint64, *ctypes.Type) { return f.base + 24, f.voidPtr }, 6},    // void* coercion
+		{func(f *fixture) (uint64, *ctypes.Type) { return f.base + 8, ctypes.Double }, 7}, // type error
+	}
+	for _, abortAfter := range []uint64{0, 2} {
+		pub, own := setup(abortAfter), setup(abortAfter)
+		var snap StatsSnapshot
+		aborted := 0
+		for _, c := range checks {
+			func() {
+				defer func() {
+					if _, ok := recover().(AbortError); ok {
+						aborted++
+					}
+				}()
+				p, s := c.arg(pub)
+				pub.r.TypeCheckAt(p, s, c.site, "check")
+			}()
+			func() {
+				defer func() { recover() }()
+				p, s := c.arg(own)
+				own.r.TypeCheckInto(&snap, p, s, c.site, "check")
+			}()
+		}
+		own.r.MergeStats(snap)
+		if got, want := pub.r.Stats(), own.r.Stats(); got != want {
+			t.Errorf("AbortAfter %d: TypeCheckAt counted %+v\nTypeCheckInto, merged, %+v", abortAfter, got, want)
+		}
+		if want := min(abortAfter, 1); uint64(aborted) != want {
+			t.Errorf("AbortAfter %d: %d checks aborted, want %d", abortAfter, aborted, want)
+		}
+		if snap.TypeChecks != uint64(len(checks)) || snap.NullTypeChecks != 1 || snap.LegacyTypeChecks != 1 ||
+			snap.CheckFastPath != 1 || snap.InlineCacheHits != 1 || snap.InlineCacheMisses != 3 ||
+			snap.CheckCacheHits == 0 || snap.CheckCacheMisses == 0 || snap.VoidPtrCoercions != 1 {
+			t.Errorf("AbortAfter %d: the checks did not take every path: %+v", abortAfter, snap)
+		}
 	}
 }

@@ -73,6 +73,10 @@ type Ctx struct {
 	// intrinsic checks against the sub-object, which is what catches a
 	// strcpy overflowing into a sibling field.
 	Bounds []core.Bounds
+	// Stats counts the call's type checks, with plain adds; set whenever
+	// RT is. The interpreter passes its Run's snapshot, which it merges
+	// into RT's counters when the Run ends (core.Runtime.TypeCheckInto).
+	Stats *core.StatsSnapshot
 	// SiteID is the base site ID the instrument pass assigned to this
 	// call (0 for unchecked calls). The call reserves one ID per pointer
 	// argument — SiteID+0, SiteID+1, ... — so each argument's checks get
@@ -130,7 +134,7 @@ func (c *Ctx) boundsFor(ptrIdx int, argIdx int, p uint64) core.Bounds {
 	if b := c.Bounds[argIdx]; b != core.Wide {
 		return b
 	}
-	return c.RT.TypeCheckAt(p, ctypes.Char, c.siteFor(ptrIdx), c.Site)
+	return c.RT.TypeCheckInto(c.Stats, p, ctypes.Char, c.siteFor(ptrIdx), c.Site)
 }
 
 // siteFor returns the site ID reserved for the ptrIdx'th pointer

@@ -110,7 +110,10 @@ func (n Norm) Normalize(k int64) int64 {
 	if n.ElemSize <= 0 {
 		return 0
 	}
-	return ((k % n.ElemSize) + n.ElemSize) % n.ElemSize
+	if k >= 0 {
+		return k % n.ElemSize
+	}
+	return (k%n.ElemSize + n.ElemSize) % n.ElemSize
 }
 
 // idFor translates a query key to the shared core's key space: the

@@ -274,3 +274,48 @@ func TestTableMatchesOf(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeMatchesTwoModulo pins Normalize's one-modulo form for
+// non-negative offsets to the two-modulo formula it replaced,
+// ((k % n) + n) % n, over negative, zero and positive offsets, for
+// ordinary element sizes, a zero size and a record with a flexible array
+// member (whose FAM branch takes its own formula).
+func TestNormalizeMatchesTwoModulo(t *testing.T) {
+	twoMod := func(n Norm, k int64) int64 {
+		if n.FAMOffset >= 0 {
+			if k >= n.FAMOffset && n.FAMElemSize > 0 {
+				return (k-n.FAMOffset)%n.FAMElemSize + n.FAMOffset
+			}
+			return k
+		}
+		if n.ElemSize <= 0 {
+			return 0
+		}
+		return ((k % n.ElemSize) + n.ElemSize) % n.ElemSize
+	}
+	norms := []Norm{
+		{ElemSize: 1, FAMOffset: -1},
+		{ElemSize: 4, FAMOffset: -1},
+		{ElemSize: 24, FAMOffset: -1},
+		{ElemSize: 32, FAMOffset: -1},
+		{ElemSize: 0, FAMOffset: -1},
+		{ElemSize: 12, FAMOffset: 8, FAMElemSize: 4}, // struct { long n; int data[]; }
+	}
+	offsets := []int64{-1 << 40, -97, -33, -32, -31, -24, -8, -5, -4, -1, 0, 1, 3, 4, 7, 8, 9, 12,
+		23, 24, 25, 31, 32, 33, 36, 96, 1 << 40, 1<<62 + 5}
+	for _, n := range norms {
+		for _, k := range offsets {
+			if got, want := n.Normalize(k), twoMod(n, k); got != want {
+				t.Errorf("%+v.Normalize(%d) = %d, want %d", n, k, got, want)
+			}
+		}
+	}
+	// A built FAM table's geometry goes through the same formula.
+	tb := ctypes.NewTable()
+	tl := Build(tb.MustParse("struct Blob3 { long n; int data[]; }"))
+	for _, k := range offsets {
+		if got, want := tl.Normalize(k), twoMod(tl.Norm, k); got != want {
+			t.Errorf("Blob3 Normalize(%d) = %d, want %d", k, got, want)
+		}
+	}
+}

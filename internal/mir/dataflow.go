@@ -22,8 +22,10 @@ package mir
 //
 // Contract:
 //
-//   - Entry returns the in-state of the entry block (the boundary
-//     condition; for available-check analysis, the empty fact set).
+//   - Entry returns the state on the function-entry edge (the boundary
+//     condition; for available-check analysis, the empty fact set). The
+//     entry block's in-state is Entry() met with its incoming CFG edges,
+//     if any: a loop may be headed by the entry block.
 //   - Transfer returns the out-state of block b given its in-state. It
 //     must not mutate in (copy first) and must be monotone: a larger
 //     in-state may not produce a smaller out-state.
@@ -117,32 +119,33 @@ func SolveForward[F any](c *CFG, p ForwardProblem[F]) (in []F, solved []bool) {
 		lo = pos + 1
 		b := c.wto[pos]
 
+		// The entry block's in-state is Entry() met with its incoming
+		// edges: it may head a loop, whose back edge must reach it.
 		var newIn F
+		first := true
 		if b == 0 {
-			newIn = p.Entry()
-		} else {
-			first := true
-			for _, pr := range c.Preds[b] {
-				if !hasOut[pr] {
-					continue // ⊤: identity of Meet
-				}
-				o := out[pr]
-				if p.EdgeTransfer != nil {
-					o = p.EdgeTransfer(pr, b, o)
-				}
-				if first {
-					newIn = o
-					first = false
-				} else {
-					newIn = p.Meet(newIn, o)
-				}
+			newIn, first = p.Entry(), false
+		}
+		for _, pr := range c.Preds[b] {
+			if !hasOut[pr] {
+				continue // ⊤: identity of Meet
+			}
+			o := out[pr]
+			if p.EdgeTransfer != nil {
+				o = p.EdgeTransfer(pr, b, o)
 			}
 			if first {
-				// Every predecessor is still ⊤. Cannot happen for a
-				// reachable block (the DFS-tree parent precedes it in
-				// the order and started pending); skip.
-				continue
+				newIn = o
+				first = false
+			} else {
+				newIn = p.Meet(newIn, o)
 			}
+		}
+		if first {
+			// Every predecessor is still ⊤. Cannot happen for a
+			// reachable non-entry block (the DFS-tree parent precedes it
+			// in the order and started pending); skip.
+			continue
 		}
 		visits[b]++
 		if visits[b] > maxVisits {

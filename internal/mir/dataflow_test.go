@@ -408,6 +408,44 @@ func chainedCounters(k int, transfers *int) ForwardProblem[[]itv] {
 	}
 }
 
+// TestSolveForwardEntryLoop solves a loop headed by the entry block,
+// x = 0; do x++ while x < 10, on buildEntryLoop: the back edge, refined
+// by its EdgeTransfer, reaches the entry block's in-state, so the loop
+// head sees every iteration's x and the exit sees x = 10. Seeing only
+// Entry(), the head would hold x = 0 and the exit an empty interval.
+func TestSolveForwardEntryLoop(t *testing.T) {
+	f := buildEntryLoop(t) // entry(0) -> {entry, exit(1)}
+	p := ForwardProblem[itv]{
+		Entry: func() itv { return itv{0, 0} },
+		Transfer: func(b int, in itv) itv {
+			if b == 0 {
+				return itv{in.lo + 1, in.hi + 1}
+			}
+			return in
+		},
+		Meet:  joinItv,
+		Equal: func(a, b itv) bool { return a == b },
+		EdgeTransfer: func(from, to int, out itv) itv {
+			if to == 0 {
+				out.hi = min(out.hi, 9) // stays in the loop: x < 10
+			} else {
+				out.lo = max(out.lo, 10) // leaves it: x >= 10
+			}
+			return out
+		},
+	}
+	in, solved := SolveForward(NewCFG(f), p)
+	if !solved[0] || !solved[1] {
+		t.Fatalf("solved = %v", solved)
+	}
+	if want := (itv{0, 9}); in[0] != want {
+		t.Errorf("in[entry] = %v, want %v", in[0], want)
+	}
+	if want := (itv{10, 10}); in[1] != want {
+		t.Errorf("in[exit] = %v, want %v", in[1], want)
+	}
+}
+
 // TestSolveForwardChainedLoopsLinear bounds the solver's work on a chain
 // of loops: each loop must stabilise once, before its exit is visited,
 // so the Transfer calls grow linearly with the block count. A FIFO

@@ -17,7 +17,8 @@ import (
 // registers after a deep callee returns; walk, which sends a pointer
 // through every call so an instrumented build type- and bounds-checks
 // each activation, loads included whose static type (int*) renders to
-// a fresh string; and sortDeep, whose qsort comparator recurses.
+// a fresh string; sortDeep, whose qsort comparator recurses; and
+// nullset, which hands an intrinsic a pointer with Wide bounds.
 const framesSrc = `
 int fib(int n) {
     if (n < 2) { return n; }
@@ -117,11 +118,19 @@ long libs(int n) {
     return acc;
 }
 
+int at(int *v, int i) { return v[i]; } // v is a parameter: type-checked per call
+
 int overrun(int n, int m) {
     int *v = malloc(8 * sizeof(int));
     int s = 0;
-    for (int i = 0; i < n; i++) { s = s + v[(i * m) % 8]; } // m < 0 would underrun: checked
+    for (int i = 0; i < n; i++) { s = s + at(v, (i * m) % 8); } // m < 0 would underrun: checked
     return s + v[8]; // one past the end: the run's only failing check, and its last
+}
+
+int nullset(int n) {
+    char *t = 0; // a constant: its bounds register stays Wide
+    memset(t, 0, 0);
+    return n;
 }
 `
 
@@ -261,9 +270,10 @@ func TestIntrinsicCallsAllocFlat(t *testing.T) {
 }
 
 // TestAbortFoldsInlineTallies aborts a Run at its only failing bounds
-// check, the last check it makes: the passing checks before it, which
-// the interpreter tallied without calling the runtime, still reach the
-// counters, exactly as many as a logging run of the same program counts.
+// check, the last check it makes: the passing checks before it and the
+// type checks, all of which the interpreter counted in the Run's own
+// snapshot, still reach the counters, exactly as many as a logging run
+// of the same program counts.
 func TestAbortFoldsInlineTallies(t *testing.T) {
 	p := compileFrames(t)
 	ip, _ := instrument.Instrument(p, instrument.Options{Variant: instrument.Full})
@@ -284,12 +294,75 @@ func TestAbortFoldsInlineTallies(t *testing.T) {
 		return rt.Stats()
 	}
 	logged, aborted := count(0), count(1)
-	if aborted.BoundsChecks != logged.BoundsChecks || aborted.BoundsNarrows != logged.BoundsNarrows {
-		t.Errorf("aborted run counted %d bounds checks and %d narrows, logging run %d and %d",
-			aborted.BoundsChecks, aborted.BoundsNarrows, logged.BoundsChecks, logged.BoundsNarrows)
+	if aborted != logged {
+		t.Errorf("aborted run's counters %+v\nlogging run's %+v", aborted, logged)
 	}
 	if aborted.BoundsChecks < 20 {
 		t.Errorf("aborted run counted %d bounds checks, want the loop's passing ones too", aborted.BoundsChecks)
+	}
+	if aborted.TypeChecks < 20 {
+		t.Errorf("aborted run counted %d type checks, want one per call at least", aborted.TypeChecks)
+	}
+}
+
+// TestStepLimitMergesCounters stops a Run with a simulation error, the
+// step limit: the checks it made before it stopped still reach the
+// runtime's counters. Stopped at its last block (which frees and
+// returns), a Run has made every check of the full Run, though not its
+// frees; stopped midway, some but not all.
+func TestStepLimitMergesCounters(t *testing.T) {
+	p := compileFrames(t)
+	ip, _ := instrument.Instrument(p, instrument.Options{Variant: instrument.Full})
+	count := func(max uint64) (core.StatsSnapshot, uint64, error) {
+		rt := core.NewRuntime(core.Options{Types: ip.Types})
+		in, err := mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt), MaxSteps: max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, steps, err := in.RunSteps("walks", 20)
+		return rt.Stats(), steps, err
+	}
+	full, steps, err := count(0)
+	if err != nil || full.TypeChecks == 0 || full.BoundsChecks == 0 {
+		t.Fatalf("full run: %v, %d type and %d bounds checks", err, full.TypeChecks, full.BoundsChecks)
+	}
+	last, _, err := count(steps - 1)
+	if err == nil {
+		t.Fatalf("MaxSteps %d of %d: no error", steps-1, steps)
+	}
+	if last.Frees != 0 {
+		t.Errorf("stopped at the last block: %d frees, want none", last.Frees)
+	}
+	if last.Frees = full.Frees; last != full {
+		t.Errorf("stopped at the last block: counters %+v, full run %+v", last, full)
+	}
+	half, _, err := count(steps / 2)
+	if err == nil {
+		t.Fatalf("MaxSteps %d of %d: no error", steps/2, steps)
+	}
+	if half.TypeChecks == 0 || half.TypeChecks >= full.TypeChecks || half.BoundsChecks == 0 {
+		t.Errorf("stopped midway: %d type and %d bounds checks, full run %d and %d",
+			half.TypeChecks, half.BoundsChecks, full.TypeChecks, full.BoundsChecks)
+	}
+}
+
+// TestIntrinsicTypeCheckMerged passes a null pointer, whose bounds
+// register is Wide, to memset: the intrinsic type-checks it itself,
+// counting into the Run's snapshot, and the check reaches the runtime's
+// counters when the Run ends. It is the Run's only type check.
+func TestIntrinsicTypeCheckMerged(t *testing.T) {
+	p := compileFrames(t)
+	ip, _ := instrument.Instrument(p, instrument.Options{Variant: instrument.Full})
+	rt := core.NewRuntime(core.Options{Types: ip.Types})
+	in, err := mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := in.Run("nullset", 3); err != nil || v != 3 {
+		t.Fatalf("nullset(3) = %d, %v", v, err)
+	}
+	if s := rt.Stats(); s.TypeChecks != 1 || s.NullTypeChecks != 1 {
+		t.Errorf("counted %d type checks, %d of them null; want the intrinsic's one null check", s.TypeChecks, s.NullTypeChecks)
 	}
 }
 

@@ -131,11 +131,21 @@ func loopProg() *Program {
 	})
 }
 
-// TestFusedOpsMatchUnfused runs a program per fused pair in both decoded
-// forms and requires the same value, error, step count, report log and
-// runtime counters, over in-bounds and out-of-bounds indices. Each
-// program's second op reads the first op's destination, and some write
-// a register the first op reads.
+// checkedAccessPair emits p[i] as checkedLoad does, but with a constant
+// between the index and the check, so the check fuses with the load and
+// the index stays alone. The constant, 7, is added to the result.
+func checkedAccessPair(b *FuncBuilder, t *ctypes.Type, p, i int) int {
+	q := b.Index(t, p, i)
+	k := b.Const(ctypes.Long, 7)
+	boundsCheck(b, q, t)
+	return b.Bin(BinAdd, ctypes.Long, b.Load(t, q), k)
+}
+
+// TestFusedOpsMatchUnfused runs a program per fused pair and chain in
+// both decoded forms and requires the same value, error, step count,
+// report log and runtime counters, over in-bounds and out-of-bounds
+// indices. Each program's second op reads the first op's destination,
+// and some write a register the first op reads.
 func TestFusedOpsMatchUnfused(t *testing.T) {
 	long, int_ := ctypes.Long, ctypes.Int
 	cases := []struct {
@@ -145,20 +155,27 @@ func TestFusedOpsMatchUnfused(t *testing.T) {
 	}{
 		{"check-load", pairProg(func(b *FuncBuilder) int {
 			boundsGet(b, 0)
-			return checkedLoad(b, long, 0, 1)
-		}), []xop{xCheckLoadU}},
+			v := checkedLoad(b, long, 0, 1)
+			return b.Bin(BinXor, long, v, checkedAccessPair(b, long, 0, 2))
+		}), []xop{xIndexCheckLoadU, xCheckLoadU, xCheckLoadU}},
 		{"check-load-signed", pairProg(func(b *FuncBuilder) int {
 			boundsGet(b, 0)
 			q := b.Cast(b.P.Types.PointerTo(int_), b.P.Types.PointerTo(long), 0)
-			return checkedLoad(b, int_, q, 1)
-		}), []xop{xCheckLoadS}},
+			v := checkedLoad(b, int_, q, 1)
+			return b.Bin(BinXor, long, v, checkedAccessPair(b, int_, q, 2))
+		}), []xop{xIndexCheckLoadS, xCheckLoadS, xCheckLoadS}},
 		{"check-store", pairProg(func(b *FuncBuilder) int {
 			boundsGet(b, 0)
 			q := b.Index(long, 0, 1)
 			boundsCheck(b, q, long)
 			b.Store(long, q, 2)
-			return b.Load(long, 0)
-		}), []xop{xCheckStore}},
+			// The store's value is the index it stores through.
+			r := b.Index(long, 0, 2)
+			k := b.Const(long, 3)
+			boundsCheck(b, r, long)
+			b.Store(long, r, r)
+			return b.Bin(BinAdd, long, b.Load(long, 0), k)
+		}), []xop{xIndexCheckStore, xCheckStore, xCheckStore}},
 		{"index-check", pairProg(func(b *FuncBuilder) int {
 			boundsGet(b, 0)
 			q := b.Index(long, 0, 1)
@@ -174,7 +191,23 @@ func TestFusedOpsMatchUnfused(t *testing.T) {
 			f := b.FieldAt(long, 0, 16)
 			boundsNarrow(b, f, 16)
 			return checkedLoad(b, long, f, 1)
-		}), []xop{xFieldNarrow, xCheckLoadU}},
+		}), []xop{xFieldNarrow, xIndexCheckLoadU, xCheckLoadU}},
+		{"index-field-narrow", pairProg(func(b *FuncBuilder) int {
+			boundsGet(b, 0)
+			// p[i].f, the field at 8 bytes into a 16-byte element: the
+			// narrow gives the field's bounds, its check then passes or
+			// fails with the index.
+			q := b.Index(long, 0, 1)
+			f := b.FieldAt(long, q, 8)
+			boundsNarrow(b, f, 8)
+			boundsCheck(b, f, long)
+			v := b.Load(long, f)
+			// The field overwrites the index's base.
+			r := b.Index(long, 0, 2)
+			b.emit(Instr{Op: OpField, Dst: 0, A: r, B: -1, C: -1, Aux: 0, Type: long})
+			boundsNarrow(b, 0, 8)
+			return b.Bin(BinAdd, long, v, 0)
+		}), []xop{xIndexFieldNarrow, xFieldNarrow, xCheckLoadU, xIndexFieldNarrow, xFieldNarrow}},
 		{"const-add-sub", pairProg(func(b *FuncBuilder) int {
 			k := b.Const(long, 5)
 			s := b.Bin(BinAdd, long, k, 1)
@@ -200,7 +233,7 @@ func TestFusedOpsMatchUnfused(t *testing.T) {
 			}
 		}
 	}
-	for op := xCheckLoadU; op <= xGtSBr; op++ {
+	for op := xCheckLoadU; op <= xIndexFieldNarrow; op++ {
 		if !seen[op] {
 			t.Errorf("fused op %d not covered", op)
 		}
@@ -232,27 +265,41 @@ func TestFusedCheckFailureLogs(t *testing.T) {
 }
 
 // TestFusedNullTrap dereferences a null pointer through a passing check
-// fused with its load: the trap names the load's site, not the check's.
+// fused with its load or store, as a pair and as the tail of an index
+// chain: the trap names the access's site, not the check's or the
+// index's.
 func TestFusedNullTrap(t *testing.T) {
 	for _, store := range []bool{false, true} {
-		p := pairProg(func(b *FuncBuilder) int {
-			q := b.Index(ctypes.Long, 0, 1)
-			boundsCheck(b, q, ctypes.Long)
-			if store {
-				b.Store(ctypes.Long, q, 2)
-				return 1
+		for _, chain := range []bool{false, true} {
+			p := pairProg(func(b *FuncBuilder) int {
+				q := b.Index(ctypes.Long, 0, 1)
+				if !chain {
+					b.Const(ctypes.Long, 0)
+				}
+				boundsCheck(b, q, ctypes.Long)
+				if store {
+					b.Store(ctypes.Long, q, 2)
+					return 1
+				}
+				return b.Load(ctypes.Long, q)
+			})
+			fused, unfused, ops := runPair(t, p, true, 0, 1, 0)
+			if fused != unfused {
+				t.Fatalf("store=%v chain=%v: fused %+v, unfused %+v", store, chain, fused, unfused)
 			}
-			return b.Load(ctypes.Long, q)
-		})
-		fused, unfused, ops := runPair(t, p, true, 0, 1, 0)
-		if fused != unfused {
-			t.Fatalf("store=%v: fused %+v, unfused %+v", store, fused, unfused)
-		}
-		if len(ops) != 1 {
-			t.Fatalf("store=%v: fused ops %v, want one check pair", store, ops)
-		}
-		if want := "f:entry:2: null-page access"; !strings.Contains(fused.err, want) {
-			t.Fatalf("store=%v: error %q, want %q", store, fused.err, want)
+			want, site := []xop{xCheckLoadU}, "f:entry:3"
+			if store {
+				want = []xop{xCheckStore}
+			}
+			if chain {
+				want, site = append([]xop{chainOp(want[0])}, want...), "f:entry:2"
+			}
+			if !slices.Equal(ops, want) {
+				t.Fatalf("store=%v chain=%v: fused ops %v, want %v", store, chain, ops, want)
+			}
+			if want := site + ": null-page access"; !strings.Contains(fused.err, want) {
+				t.Fatalf("store=%v chain=%v: error %q, want %q", store, chain, fused.err, want)
+			}
 		}
 	}
 }

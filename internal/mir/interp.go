@@ -22,8 +22,9 @@ type Options struct {
 	// running instrumented code without it is an error.
 	Eff *core.Runtime
 	// Hooks intercepts execution for baseline sanitizers. Optional.
-	// Without hooks the decoder fuses hot op pairs (see fusedOp); with
-	// them every op runs on its own, so each hook sees every op.
+	// Without hooks the decoder fuses hot op pairs and chains (see
+	// fusedOp, chainOp); with them every op runs on its own, so each hook
+	// sees every op.
 	Hooks Hooks
 	// Out receives OpPrint/OpPuts output. Defaults to io.Discard.
 	Out io.Writer
@@ -139,9 +140,9 @@ func (in *Interp) RunSteps(fn string, args ...uint64) (res, steps uint64, err er
 	defer func() {
 		steps = in.maxSteps - rs.budget
 		if in.eff != nil {
-			// Every exit — a return, a simulation error, an abort — folds
-			// the Run's inline check tallies into the runtime's counters.
-			in.eff.FoldChecks(rs.bounds, rs.narrows)
+			// Every exit — a return, a simulation error, an abort — merges
+			// the Run's check counters into the runtime's sink once.
+			in.eff.MergeStats(rs.stats)
 		}
 		switch e := recover().(type) {
 		case nil:
@@ -159,15 +160,17 @@ func (in *Interp) RunSteps(fn string, args ...uint64) (res, steps uint64, err er
 }
 
 // runState is one Run's mutable state: its step budget, its check
-// tallies, its frame stack (the register and bounds files of every live
+// counters, its frame stack (the register and bounds files of every live
 // activation) with their stack objects, and its intrinsic contexts.
 type runState struct {
 	budget uint64
 
-	// bounds and narrows tally the passing bounds and escape checks and
-	// the bounds narrows the executor ran inline (see exec);
-	// run folds them into the runtime's counters when it returns.
-	bounds, narrows uint64
+	// stats counts the Run's type checks (core.Runtime.TypeCheckInto),
+	// its intrinsic calls' included, and the passing bounds and escape
+	// checks and bounds narrows the executor runs inline (see exec), with
+	// plain adds; RunSteps merges it into the runtime's sink when the Run
+	// ends.
+	stats core.StatsSnapshot
 
 	// The frame stack is a segment of registers (and a parallel segment
 	// of bounds) carved into one window per activation, top at sp. A
@@ -209,11 +212,19 @@ func (rs *runState) push(n int) ([]uint64, []core.Bounds, int) {
 	rs.sp = hi
 	regs, bregs := rs.regs[lo:hi:hi], rs.bregs[lo:hi:hi]
 	clear(regs)
-	for i := range bregs {
-		bregs[i] = core.Wide
+	for b := bregs; len(b) > 0; {
+		b = b[copy(b, wideFrame[:]):]
 	}
 	return regs, bregs, mark
 }
+
+// wideFrame is the bounds template push copies into a new window.
+var wideFrame = func() (w [minFrameSegment]core.Bounds) {
+	for i := range w {
+		w[i] = core.Wide
+	}
+	return w
+}()
 
 func (rs *runState) spend(n uint64) {
 	if n > rs.budget {
@@ -312,6 +323,13 @@ const (
 	xLtSBr       // xLtS, then xBr
 	xFieldNarrow // xField, then xBoundsNarrow
 	xGtSBr       // xGtS, then xBr
+
+	// Fused chains (see chainOp): an xIndex, then the fused pair that
+	// starts at the next record. Each runs the index, then the pair.
+	xIndexCheckLoadU  // xIndex, then xCheckLoadU
+	xIndexCheckLoadS  // xIndex, then xCheckLoadS
+	xIndexCheckStore  // xIndex, then xCheckStore
+	xIndexFieldNarrow // xIndex, then xFieldNarrow
 )
 
 // fusedOp returns the superinstruction that runs first and then second,
@@ -344,6 +362,24 @@ func fusedOp(first, second xop) xop {
 		return xFieldNarrow
 	case first == xGtS && second == xBr:
 		return xGtSBr
+	}
+	return xBad
+}
+
+// chainOp returns the chain that runs an xIndex and then the fused pair
+// pair, or xBad if there is none. The index is the instrumented access
+// chain's head: p[i] is an index, its bounds check and the access, and
+// p[i].f an index, a field and its bounds narrow.
+func chainOp(pair xop) xop {
+	switch pair {
+	case xCheckLoadU:
+		return xIndexCheckLoadU
+	case xCheckLoadS:
+		return xIndexCheckLoadS
+	case xCheckStore:
+		return xIndexCheckStore
+	case xFieldNarrow:
+		return xIndexFieldNarrow
 	}
 	return xBad
 }
@@ -516,9 +552,11 @@ func (xf *xfunc) decode(funcs map[string]*xfunc, start []int32) []int32 {
 // fuse rewrites adjacent op pairs within each block, whose first pcs are
 // start, into their fused ops, left to right. A pair is left alone when
 // its second op begins a hotter pair (lower fused op), so an
-// xIndex→xBoundsCheck→xLoadU run fuses the check with the load. The
-// second record of a pair keeps its pc and op, so branch targets do not
-// move; only the first record's op changes.
+// xIndex→xBoundsCheck→xLoadU run fuses the check with the load; a second
+// sweep then fuses an xIndex left alone with the pair after it into a
+// chain (chainOp). The later records of a pair or chain keep their pcs
+// and ops, so branch targets do not move; only the first record's op
+// changes.
 func (xf *xfunc) fuse(start []int32) {
 	code := xf.code
 	for bi, lo := range start {
@@ -538,6 +576,14 @@ func (xf *xfunc) fuse(start []int32) {
 			}
 			code[i].op = op
 			i++
+		}
+		for i := int(lo); i+1 < hi; i++ {
+			if code[i].op != xIndex {
+				continue
+			}
+			if op := chainOp(code[i+1].op); op != xBad {
+				code[i].op = op
+			}
 		}
 	}
 }
@@ -659,9 +705,9 @@ func (in *Interp) popAllocas(rs *runState, mark int, site string) {
 // whose leading registers hold the arguments.
 //
 // With a runtime attached, exec runs the passing case of bounds and
-// escape checks and every bounds narrow itself, tallied in rs, instead
-// of calling the runtime: those calls have no effect on success but a
-// counter.
+// escape checks and every bounds narrow itself, counted in rs.stats,
+// instead of calling the runtime: those calls have no effect on success
+// but a counter.
 func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bounds) uint64 {
 	if f.allocas {
 		// Deferred so the frame's stack objects die on every exit,
@@ -875,14 +921,14 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 			fmt.Fprintln(in.out, d.ins.Str)
 
 		case xTypeCheck:
-			bregs[d.a] = in.effRT(d.ins).TypeCheckAt(regs[d.a], d.ins.Type, d.k, d.ins.Site)
+			bregs[d.a] = in.effRT(d.ins).TypeCheckInto(&rs.stats, regs[d.a], d.ins.Type, d.k, d.ins.Site)
 		case xBoundsGet:
 			bregs[d.a] = in.effRT(d.ins).BoundsGet(regs[d.a])
 		case xBoundsNarrow:
 			p := regs[d.a]
 			if inlineChecks {
 				bregs[d.a] = bregs[d.a].Intersect(core.Bounds{Lo: p, Hi: p + uint64(d.k)})
-				rs.narrows++
+				rs.stats.BoundsNarrows++
 			} else {
 				bregs[d.a] = in.effRT(d.ins).BoundsNarrow(bregs[d.a], p, p+uint64(d.k))
 			}
@@ -893,13 +939,13 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 			}
 			p := regs[d.a]
 			if inlineChecks && bregs[d.a].Contains(p, size) {
-				rs.bounds++
+				rs.stats.BoundsChecks++
 			} else {
 				in.effRT(d.ins).BoundsCheck(p, size, bregs[d.a], d.ins.Type, d.ins.Site)
 			}
 		case xEscapeCheck:
 			if inlineChecks && bregs[d.a].ContainsEscape(regs[d.a]) {
-				rs.bounds++
+				rs.stats.BoundsChecks++
 			} else {
 				in.effRT(d.ins).EscapeCheck(regs[d.a], bregs[d.a], d.ins.Site)
 			}
@@ -907,10 +953,18 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 			bregs[d.a] = bregs[d.b]
 
 		// Fused pairs: d's half as its unfused case runs it (hooks are
-		// nil), then e's, the next record, whose pc is then skipped.
+		// nil), then e's, the next record, whose pc is then skipped. A
+		// chain runs its index, then falls through to its pair with d the
+		// pair's first record.
+		case xIndexCheckLoadU, xIndexCheckLoadS:
+			regs[d.dst] = regs[d.a] + uint64(int64(regs[d.b])*d.k)
+			bregs[d.dst] = bregs[d.a]
+			d = &code[pc]
+			pc++
+			fallthrough
 		case xCheckLoadU, xCheckLoadS:
 			if p := regs[d.a]; inlineChecks && bregs[d.a].Contains(p, uint64(d.k)) {
-				rs.bounds++
+				rs.stats.BoundsChecks++
 			} else {
 				in.effRT(d.ins).BoundsCheck(p, uint64(d.k), bregs[d.a], d.ins.Type, d.ins.Site)
 			}
@@ -926,9 +980,15 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 			}
 			regs[e.dst] = v
 			bregs[e.dst] = core.Wide
+		case xIndexCheckStore:
+			regs[d.dst] = regs[d.a] + uint64(int64(regs[d.b])*d.k)
+			bregs[d.dst] = bregs[d.a]
+			d = &code[pc]
+			pc++
+			fallthrough
 		case xCheckStore:
 			if p := regs[d.a]; inlineChecks && bregs[d.a].Contains(p, uint64(d.k)) {
-				rs.bounds++
+				rs.stats.BoundsChecks++
 			} else {
 				in.effRT(d.ins).BoundsCheck(p, uint64(d.k), bregs[d.a], d.ins.Type, d.ins.Site)
 			}
@@ -945,7 +1005,7 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 			e := &code[pc]
 			pc++
 			if p := regs[e.a]; inlineChecks && bregs[e.a].Contains(p, uint64(e.k)) {
-				rs.bounds++
+				rs.stats.BoundsChecks++
 			} else {
 				in.effRT(e.ins).BoundsCheck(p, uint64(e.k), bregs[e.a], e.ins.Type, e.ins.Site)
 			}
@@ -985,6 +1045,12 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 				pc = int(e.b)
 				rs.spend(uint64(e.k >> 32))
 			}
+		case xIndexFieldNarrow:
+			regs[d.dst] = regs[d.a] + uint64(int64(regs[d.b])*d.k)
+			bregs[d.dst] = bregs[d.a]
+			d = &code[pc]
+			pc++
+			fallthrough
 		case xFieldNarrow:
 			regs[d.dst] = regs[d.a] + uint64(d.k)
 			bregs[d.dst] = bregs[d.a]
@@ -993,7 +1059,7 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 			p := regs[e.a]
 			if inlineChecks {
 				bregs[e.a] = bregs[e.a].Intersect(core.Bounds{Lo: p, Hi: p + uint64(e.k)})
-				rs.narrows++
+				rs.stats.BoundsNarrows++
 			} else {
 				bregs[e.a] = in.effRT(e.ins).BoundsNarrow(bregs[e.a], p, p+uint64(e.k))
 			}
@@ -1050,7 +1116,7 @@ func (c *intrCall) compare(a, b uint64) int64 {
 func (in *Interp) execIntrinsic(rs *runState, ins *Instr, callee *xfunc, regs []uint64, bregs []core.Bounds) uint64 {
 	if rs.depth == len(rs.intr) {
 		c := &intrCall{in: in, rs: rs}
-		c.ctx.Mem, c.ctx.Spend, c.ctx.Free = in.mem, rs.spend, c.free
+		c.ctx.Mem, c.ctx.Spend, c.ctx.Free, c.ctx.Stats = in.mem, rs.spend, c.free, &rs.stats
 		if in.hooks != nil {
 			c.ctx.Access = c.access
 		}

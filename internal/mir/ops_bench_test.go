@@ -50,6 +50,24 @@ long walk(struct node *ns, long n) {
     return s;
 }
 
+// opsTypeCheck loads a pointer from a table on every iteration, and
+// EffectiveSan type-checks each: on even iterations it is the
+// allocation's base, which takes the exact-match fast path, and on odd
+// ones an element's base, which hits the load site's inline cache.
+long opsTypeCheck(long n) {
+    struct node *ns = malloc(16 * sizeof(struct node));
+    struct node **ps = malloc(16 * sizeof(struct node *));
+    for (long i = 0; i < 16; i++) { ps[i] = ns + i; ns[i].key = i; }
+    long s = 0;
+    for (long i = 0; i < n; i++) {
+        struct node *q = ps[(i & 1) * (i & 15)];
+        s = s + q->key;
+    }
+    free(ps);
+    free(ns);
+    return s;
+}
+
 long opsWalk(long n) {
     struct node *ns = malloc(16 * sizeof(struct node));
     memset(ns, 1, 16 * sizeof(struct node));
@@ -63,7 +81,9 @@ long opsWalk(long n) {
 // loop of the op class 10,000 times and reports the time per executed
 // MIR instruction (ns/instr) next to the instructions per Run. The walk
 // runs uninstrumented and under EffectiveSan, where type, bounds and
-// escape checks join the loop.
+// escape checks join the loop; "typecheck" runs under EffectiveSan a
+// loop that type-checks a loaded pointer per iteration, half of them on
+// the fast path and half through the inline cache.
 func BenchmarkInterpOps(b *testing.B) {
 	p, err := cc.Compile(opsSrc, ctypes.NewTable())
 	if err != nil {
@@ -80,6 +100,7 @@ func BenchmarkInterpOps(b *testing.B) {
 		{"loadstore", false, "opsMem"},
 		{"walk", false, "opsWalk"},
 		{"walk-effectivesan", true, "opsWalk"},
+		{"typecheck", true, "opsTypeCheck"},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			in, _ := newInterp(b, p, c.eff)
