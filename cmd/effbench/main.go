@@ -11,8 +11,8 @@
 //	effbench -experiment tools   §6.2 overhead comparison of baseline tools
 //	effbench -experiment all     everything above
 //
-// Two extra experiments sit outside "all" (a correctness harness and a
-// memory study, not paper figures):
+// One extra experiment sits outside "all" (a correctness harness, not a
+// paper figure):
 //
 //	effbench -experiment difftest   the differential-fuzz oracle loop —
 //	                                progen libc programs swept through the
@@ -20,14 +20,6 @@
 //	                                matrix, asserting byte-identical values
 //	                                and report buckets; -seed picks the
 //	                                base progen seed
-//
-//	effbench -experiment layoutmem  layout-table memory at scale — the
-//	                                type-explosion workload under a sweep
-//	                                of layout-cache capacities, reporting
-//	                                resident bytes, intern hit rate,
-//	                                rebuild rate and check throughput;
-//	                                -layoutmem-n and -layoutmem-caps size
-//	                                the sweep, -json-layoutmem emits it
 //
 // -cpuprofile and -memprofile write pprof profiles of the whole
 // invocation, as they do for effsan.
@@ -45,8 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 
 	"repro/internal/difftest"
 	"repro/internal/harness"
@@ -101,21 +91,6 @@ type fig10JSON struct {
 	Caveat string `json:"caveat,omitempty"`
 }
 
-// layoutmemJSON is the machine-readable form of the layout-memory
-// sweep, committed as BENCH_layoutmem.json next to the fig8/fig10
-// series.
-type layoutmemJSON struct {
-	Experiment string `json:"experiment"`
-	// N is the type population of the workload (distinct struct shapes).
-	N    int   `json:"n"`
-	Caps []int `json:"caps"`
-	// GoMaxProcs records the measuring machine's parallelism; the sweep
-	// itself is single-threaded, but CI runs it under contention, so
-	// wall-clock columns compare only within a run.
-	GoMaxProcs int                    `json:"gomaxprocs"`
-	Rows       []harness.LayoutMemRow `json:"rows"`
-}
-
 // defaultThreads is the -threads default on a machine with numCPU CPUs:
 // 16, capped at numCPU. Past the CPU count the scalability curve measures
 // oversubscription, not the runtime.
@@ -124,8 +99,7 @@ func defaultThreads(numCPU int) int { return max(1, min(16, numCPU)) }
 func main() {
 	experiment := flag.String("experiment", "all",
 		"which experiment to run: fig1, fig7, fig8, fig9, fig10, tools, all, "+
-			"difftest (the differential oracle loop; not part of all), "+
-			"or layoutmem (the layout-cache capacity sweep; not part of all)")
+			"or difftest (the differential oracle loop; not part of all)")
 	seed := flag.Int64("seed", 1,
 		"base progen seed for the difftest experiment's generated programs")
 	repeat := flag.Int("repeat", 3, "timing repetitions (best-of) for fig8")
@@ -140,12 +114,6 @@ func main() {
 		"also write the fig8 series as JSON to this path (requires fig8 to run)")
 	json10Path := flag.String("json-fig10", "",
 		"also write the fig10 series as JSON to this path (requires fig10 to run)")
-	layoutmemN := flag.Int("layoutmem-n", 2048,
-		"type population (distinct struct shapes) for the layoutmem experiment")
-	layoutmemCaps := flag.String("layoutmem-caps", "0,4096,256",
-		"comma-separated layout-cache capacities for the layoutmem sweep (0 = unbounded)")
-	jsonLayoutmemPath := flag.String("json-layoutmem", "",
-		"also write the layoutmem sweep as JSON to this path (requires layoutmem to run)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a memory (allocation) profile to this file at exit")
 	flag.Parse()
@@ -164,17 +132,6 @@ func main() {
 	if *experiment == "difftest" {
 		if err := runDifftest(*seed); err != nil {
 			fmt.Fprintf(os.Stderr, "effbench: difftest: %v\n", err)
-			exit(1)
-		}
-		return
-	}
-
-	// The layout-memory sweep is likewise outside "all": it studies the
-	// metadata subsystem under a synthetic type explosion, not a figure
-	// from the paper's evaluation.
-	if *experiment == "layoutmem" {
-		if err := runLayoutMem(*layoutmemCaps, *layoutmemN, *jsonLayoutmemPath); err != nil {
-			fmt.Fprintf(os.Stderr, "effbench: layoutmem: %v\n", err)
 			exit(1)
 		}
 		return
@@ -317,34 +274,6 @@ func runDifftest(seed int64) error {
 	fmt.Printf("all %d programs agree byte-for-byte across all %d configurations\n",
 		programs, len(cfgs))
 	return nil
-}
-
-// runLayoutMem is the -experiment layoutmem entry: it parses the
-// capacity list, runs the sweep and optionally writes the JSON series.
-func runLayoutMem(capsSpec string, n int, jsonPath string) error {
-	var caps []int
-	for _, f := range strings.Split(capsSpec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil || v < 0 {
-			return fmt.Errorf("bad -layoutmem-caps entry %q (want non-negative integers)", f)
-		}
-		caps = append(caps, v)
-	}
-	rows, err := harness.LayoutMem(os.Stdout, caps, n)
-	if err != nil {
-		return err
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	return writeJSON(jsonPath, layoutmemJSON{
-		Experiment: "layoutmem", N: n, Caps: caps,
-		GoMaxProcs: runtime.GOMAXPROCS(0), Rows: rows,
-	})
 }
 
 // stopProfiles finishes the -cpuprofile/-memprofile profiles; main

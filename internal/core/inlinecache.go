@@ -25,10 +25,8 @@ import (
 // an array of T hits on every element, not just the first. It also
 // carries the normalisation parameters of tid's table (layout.Norm), so
 // a hit normalises the raw offset itself instead of fetching the table
-// through the layout cache's sync.Map. The entry copies the parameters
-// rather than pointing at the table, so it never keeps an evicted table
-// alive behind the cache's resident-byte accounting; the parameters
-// depend on tid alone, so they are never stale. Keying on the metadata
+// through the layout cache's sync.Map. The parameters depend on tid
+// alone, so they are never stale. Keying on the metadata
 // type id keeps the cache temporal-safe for free: free() and realloc()
 // rebind the allocation's metadata (tid changes to FREE or to the new
 // allocation's type), so a stale entry can never validate — the same

@@ -96,7 +96,7 @@ func TestConcurrentRuntimeStress(t *testing.T) {
 }
 
 // TestConcurrentLayoutCacheFirstUse races many goroutines into the
-// copy-on-write layout cache on a fresh runtime, so table construction
+// layout cache on a fresh runtime, so table construction
 // itself is contended (every goroutine may Build the same type; exactly
 // one result must win and be shared).
 func TestConcurrentLayoutCacheFirstUse(t *testing.T) {

@@ -45,12 +45,6 @@ type Options struct {
 	// ablation level). Combine with a negative CheckCacheSize for the
 	// fully uncached baseline.
 	NoInlineCache bool
-	// LayoutCacheCap bounds the number of layout tables the runtime keeps
-	// resident (clock eviction; see layout.NewBounded). Zero means
-	// unbounded — the historical behaviour. Evicted tables rebuild on
-	// demand, so detection is unaffected at any cap; only
-	// LayoutTablesBuilt/Evicted and the resident-bytes gauge move.
-	LayoutCacheCap int
 }
 
 // Runtime is the EffectiveSan runtime system: a low-fat allocator whose
@@ -67,24 +61,13 @@ type Runtime struct {
 	types    *ctypes.Table
 	mem      *mem.Memory
 	heap     *lowfat.Allocator
-	alloc    heapHandle // allocation route: the central heap, or a per-worker magazine (HeapView)
+	alloc    lowfat.Heap // allocation route: the central heap, or a per-worker magazine or lane (HeapView)
 	layouts  *layout.Cache
 	memo     *checkCache  // §5.3 shared type-check memo cache; nil when disabled
 	inline   *inlineCache // §5.3 per-site inline caches; nil when disabled
 	Reporter *Reporter
 	stats    *Stats
 	reg      *typeRegistry
-}
-
-// heapHandle is the allocation interface the runtime routes Alloc/Free
-// through. Both *lowfat.Allocator (the central heap, the default) and
-// *lowfat.Magazine (a per-worker cache over it) satisfy it; everything
-// else — Size/Base arithmetic, metadata headers, canonical heap Stats —
-// is identical between the two routes.
-type heapHandle interface {
-	Alloc(size uint64) (uint64, error)
-	Free(p uint64) error
-	LegacyAlloc(size uint64) uint64
 }
 
 // typeRegistry is the metadata type registry mapping interned types to
@@ -115,7 +98,7 @@ func NewRuntime(opts Options) *Runtime {
 		mem:      m,
 		heap:     heap,
 		alloc:    heap,
-		layouts:  layout.NewBounded(opts.LayoutCacheCap),
+		layouts:  layout.NewCache(),
 		memo:     newCheckCache(opts.CheckCacheSize),
 		inline:   newInlineCache(opts.NoInlineCache),
 		Reporter: NewReporter(opts.Mode, opts.AbortAfter),
@@ -145,20 +128,22 @@ func (r *Runtime) StatsView(st *Stats) *Runtime {
 }
 
 // HeapView returns a view of the runtime that shares every structure
-// but routes allocations through the per-worker magazine m — the heap
-// analogue of StatsView. The sharded harness gives each worker goroutine
-// its own magazine over the shared central heap, so steady-state
-// TypeMalloc/TypeFree takes no shared lock while Size/Base arithmetic,
-// metadata headers and the canonical heap Stats stay global. A nil m
-// returns the receiver unchanged. Compose with StatsView:
+// but routes allocations through h, a per-worker magazine or lane over
+// the runtime's central heap — the heap analogue of StatsView. The
+// sharded harness gives each worker goroutine its own: a magazine, so
+// steady-state TypeMalloc/TypeFree takes no shared lock, or a lane, which
+// takes the central mutex per operation but keeps the worker's fresh
+// slots apart. Size/Base arithmetic, metadata headers and the canonical
+// heap Stats stay global. A nil h returns the receiver unchanged.
+// Compose with StatsView:
 //
 //	view := rt.StatsView(sink).HeapView(rt.NewMagazine())
-func (r *Runtime) HeapView(m *lowfat.Magazine) *Runtime {
-	if m == nil {
+func (r *Runtime) HeapView(h lowfat.Heap) *Runtime {
+	if h == nil {
 		return r
 	}
 	cp := *r
-	cp.alloc = m
+	cp.alloc = h
 	return &cp
 }
 
@@ -187,8 +172,8 @@ func (r *Runtime) Types() *ctypes.Table { return r.types }
 // benchmarks).
 func (r *Runtime) Layouts() *layout.Cache { return r.layouts }
 
-// layoutFor returns the layout table for t through the bounded cache,
-// folding the cache's build/intern/evict/footprint event into the view's
+// layoutFor returns the layout table for t through the layout cache,
+// folding the cache's build/intern/footprint event into the view's
 // Stats sink. Every runtime-side table access goes through here so the
 // footprint counters stay exact under sharded per-worker views.
 func (r *Runtime) layoutFor(t *ctypes.Type) *layout.TypeLayout {
@@ -198,12 +183,7 @@ func (r *Runtime) layoutFor(t *ctypes.Type) *layout.TypeLayout {
 		if ev.Interned {
 			r.stats.LayoutTablesInterned.Add(1)
 		}
-	}
-	if ev.Evicted > 0 {
-		r.stats.LayoutTablesEvicted.Add(uint64(ev.Evicted))
-	}
-	if ev.BytesDelta != 0 {
-		r.stats.LayoutBytesResident.Add(uint64(ev.BytesDelta))
+		r.stats.LayoutBytesResident.Add(ev.Bytes)
 	}
 	return tl
 }

@@ -42,19 +42,14 @@ type Stats struct {
 	CheckCacheMisses  atomic.Uint64
 	LayoutMatches     atomic.Uint64
 
-	// Layout-metadata footprint counters (the bounded layout cache,
-	// docs/ARCHITECTURE.md "Layout metadata"). LayoutTablesBuilt counts
-	// table constructions (cache misses, including rebuilds after
-	// eviction); LayoutTablesInterned counts the built tables whose
-	// structural core matched the intern pool; LayoutTablesEvicted
-	// counts cached identities evicted under Options.LayoutCacheCap.
-	// LayoutBytesResident is a signed-delta gauge, not a monotone
-	// counter: every build/evict event adds its two's-complement byte
-	// delta, so per-worker views still sum to the true net under
-	// Merge/Add/Sub — read it via StatsSnapshot.LayoutResidentBytes.
+	// Layout-metadata footprint counters (docs/ARCHITECTURE.md "Layout
+	// metadata"). LayoutTablesBuilt counts table constructions (cache
+	// misses); LayoutTablesInterned counts the built tables whose
+	// structural core matched the intern pool; LayoutBytesResident adds
+	// the modelled bytes each build made resident. Tables are never
+	// evicted, so all three only grow.
 	LayoutTablesBuilt    atomic.Uint64
 	LayoutTablesInterned atomic.Uint64
-	LayoutTablesEvicted  atomic.Uint64
 	LayoutBytesResident  atomic.Uint64
 
 	HeapAllocs   atomic.Uint64
@@ -84,7 +79,6 @@ type StatsSnapshot struct {
 
 	LayoutTablesBuilt    uint64
 	LayoutTablesInterned uint64
-	LayoutTablesEvicted  uint64
 	LayoutBytesResident  uint64
 
 	HeapAllocs   uint64
@@ -194,21 +188,10 @@ func (s StatsSnapshot) InlineCacheHitRate() float64 {
 	return float64(s.InlineCacheHits) / float64(total)
 }
 
-// LayoutResidentBytes returns the net modelled resident footprint of
-// layout metadata as a signed quantity (LayoutBytesResident accumulates
-// two's-complement deltas).
-func (s StatsSnapshot) LayoutResidentBytes() int64 {
-	return int64(s.LayoutBytesResident)
-}
-
-// LayoutInternRate returns the fraction of built layout tables whose
-// structural core was shared from the intern pool, or 0 when no tables
-// were built.
-func (s StatsSnapshot) LayoutInternRate() float64 {
-	if s.LayoutTablesBuilt == 0 {
-		return 0
-	}
-	return float64(s.LayoutTablesInterned) / float64(s.LayoutTablesBuilt)
+// LayoutResidentBytes returns the modelled resident footprint of layout
+// metadata in bytes.
+func (s StatsSnapshot) LayoutResidentBytes() uint64 {
+	return s.LayoutBytesResident
 }
 
 // LegacyRatio returns the fraction of type checks performed on legacy

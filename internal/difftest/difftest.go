@@ -19,10 +19,6 @@
 //     that location/count coarsening is the documented slack; the
 //     buckets themselves are not allowed to differ.
 //
-// The NoIntrinsics ablation is excluded from the matrix by design: it
-// changes what is DETECTED at library boundaries, not just where it is
-// reported, so it has its own targeted tests instead.
-//
 // Inputs are progen programs (LibCalls, optionally LibFaults plus the
 // other workload shapes), encoded for the native Go fuzzer as 8 bytes of
 // little-endian seed followed by one option byte. Failures shrink to a
@@ -84,14 +80,6 @@ func Matrix() []Config {
 		// anything a deleted check would have reported is a
 		// disagreement, i.e. an unsound verdict.
 		{Name: "no-static", Tool: full.WithoutStaticElision()},
-		// The bounded-layout-cache cell: a 64-identity cap forces
-		// eviction and on-demand rebuild of layout tables on any program
-		// with more live types than slots. Tables are pure functions of
-		// the type, so every rebuilt table must answer every check
-		// exactly as the oracle's never-evicted one — any divergence
-		// (stale intern sharing, a rebuild racing a lookup) surfaces as
-		// a value or signature disagreement here.
-		{Name: "layoutcap-64", Tool: full.WithLayoutCacheCap(64)},
 		{Name: "sharded-2", Tool: full, Threads: 2},
 		{Name: "sharded-4", Tool: full, Threads: 4},
 		{Name: "sharded-8", Tool: full, Threads: 8},
@@ -204,11 +192,10 @@ func Check(prog *mir.Program) (*Mismatch, error) {
 // differ in instruction count.
 //
 // An optional eleventh byte scales the TypeExplosion population in
-// steps of 24 shapes (bits 0-2, so up to 168): the layoutcap-64 cell
-// only evicts and rebuilds when the program's type population exceeds
-// its cache, so these inputs are where bounded eviction actually runs
-// under the oracle's eye. Ten-byte (and nine-byte) corpus entries
-// still decode, with the population at zero.
+// steps of 24 shapes (bits 0-2, so up to 168): these inputs build many
+// layout tables, most sharing an interned core, so structural interning
+// answers checks under the oracle's eye. Ten-byte (and nine-byte)
+// corpus entries still decode, with the population at zero.
 const inputLen = 9
 
 // DecodeInput parses a fuzz input. ok is false for short inputs (the

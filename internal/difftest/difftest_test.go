@@ -46,9 +46,9 @@ func TestDifferentialOracle(t *testing.T) {
 				input[9] = byte(i & 1) // StaticSafe on half the programs
 				if i%16 == 7 {
 					// A 72-shape type explosion on a slice of the sweep:
-					// enough types to overflow the layoutcap-64 cell, so
-					// eviction and rebuild run against the oracle without
-					// slowing the other 15/16ths of the loop.
+					// many interned layout tables answer checks against
+					// the oracle without slowing the other 15/16ths of
+					// the loop.
 					input[10] = 3
 				}
 				seed, opts, ok := DecodeInput(input)
@@ -269,10 +269,10 @@ func FuzzDifferentialConfigs(f *testing.F) {
 	// checks sit next to ones that must still fire.
 	f.Add(EncodeInput(7, progen.Options{LibCalls: true, StaticSafe: true, Rounds: 2}))
 	f.Add(EncodeInput(8, progen.Options{LibCalls: true, LibFaults: true, TempHeavy: true, StaticSafe: true, Rounds: 3}))
-	// Layout-cache stressor: a 96-shape type explosion overflows the
-	// layoutcap-64 cell's cache every round while faulting libc traffic
-	// runs alongside, so evicted-and-rebuilt tables must reproduce the
-	// oracle's reports, not just its value.
+	// Layout-table stressor: a 96-shape type explosion, most shapes
+	// sharing interned cores, while faulting libc traffic runs
+	// alongside, so interned tables must reproduce the oracle's
+	// reports, not just its value.
 	f.Add(EncodeInput(9, progen.Options{LibCalls: true, LibFaults: true, TypeExplosion: 96, Rounds: 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seed, opts, ok := DecodeInput(data)

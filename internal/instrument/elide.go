@@ -478,14 +478,14 @@ func solveAvailability(cfg *mir.CFG, f *mir.Func, ctx *elideCtx) ([]*elideState,
 // are dense over the checks that will actually execute. The runtime's
 // per-site inline caches are indexed by these IDs.
 //
-// Checked libc intrinsic calls (Full/BoundsOnly, unless NoIntrinsics)
+// Checked libc intrinsic calls (Full and BoundsOnly)
 // draw from the same counter: each reserves one consecutive ID per
 // pointer argument, with the base stored in the OpCall's Aux — so each
 // argument's type-check-through-the-cascade gets its own per-site
 // inline-cache slot, exactly like a standalone OpTypeCheck would.
 // Aux stays 0 on unchecked calls, which the interpreter runs bare.
 func assignSiteIDs(p *mir.Program, opts Options, st *Stats) {
-	checkIntrinsics := (opts.Variant == Full || opts.Variant == BoundsOnly) && !opts.NoIntrinsics
+	checkIntrinsics := opts.Variant == Full || opts.Variant == BoundsOnly
 	names := make([]string, 0, len(p.Funcs))
 	for name := range p.Funcs {
 		names = append(names, name)

@@ -93,12 +93,6 @@ type Options struct {
 	// insertion — the "no-motion" Fig. 8 ablation. Motion rides on the
 	// elision pass, so it is implicitly off under NoOptimize.
 	NoCheckMotion bool
-	// NoIntrinsics leaves libc intrinsic calls unchecked: no check-site
-	// IDs are reserved for them, so the interpreter runs the bare
-	// operation without bounds/overlap/NUL-scan introspection — the
-	// library-boundary ablation. Detection through intrinsic calls then
-	// degrades to whatever the surrounding raw-access checks see.
-	NoIntrinsics bool
 	// NoStaticElision disables the interprocedural static safety pass
 	// (staticsafe.go): no check is deleted by abstract interpretation
 	// alone and no STATIC-UNSAFE diagnostics are produced — the
@@ -143,7 +137,7 @@ type Stats struct {
 	// IntrinsicSites is the number of check-site IDs reserved for libc
 	// intrinsic calls (one per pointer argument per checked call, drawn
 	// from the same counter as CheckSites so every site keeps its own
-	// inline-cache slot). Zero under NoIntrinsics.
+	// inline-cache slot). Zero under TypeOnly and None.
 	IntrinsicSites int
 	// The static safety pass counters (staticsafe.go; all zero under
 	// NoStaticElision/NoOptimize). They partition from every counter
@@ -185,6 +179,12 @@ func Instrument(p *mir.Program, opts Options) (*mir.Program, Stats) {
 	}
 	assignSiteIDs(out, opts, &st)
 	fillStaticDiagSiteIDs(out, &st)
+	// Name the inserted instructions' diagnostic sites here rather than
+	// in the first mir.New's Validate, so decoding and running the
+	// returned program never write to it.
+	for _, f := range out.Funcs {
+		f.Finalize()
+	}
 	return out, st
 }
 

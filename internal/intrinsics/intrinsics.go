@@ -62,7 +62,7 @@ const legacyScanCap = 1 << 20
 // services the interpreter wires in.
 type Ctx struct {
 	// RT is the EffectiveSan runtime; nil runs the call unchecked (the
-	// uninstrumented baseline, TypeOnly, and the NoIntrinsics ablation).
+	// uninstrumented baseline and TypeOnly).
 	RT *core.Runtime
 	// Mem is the simulated address space the operation half acts on.
 	Mem *mem.Memory

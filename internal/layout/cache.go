@@ -7,94 +7,41 @@ import (
 	"repro/internal/ctypes"
 )
 
-// The bounded layout cache. The old cache was a grow-only copy-on-write
-// map: reads were one atomic load, but every insert copied the whole map
-// (O(n) under the writer lock, O(n²) cold start) and nothing was ever
-// evicted — fine for 19 SPEC workloads, fatal for a resident service fed
-// an unbounded type population. This cache keeps the lock-free read path
-// and fixes both: identities are sharded across 16 sync.Maps (O(1)
-// insert), each shard runs a clock (second-chance) eviction ring bounded
-// by cap/16, and every cached table's core is deduplicated through the
-// structural intern pool so isomorphic types are charged once.
-//
-// Eviction is sound without invalidating anything downstream: a layout
-// table is a pure function of the element type, so a re-built table is
-// value-identical to the evicted one. The runtime's inline and memo
-// caches key on registry type ids (never reused) and store Entry VALUES
-// copied out of the table, so they cannot dangle into evicted storage —
-// see docs/ARCHITECTURE.md, "Layout metadata: interning, eviction,
-// footprint" for the full argument.
+// The layout cache. The paper emits one layout table per type per module
+// at compile time and never discards it; this cache builds the same
+// tables lazily and likewise keeps every one for the life of the
+// runtime. Reads are one sync.Map load; inserts are serialised by one
+// mutex, and every cached table's core is deduplicated through the
+// structural intern pool so isomorphic types are charged once — see
+// docs/ARCHITECTURE.md, "Layout metadata: interning and footprint".
 
 // Event reports what one ForStats call did, so the runtime can sink
 // footprint accounting into core.Stats without layout importing core.
 type Event struct {
 	Built    bool // a table was built (cache miss)
 	Interned bool // the built table's core matched the intern pool (shared)
-	Evicted  int  // cached identities evicted to make room
-	// BytesDelta is the net change in modelled resident bytes: new core
-	// + wrapper costs minus everything eviction released.
-	BytesDelta int64
-}
-
-const cacheShards = 16 // power of two
-
-// ringSlot is one clock-ring position: a cached identity eligible for
-// eviction.
-type ringSlot struct {
-	t  *ctypes.Type
-	tl *TypeLayout
-}
-
-type cacheShard struct {
-	m sync.Map // *ctypes.Type -> *TypeLayout; the lock-free read path
-
-	mu   sync.Mutex // guards ring, hand, and all inserts/evictions
-	ring []ringSlot
-	hand int
+	// Bytes is the modelled footprint the build made resident: the new
+	// core (zero when interned) plus the wrapper.
+	Bytes uint64
 }
 
 // Cache builds and memoises TypeLayouts. It is safe for concurrent use:
-// the runtime consults it on every type check, so the read path must not
-// serialise checkers — a hit is one sync.Map load plus an atomic
-// reference-bit store. Writers take only their shard's lock.
+// the runtime consults it on every type check that misses its check
+// caches, so a hit is one lock-free sync.Map load. Inserts take mu.
 type Cache struct {
-	capPerShard int // max cached identities per shard; 0 = unbounded
-	pool        internPool
-	shards      [cacheShards]cacheShard
+	m    sync.Map   // *ctypes.Type -> *TypeLayout
+	mu   sync.Mutex // serialises inserts; guards pool
+	pool internPool
 
-	// Cache-global footprint gauges, mirrored into core.Stats by the
-	// runtime via ForStats events. resident is a signed-delta
-	// accumulator read as int64.
+	// Footprint gauges, mirrored into core.Stats by the runtime via
+	// ForStats events.
 	resident atomic.Uint64
 	built    atomic.Uint64
 	interned atomic.Uint64
-	evicted  atomic.Uint64
 }
 
-// NewCache returns an unbounded layout cache (the historical default:
-// tables are retained for the life of the runtime).
-func NewCache() *Cache { return NewBounded(0) }
-
-// NewBounded returns a layout cache holding at most capacity cached
-// identities (rounded up to a multiple of the shard count; at least one
-// per shard). capacity <= 0 means unbounded. Evicted tables rebuild on
-// demand; detection is unaffected because tables are pure functions of
-// the type.
-func NewBounded(capacity int) *Cache {
-	c := &Cache{}
-	if capacity > 0 {
-		c.capPerShard = (capacity + cacheShards - 1) / cacheShards
-	}
-	return c
-}
-
-// shardFor picks the identity's shard. Key ids are dense and stable, so
-// the low bits spread identities evenly; the id lookup is the same
-// sync.Map load the seal path performs, kept out of the per-check hot
-// path by the runtime's inline caches.
-func (c *Cache) shardFor(t *ctypes.Type) *cacheShard {
-	return &c.shards[keyIDOf(t)&(cacheShards-1)]
-}
+// NewCache returns an empty layout cache.
+func NewCache() *Cache { return &Cache{} }
 
 // For returns the layout hash table for element type t, building it on
 // first use. In the paper the tables are emitted at compile time, one weak
@@ -108,101 +55,59 @@ func (c *Cache) For(t *ctypes.Type) *TypeLayout {
 // ForStats is For plus the footprint event the call produced (zero on a
 // cache hit).
 func (c *Cache) ForStats(t *ctypes.Type) (*TypeLayout, Event) {
-	sh := c.shardFor(t)
-	if v, ok := sh.m.Load(t); ok {
-		tl := v.(*TypeLayout)
-		tl.hot.Store(1)
-		return tl, Event{}
+	if v, ok := c.m.Load(t); ok {
+		return v.(*TypeLayout), Event{}
 	}
-	// Miss: build outside the shard lock (construction is the expensive
-	// part and is pure), then insert under it.
+	// Miss: build outside the lock (construction is the expensive part
+	// and is pure), then insert under it.
 	tl := Build(t)
-	sh.mu.Lock()
-	if v, ok := sh.m.Load(t); ok {
+	c.mu.Lock()
+	if v, ok := c.m.Load(t); ok {
 		// A concurrent checker built the same table first; keep its copy
 		// so every caller sees one canonical *TypeLayout per type. The
 		// loser's core was never interned and is dropped unreferenced.
-		sh.mu.Unlock()
-		prev := v.(*TypeLayout)
-		prev.hot.Store(1)
-		return prev, Event{}
+		c.mu.Unlock()
+		return v.(*TypeLayout), Event{}
 	}
 	canon, shared, added := c.pool.intern(tl.core)
 	tl.core = canon
-	ev := Event{Built: true, Interned: shared, BytesDelta: int64(added) + wrapperBytes}
-	if c.capPerShard > 0 && len(sh.ring) >= c.capPerShard {
-		victim := sh.clockEvict()
-		sh.m.Delete(victim.t)
-		freed := c.pool.release(victim.tl.core)
-		ev.Evicted++
-		ev.BytesDelta -= int64(freed) + wrapperBytes
-		sh.ring[sh.hand] = ringSlot{t: t, tl: tl}
-		sh.hand = (sh.hand + 1) % len(sh.ring)
-	} else {
-		sh.ring = append(sh.ring, ringSlot{t: t, tl: tl})
-	}
-	tl.hot.Store(1)
-	sh.m.Store(t, tl)
-	sh.mu.Unlock()
+	c.m.Store(t, tl)
+	c.mu.Unlock()
 
+	ev := Event{Built: true, Interned: shared, Bytes: added + wrapperBytes}
 	c.built.Add(1)
 	if shared {
 		c.interned.Add(1)
 	}
-	c.evicted.Add(uint64(ev.Evicted))
-	c.resident.Add(uint64(ev.BytesDelta))
+	c.resident.Add(ev.Bytes)
 	return tl, ev
-}
-
-// clockEvict runs the second-chance sweep on a full ring and returns the
-// victim slot (whose position sh.hand now indexes, ready for reuse).
-// Recently hit entries get their reference bit cleared and survive one
-// sweep; after at most two revolutions a cold entry is found. Caller
-// holds sh.mu.
-func (sh *cacheShard) clockEvict() ringSlot {
-	for {
-		slot := sh.ring[sh.hand]
-		if slot.tl.hot.Load() == 0 {
-			return slot
-		}
-		slot.tl.hot.Store(0)
-		sh.hand = (sh.hand + 1) % len(sh.ring)
-	}
 }
 
 // Len returns the number of memoised layouts (for tests).
 func (c *Cache) Len() int {
 	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.ring)
-		sh.mu.Unlock()
-	}
+	c.m.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
 	return n
 }
 
-// Cap returns the configured capacity (0 = unbounded), rounded to the
-// per-shard grain actually enforced.
-func (c *Cache) Cap() int {
-	return c.capPerShard * cacheShards
-}
-
-// TablesBuilt returns the number of tables constructed (cache misses,
-// including rebuilds after eviction).
+// TablesBuilt returns the number of tables constructed (cache misses).
 func (c *Cache) TablesBuilt() uint64 { return c.built.Load() }
 
 // TablesInterned returns how many built tables reused an existing
 // structural core from the intern pool.
 func (c *Cache) TablesInterned() uint64 { return c.interned.Load() }
 
-// TablesEvicted returns the number of cached identities evicted.
-func (c *Cache) TablesEvicted() uint64 { return c.evicted.Load() }
-
 // ResidentBytes returns the modelled resident footprint of the cache:
-// every pooled core charged once plus per-identity wrapper overhead.
-func (c *Cache) ResidentBytes() int64 { return int64(c.resident.Load()) }
+// every pooled core charged once plus one wrapper per cached identity.
+func (c *Cache) ResidentBytes() uint64 { return c.resident.Load() }
 
-// PoolSize returns the number of distinct structural cores currently
-// interned (for tests).
-func (c *Cache) PoolSize() int { return c.pool.size() }
+// PoolSize returns the number of distinct structural cores interned
+// (for tests).
+func (c *Cache) PoolSize() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pool.size()
+}

@@ -12,13 +12,12 @@ import (
 // This file is the structural-interning half of the layout layer: built
 // tables are sealed into immutable, compact tableCores, fingerprinted
 // over their STRUCTURE (entries, coercion keys, FAM shape, element
-// size — never the element type's identity), and deduplicated in a
-// refcounted intern pool. Thousands of layout-isomorphic types (same
-// field layout under different tags and field names, as a
-// type-explosion frontend emits) then share one core; only the thin
-// per-identity TypeLayout wrapper is distinct. See
-// docs/ARCHITECTURE.md, "Layout metadata: interning, eviction,
-// footprint".
+// size — never the element type's identity), and deduplicated in an
+// intern pool. Thousands of layout-isomorphic types (same field layout
+// under different tags and field names, as a type-explosion frontend
+// emits) then share one core; only the thin per-identity TypeLayout
+// wrapper is distinct. See docs/ARCHITECTURE.md, "Layout metadata:
+// interning and footprint".
 
 // selfKey is the sentinel substituted for the element type's OWN key
 // when a table is sealed: every table contains entries keyed by its own
@@ -136,8 +135,7 @@ type wideEntry struct {
 // tableCore is the immutable, shareable body of a layout table: the
 // whole (key, offset) -> Entry relation in two parallel sorted arrays
 // consumed by binary search — no Go map, no per-entry allocation. One
-// core may back many TypeLayout wrappers (structural interning); refs
-// counts them and is guarded by the intern pool's mutex.
+// core may back many TypeLayout wrappers (structural interning).
 type tableCore struct {
 	elemSize    int64
 	famOffset   int64
@@ -151,15 +149,13 @@ type tableCore struct {
 	wide   []wideEntry
 	fp     uint64 // structural fingerprint (intern pool hash key)
 	bytes  uint64 // modelled resident footprint of this core
-	refs   int64  // wrappers holding this core; guarded by internPool.mu
 }
 
 // Modelled footprint constants (documented in docs/ARCHITECTURE.md):
 // the core struct header, and the per-cached-identity overhead of a
-// TypeLayout wrapper plus its cache bookkeeping (index entry + clock
-// ring slot). The accounting is exact over this model — every
-// build/intern/evict event moves LayoutBytesResident by exactly the
-// modelled cost of the structures it created or dropped.
+// TypeLayout wrapper plus its cache index entry. The accounting is exact
+// over this model — every build moves LayoutBytesResident by exactly the
+// modelled cost of the structures it created.
 const (
 	coreHeaderBytes = 144
 	wrapperBytes    = 88
@@ -320,64 +316,32 @@ func seal(elem *ctypes.Type, elemSize, famOffset, famElemSize int64,
 	return c
 }
 
-// internPool deduplicates cores by structural fingerprint and
-// refcounts them, so the resident-bytes accounting charges each shared
-// core exactly once no matter how many cached identities reference it.
+// internPool deduplicates cores by structural fingerprint, so the
+// resident-bytes accounting charges each shared core exactly once no
+// matter how many cached identities reference it. The owning Cache's
+// mutex guards it.
 type internPool struct {
-	mu sync.Mutex
-	m  map[uint64][]*tableCore // fingerprint -> collision list
+	m map[uint64][]*tableCore // fingerprint -> collision list
 }
 
 // intern returns the canonical core equal to c — c itself when it is
-// new — holding one reference for the caller. shared reports whether
-// an existing core was reused; bytesAdded is the footprint newly made
-// resident (zero when shared).
+// new. shared reports whether an existing core was reused; bytesAdded
+// is the footprint newly made resident (zero when shared).
 func (p *internPool) intern(c *tableCore) (canon *tableCore, shared bool, bytesAdded uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.m == nil {
 		p.m = make(map[uint64][]*tableCore)
 	}
 	for _, cand := range p.m[c.fp] {
 		if cand.equal(c) {
-			cand.refs++
 			return cand, true, 0
 		}
 	}
-	c.refs = 1
 	p.m[c.fp] = append(p.m[c.fp], c)
 	return c, false, c.bytes
 }
 
-// release drops one reference; the last reference removes the core
-// from the pool and returns its footprint as freed.
-func (p *internPool) release(c *tableCore) (bytesFreed uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c.refs--
-	if c.refs > 0 {
-		return 0
-	}
-	list := p.m[c.fp]
-	for i, cand := range list {
-		if cand == c {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(p.m, c.fp)
-	} else {
-		p.m[c.fp] = list
-	}
-	return c.bytes
-}
-
 // size returns the number of pooled cores (tests).
 func (p *internPool) size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := 0
 	for _, list := range p.m {
 		n += len(list)

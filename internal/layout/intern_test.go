@@ -151,11 +151,11 @@ func TestCacheInternAccounting(t *testing.T) {
 	c := NewCache()
 
 	_, ev1 := c.ForStats(a)
-	if !ev1.Built || ev1.Interned || ev1.Evicted != 0 {
+	if !ev1.Built || ev1.Interned {
 		t.Fatalf("first build event = %+v, want fresh build", ev1)
 	}
 	r1 := c.ResidentBytes()
-	if want := int64(c.For(a).core.bytes) + wrapperBytes; r1 != want {
+	if want := c.For(a).core.bytes + wrapperBytes; r1 != want {
 		t.Errorf("resident after first build = %d, want core+wrapper = %d", r1, want)
 	}
 
@@ -163,8 +163,8 @@ func TestCacheInternAccounting(t *testing.T) {
 	if !ev2.Built || !ev2.Interned {
 		t.Fatalf("isomorphic build event = %+v, want interned build", ev2)
 	}
-	if ev2.BytesDelta != wrapperBytes {
-		t.Errorf("isomorphic build charged %d B, want wrapper-only %d", ev2.BytesDelta, wrapperBytes)
+	if ev2.Bytes != wrapperBytes {
+		t.Errorf("isomorphic build charged %d B, want wrapper-only %d", ev2.Bytes, wrapperBytes)
 	}
 	if c.PoolSize() != 1 {
 		t.Errorf("pool holds %d cores, want 1", c.PoolSize())
@@ -177,89 +177,64 @@ func TestCacheInternAccounting(t *testing.T) {
 	}
 }
 
-// TestBoundedEvictionRebuild: a capped cache stays within its capacity,
-// releases evicted cores from the pool, and rebuilds evicted tables
-// with identical contents on re-access.
-func TestBoundedEvictionRebuild(t *testing.T) {
-	tb := ctypes.NewTable()
-	const n = 128
-	types := make([]*ctypes.Type, n)
-	for i := range types {
-		// Four distinct extents -> four structural cores, many identities.
-		types[i] = tb.MustParse(fmt.Sprintf("struct Ev%d { long l; int v[%d]; }", i, 2+i%4))
-	}
-	c := NewBounded(16) // one slot per shard
-	for _, ty := range types {
-		c.For(ty)
-	}
-	if got, cap := c.Len(), c.Cap(); got > cap {
-		t.Fatalf("capped cache holds %d identities, cap %d", got, cap)
-	}
-	if c.TablesEvicted() == 0 {
-		t.Fatal("no evictions after overfilling a capped cache")
-	}
-	if got := c.PoolSize(); got > 4 {
-		t.Errorf("pool retains %d cores after eviction, want <= 4 live shapes", got)
-	}
-	// Every evicted table rebuilds on demand with the same contents.
-	for i, ty := range types {
-		tl := c.For(ty)
-		wantHi := int64(4) // int row width at the last element
-		k := int64(8 + 4*(1+i%4))
-		if e, ok := tl.Lookup(ctypes.Int, k); !ok || e.Hi != wantHi {
-			t.Fatalf("(%s, int, %d) = %+v ok=%v after rebuild, want Hi=4", ty, k, e, ok)
-		}
-	}
-	// Residency stays consistent with the model: never negative, and
-	// bounded by cap identities' wrappers plus the live cores.
-	if r := c.ResidentBytes(); r < 0 {
-		t.Errorf("resident bytes went negative: %d", r)
-	}
-}
-
-// TestCacheRaceStress hammers one small-capacity cache from many
-// goroutines so build, intern, hit, evict and rebuild interleave; run
-// under -race this checks the locking discipline, and the per-access
-// assertions check that concurrent eviction never yields a wrong table.
+// TestCacheRaceStress races eight goroutines into the first builds of
+// 64 layout-isomorphic types, each goroutine walking them in its own
+// order. Run under -race this checks the insert locking; the assertions
+// check that every type ends with one canonical table, that the pool
+// collapsed them to one core, and that the footprint charged that core
+// once and each identity's wrapper once.
 func TestCacheRaceStress(t *testing.T) {
 	tb := ctypes.NewTable()
-	const nTypes = 64
+	const nTypes, workers = 64, 8
 	types := make([]*ctypes.Type, nTypes)
 	for i := range types {
 		types[i] = tb.MustParse(fmt.Sprintf("struct Rs%d { long pad; int x; }", i))
 	}
-	c := NewBounded(8)
+	c := NewCache()
+	got := make([][nTypes]*TypeLayout, workers)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
-		go func(seed int) {
+		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				ty := types[(seed*31+i*7)%nTypes]
+			<-start
+			for i := 0; i < nTypes; i++ {
+				k := (g*23 + i*7) % nTypes // 7 is coprime to 64: a permutation
+				ty := types[k]
 				tl := c.For(ty)
+				got[g][k] = tl
 				if e, ok := tl.Lookup(ctypes.Int, 8); !ok || e.Lo != 0 || e.Hi != 4 {
 					t.Errorf("(%s, int, 8) = %+v ok=%v, want 0..4", ty, e, ok)
-					return
 				}
 				if e, coercion, ok := tl.Match(ty, 0); !ok || coercion != MatchExact ||
 					e.Lo != UnboundedLo {
 					t.Errorf("(%s, self, 0) match = %+v %v %v, want exact unbounded", ty, e, coercion, ok)
-					return
 				}
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
-	if got, cap := c.Len(), c.Cap(); got > cap {
-		t.Errorf("cache holds %d identities after stress, cap %d", got, cap)
+	for k, ty := range types {
+		canon := c.For(ty)
+		for g := range got {
+			if got[g][k] != canon {
+				t.Fatalf("goroutine %d got a non-canonical table for %s", g, ty)
+			}
+		}
 	}
-	// All 64 identities are one structural shape: however the eviction
-	// raced, the pool must have collapsed to a single core.
-	if got := c.PoolSize(); got != 1 {
-		t.Errorf("pool holds %d cores after stress, want 1", got)
+	if n := c.Len(); n != nTypes {
+		t.Errorf("cache holds %d identities, want %d", n, nTypes)
 	}
-	if r := c.ResidentBytes(); r < 0 {
-		t.Errorf("resident bytes went negative after stress: %d", r)
+	if n := c.PoolSize(); n != 1 {
+		t.Errorf("pool holds %d cores, want 1", n)
+	}
+	if n := c.TablesBuilt(); n != nTypes {
+		t.Errorf("TablesBuilt = %d, want %d (one per type, races dropped)", n, nTypes)
+	}
+	if r, want := c.ResidentBytes(), c.For(types[0]).core.bytes+nTypes*wrapperBytes; r != want {
+		t.Errorf("resident = %d B, want one core + %d wrappers = %d", r, nTypes, want)
 	}
 }
 
@@ -302,9 +277,9 @@ func TestSealWideFallback(t *testing.T) {
 }
 
 // BenchmarkLayoutCacheColdInsert pins the cold-insert cost of the cache:
-// every iteration inserts a never-seen identity. The pre-PR cache
-// copied the whole map per insert (O(n) per insert, O(n^2) per fill);
-// the sharded ring must keep this flat no matter how full the cache is.
+// every iteration builds, interns and inserts a never-seen identity, so
+// ns/op must stay flat however full the cache is (a copy-on-write map
+// would make each insert O(n)).
 func BenchmarkLayoutCacheColdInsert(b *testing.B) {
 	tb := ctypes.NewTable()
 	classes := [4]string{"int", "long", "double", "short"}

@@ -2,7 +2,6 @@ package layout
 
 import (
 	"math"
-	"sync/atomic"
 
 	"repro/internal/ctypes"
 )
@@ -74,9 +73,6 @@ type TypeLayout struct {
 	Norm // ElemSize, FAMOffset, FAMElemSize: how offsets normalise
 
 	core *tableCore
-	// hot is the clock-eviction reference bit, set lock-free on every
-	// cache hit and cleared by the evictor's clock hand sweep.
-	hot atomic.Uint32
 }
 
 // NumEntries returns the number of hash table entries (for tests and the

@@ -53,16 +53,7 @@ type Hooks interface {
 // metadata and no checks. It is the baseline of Figs. 8-10.
 type PlainEnv struct {
 	heap  *lowfat.Allocator
-	alloc heapHandle // allocation route: the central heap or a per-worker magazine
-}
-
-// heapHandle is the allocation interface PlainEnv routes through —
-// satisfied by both *lowfat.Allocator and *lowfat.Magazine (the same
-// split core.Runtime.HeapView threads through the EffectiveSan side).
-type heapHandle interface {
-	Alloc(size uint64) (uint64, error)
-	Free(p uint64) error
-	LegacyAlloc(size uint64) uint64
+	alloc lowfat.Heap // allocation route: the central heap, or a per-worker magazine or lane
 }
 
 // NewPlainEnv returns a plain environment over m (a fresh memory if nil).
@@ -75,15 +66,15 @@ func NewPlainEnv(m *mem.Memory) *PlainEnv {
 }
 
 // View returns a shallow copy of the environment that routes allocations
-// through the per-worker magazine mag (sharing the same central heap and
-// memory) — the uninstrumented analogue of core.Runtime.HeapView. A nil
-// mag returns the receiver unchanged.
-func (e *PlainEnv) View(mag *lowfat.Magazine) *PlainEnv {
-	if mag == nil {
+// through h, a per-worker magazine or lane over the same central heap and
+// memory — the uninstrumented analogue of core.Runtime.HeapView. A nil h
+// returns the receiver unchanged.
+func (e *PlainEnv) View(h lowfat.Heap) *PlainEnv {
+	if h == nil {
 		return e
 	}
 	cp := *e
-	cp.alloc = mag
+	cp.alloc = h
 	return &cp
 }
 

@@ -1109,7 +1109,7 @@ func (c *intrCall) compare(a, b uint64) int64 {
 // the instrument pass reserved check-site IDs for it, and an
 // EffectiveSan runtime must be attached, mirroring the effRT contract
 // of the other instrumentation ops. Aux == 0 runs the bare operation
-// (uninstrumented baselines, TypeOnly, and the NoIntrinsics ablation);
+// (uninstrumented baselines and TypeOnly);
 // either way the operation half computes identically — checks only
 // observe and report. The call reuses its nesting depth's context, so
 // steady-state calls allocate nothing.

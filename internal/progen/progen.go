@@ -87,15 +87,13 @@ type Options struct {
 	// mix (a) layout-isomorphic families (identical field layouts under
 	// distinct tags and field names, which the structural intern pool
 	// must collapse to one table core), (b) genuinely distinct shapes
-	// (bounded-extent array pairs, so per-table size stays constant and
-	// capped-cache residency is bounded independent of the count), and
+	// (bounded-extent array pairs, so per-table size stays constant), and
 	// (c) types embedding the previous named type by value (which must
 	// NOT intern: nested named records differ structurally). main heats
 	// every type each round through chunked helpers whose accesses
 	// resolve at a nonzero element offset, forcing a real layout-table
-	// build per type — under a small LayoutCacheCap each round churns
-	// the evict/rebuild path. Backs the progen-typeexplosion workload
-	// and the effbench layoutmem experiment.
+	// build per type. Backs bench's checks workload, the difftest
+	// input's eleventh byte and the sanitizers interning witness.
 	TypeExplosion int
 	// LibFaults additionally emits CONTAINED library-call faults:
 	// overlapping memcpy, strcpy overflowing an array field into its
@@ -648,8 +646,8 @@ const xHeatChunk = 64
 // offset, off the exact-match fast path, so the check resolves through
 // the layout table and forces a build — and free it. Everything is a
 // pure function of the index: no randomness, so the emitted population
-// is identical across seeds and the intern/eviction counters the
-// layoutmem experiment reads are exactly reproducible.
+// is identical across seeds and the layout build/intern counters are
+// exactly reproducible.
 func (g *gen) emitTypeExplosion(n int) {
 	kind := func(i int) int {
 		if i%5 == 4 {

@@ -217,7 +217,6 @@ func TestLibCallsSoundness(t *testing.T) {
 	tools := []*sanitizers.Tool{
 		sanitizers.ToolUninstrumented,
 		sanitizers.ToolEffectiveSan,
-		sanitizers.ToolEffectiveSan.WithoutIntrinsics().Named("EffectiveSan-nointrinsics"),
 		sanitizers.ToolEffBounds,
 		sanitizers.ToolEffType,
 	}
@@ -267,9 +266,8 @@ func TestLibCallsSoundness(t *testing.T) {
 
 // TestLibFaultsDetected: LibFaults programs carry five contained
 // library faults; full EffectiveSan must report (the difftest oracle
-// loop asserts the cross-config agreement), the operations must still
-// compute the same value as the uninstrumented run, and the
-// NoIntrinsics ablation must miss at least the overlap report.
+// loop asserts the cross-config agreement), and the operations must
+// still compute the same value as the uninstrumented run.
 func TestLibFaultsDetected(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		src := Generate(seed, Options{Types: 1, Rounds: 1, LibCalls: true, LibFaults: true})
@@ -295,14 +293,6 @@ func TestLibFaultsDetected(t *testing.T) {
 			if kinds[want] == 0 {
 				t.Errorf("seed %d: no %s reported\n%s", seed, want, full.Reporter.Log())
 			}
-		}
-		ablated := run(sanitizers.ToolEffectiveSan.WithoutIntrinsics())
-		if ablated.Value != plain.Value {
-			t.Errorf("seed %d: NoIntrinsics value %d != uninstrumented %d",
-				seed, ablated.Value, plain.Value)
-		}
-		if ablated.Reporter.IssuesByKind()[core.OverlapError] != 0 {
-			t.Errorf("seed %d: NoIntrinsics reported an overlap (ablation not ablating)", seed)
 		}
 	}
 }

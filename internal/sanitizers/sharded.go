@@ -73,8 +73,10 @@ func (r *ShardedResult) TotalBusy() time.Duration {
 // variants share a single core.Runtime (one central heap, one reporter,
 // one set of caches) with a per-worker statistics view and — unless
 // Tool.NoMagazines — a per-worker heap magazine, so steady-state
-// Alloc/Free never takes the central heap's mutex; the uninstrumented
-// baseline shares a single plain environment, magazines likewise.
+// Alloc/Free never takes the central heap's mutex (with NoMagazines, a
+// per-worker lowfat.Lane that takes it on every operation); the
+// uninstrumented baseline shares a single plain environment, with the
+// same per-worker routes.
 // Hook-based baseline sanitizers are not supported (their shadow state
 // is not thread-safe, the same reason the real tools cannot run
 // Firefox, §6.3).
@@ -135,23 +137,27 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 			defer wg.Done()
 			ws := &res.Workers[w]
 			ws.Worker = w
+			var central *lowfat.Allocator
+			if rt != nil {
+				central = rt.Heap()
+			} else {
+				central = plain.Heap()
+			}
+			var heap lowfat.Heap
+			var mag *lowfat.Magazine
+			if t.NoMagazines {
+				heap = central.NewLane()
+			} else {
+				mag = central.NewMagazine()
+				heap = mag
+			}
 			var env mir.Env
 			var sink *core.Stats
-			var mag *lowfat.Magazine
-			var view *core.Runtime
 			if rt != nil {
 				sink = &core.Stats{}
-				view = rt.StatsView(sink)
-				if !t.NoMagazines {
-					mag = rt.NewMagazine()
-					view = view.HeapView(mag)
-				}
-				env = mir.NewEffEnv(view)
-			} else if !t.NoMagazines {
-				mag = plain.Heap().NewMagazine()
-				env = plain.View(mag)
+				env = mir.NewEffEnv(rt.StatsView(sink).HeapView(heap))
 			} else {
-				env = plain
+				env = plain.View(heap)
 			}
 			in, err := mir.New(runee, mir.Options{Env: env, Out: out, NoValidate: true})
 			if err != nil {

@@ -43,26 +43,18 @@ type Tool struct {
 	// provenance in the elision lattice — leaving check removal on (the
 	// "no-motion" Fig. 8 ablation) — instrument.Options.NoCheckMotion.
 	NoCheckMotion bool
-	// NoIntrinsics leaves libc intrinsic calls unchecked — the
-	// interpreter still runs the operations, but without the
-	// bounds/overlap/NUL-scan introspection (the library-boundary
-	// ablation) — instrument.Options.NoIntrinsics.
-	NoIntrinsics bool
 	// NoStaticElision disables the interprocedural static safety
 	// analysis, so no check is deleted by compile-time proof alone (the
 	// "no-static" Fig. 8 ablation) —
 	// instrument.Options.NoStaticElision.
 	NoStaticElision bool
-	// LayoutCacheCap bounds the number of resident layout tables (clock
-	// eviction, rebuild on demand; 0 = unbounded) —
-	// core.Options.LayoutCacheCap. Any cap is detection-identical; small
-	// caps stress the evict/rebuild path.
-	LayoutCacheCap int
 	// NoMagazines makes sharded workers allocate directly from the
-	// shared central heap instead of through per-worker magazines (the
-	// serialized-allocator ablation for the alloc-heavy Fig. 10 row).
-	// Single-threaded Exec never uses magazines, so the knob only
-	// affects ExecSharded / Threads > 1.
+	// shared central heap, through per-worker lanes (lowfat.Lane: the
+	// central mutex on every operation, fresh slots in per-worker runs),
+	// instead of through per-worker magazines (the serialized-allocator
+	// ablation for the alloc-heavy Fig. 10 row). Single-threaded Exec
+	// never uses magazines, so the knob only affects ExecSharded /
+	// Threads > 1.
 	NoMagazines bool
 	// Threads > 1 makes Exec run the entry once per worker goroutine
 	// against one shared runtime (the §6.1 multi-threaded mode; see
@@ -126,16 +118,6 @@ func (t *Tool) WithoutMagazines() *Tool {
 	return &cp
 }
 
-// WithoutIntrinsics returns a copy of the tool with libc intrinsic
-// introspection disabled — intrinsic calls execute bare, so detection
-// at library boundaries degrades to whatever the surrounding raw-access
-// checks see (the library-boundary ablation).
-func (t *Tool) WithoutIntrinsics() *Tool {
-	cp := *t
-	cp.NoIntrinsics = true
-	return &cp
-}
-
 // WithoutStaticElision returns a copy of the tool with the
 // interprocedural static safety pass disabled: every check a
 // compile-time proof would have deleted stays in the program (the
@@ -144,16 +126,6 @@ func (t *Tool) WithoutIntrinsics() *Tool {
 func (t *Tool) WithoutStaticElision() *Tool {
 	cp := *t
 	cp.NoStaticElision = true
-	return &cp
-}
-
-// WithLayoutCacheCap returns a copy of the tool with a bound on resident
-// layout tables (0 = unbounded). Evicted tables rebuild on demand —
-// tables are pure functions of the type — so detection is identical at
-// any cap; only build/evict counters and the resident-bytes gauge move.
-func (t *Tool) WithLayoutCacheCap(n int) *Tool {
-	cp := *t
-	cp.LayoutCacheCap = n
 	return &cp
 }
 
@@ -181,7 +153,6 @@ func (t *Tool) InstrumentOptions(entry string) instrument.Options {
 		Variant:         t.Variant,
 		NoOptimize:      t.NoOptimize,
 		NoCheckMotion:   t.NoCheckMotion,
-		NoIntrinsics:    t.NoIntrinsics,
 		NoStaticElision: t.NoStaticElision,
 		StaticEntry:     entry,
 	}
@@ -197,7 +168,6 @@ func (t *Tool) RuntimeOptions(types *ctypes.Table) core.Options {
 		Quarantine:     t.Quarantine,
 		CheckCacheSize: t.CheckCache,
 		NoInlineCache:  t.NoInlineCache,
-		LayoutCacheCap: t.LayoutCacheCap,
 	}
 }
 

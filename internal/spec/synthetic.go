@@ -98,8 +98,8 @@ func AllocHeavy() *Benchmark {
 // memset/memcpy/memmove walks, strcpy/strncpy/strlen over terminated
 // buffers and qsort re-entering the interpreter through its comparator.
 // It is kept out of Synthetic() — it prices the intrinsic introspection
-// layer (compare against WithoutIntrinsics), not the check optimiser, so
-// it joins the effbench ablations instead of the Fig. 8 bars.
+// layer, not the check optimiser, so it joins the effbench ablations
+// instead of the Fig. 8 bars.
 func LibCalls() *Benchmark {
 	return &Benchmark{
 		Name: "progen-libcalls",
@@ -110,31 +110,10 @@ func LibCalls() *Benchmark {
 	}
 }
 
-// TypeExplosion returns the type-population stress workload at the
-// default size (2048 generated struct shapes; progen.Options
-// .TypeExplosion documents the isomorphic/distinct/nested shape mix).
-// It is kept out of Synthetic() — it prices the layout-metadata layer
-// (interning, bounded eviction, footprint; the effbench layoutmem
-// experiment), not the check optimiser, so the Fig. 8 rows are
-// unchanged by its existence.
-func TypeExplosion() *Benchmark { return TypeExplosionN(2048) }
-
-// TypeExplosionN is TypeExplosion with an explicit shape count, for
-// tests that compare residency growth across population sizes.
-func TypeExplosionN(n int) *Benchmark {
-	return &Benchmark{
-		Name: "progen-typeexplosion",
-		Source: progen.Generate(71, progen.Options{
-			Types: 1, Funcs: 1, Rounds: 3, TypeExplosion: n,
-		}),
-		Entry: "main",
-	}
-}
-
 // SyntheticByName returns the named synthetic workload (including the
-// alloc-heavy, libcalls and typeexplosion ones), or nil.
+// alloc-heavy and libcalls ones), or nil.
 func SyntheticByName(name string) *Benchmark {
-	for _, b := range append(Synthetic(), AllocHeavy(), LibCalls(), TypeExplosion()) {
+	for _, b := range append(Synthetic(), AllocHeavy(), LibCalls()) {
 		if b.Name == name {
 			return b
 		}
