@@ -393,8 +393,9 @@ int main() {
 		{"no-quarantine", 0},
 		{"quarantine-1MiB", 1 << 20},
 	} {
-		tool := &sanitizers.Tool{Name: cfg.name,
-			Variant: instrument.Full, Quarantine: cfg.quarantine}
+		tool := *sanitizers.ToolEffectiveSan
+		tool.Name = cfg.name
+		tool.Runtime.Quarantine = cfg.quarantine
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := tool.Exec(prog, "main", io.Discard); err != nil {

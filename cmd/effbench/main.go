@@ -34,9 +34,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 
 	"repro/internal/difftest"
 	"repro/internal/harness"
@@ -96,136 +98,187 @@ type fig10JSON struct {
 // oversubscription, not the runtime.
 func defaultThreads(numCPU int) int { return max(1, min(16, numCPU)) }
 
+// options holds the flags the experiments read.
+type options struct {
+	seed                 int64
+	repeat, threads      int
+	jobs                 int
+	allocHeavy           bool
+	jsonPath, json10Path string
+}
+
+// experiment is one -experiment name and what it runs.
+type experiment struct {
+	name string
+	// solo experiments run only when named, never under "all": difftest
+	// is a pass/fail correctness harness over the whole configuration
+	// matrix, not a figure, and "all" regenerates exactly the paper's
+	// evaluation artifacts.
+	solo bool
+	run  func(*options) error
+}
+
+// experiments is the one list of -experiment names, in the order "all"
+// runs them.
+var experiments = []experiment{
+	{name: "fig1", run: table(harness.Fig1)},
+	{name: "fig7", run: table(harness.Fig7)},
+	{name: "fig8", run: runFig8},
+	{name: "fig9", run: table(harness.Fig9)},
+	{name: "fig10", run: runFig10},
+	{name: "tools", run: func(*options) error {
+		_, err := harness.ToolComparison(os.Stdout, nil)
+		return err
+	}},
+	{name: "difftest", solo: true, run: func(o *options) error { return runDifftest(o.seed) }},
+}
+
+// table runs a harness figure that only prints its table.
+func table[R any](fig func(io.Writer) (R, error)) func(*options) error {
+	return func(*options) error {
+		_, err := fig(os.Stdout)
+		return err
+	}
+}
+
+// experimentUsage is the -experiment help text, read off experiments.
+func experimentUsage() string {
+	var all, solo []string
+	for _, e := range experiments {
+		if e.solo {
+			solo = append(solo, e.name)
+		} else {
+			all = append(all, e.name)
+		}
+	}
+	return fmt.Sprintf("which experiment to run: %s, all (every one of those), or %s (not part of all)",
+		strings.Join(all, ", "), strings.Join(solo, ", "))
+}
+
+// selectExperiments returns the experiments -experiment name runs, or
+// an error for a name experiments does not list.
+func selectExperiments(name string) ([]experiment, error) {
+	var out []experiment
+	for _, e := range experiments {
+		if e.name == name || (name == "all" && !e.solo) {
+			out = append(out, e)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q", name)
+	}
+	return out, nil
+}
+
 func main() {
-	experiment := flag.String("experiment", "all",
-		"which experiment to run: fig1, fig7, fig8, fig9, fig10, tools, all, "+
-			"or difftest (the differential oracle loop; not part of all)")
-	seed := flag.Int64("seed", 1,
+	var o options
+	experiment := flag.String("experiment", "all", experimentUsage())
+	flag.Int64Var(&o.seed, "seed", 1,
 		"base progen seed for the difftest experiment's generated programs")
-	repeat := flag.Int("repeat", 3, "timing repetitions (best-of) for fig8")
-	threads := flag.Int("threads", defaultThreads(runtime.NumCPU()),
+	flag.IntVar(&o.repeat, "repeat", 3, "timing repetitions (best-of) for fig8")
+	flag.IntVar(&o.threads, "threads", defaultThreads(runtime.NumCPU()),
 		"top of the fig10 scalability thread curve (measures 1,2,4,... up to N); "+
 			"defaults to 16 or the CPU count, whichever is smaller")
-	jobs := flag.Int("jobs", 16,
+	flag.IntVar(&o.jobs, "jobs", 16,
 		"jobs per workload per fig10 scalability point")
-	allocHeavy := flag.Bool("alloc-heavy", true,
+	flag.BoolVar(&o.allocHeavy, "alloc-heavy", true,
 		"include the fig10 alloc-heavy row (per-worker heap magazines vs the locked central heap)")
-	jsonPath := flag.String("json", "",
+	flag.StringVar(&o.jsonPath, "json", "",
 		"also write the fig8 series as JSON to this path (requires fig8 to run)")
-	json10Path := flag.String("json-fig10", "",
+	flag.StringVar(&o.json10Path, "json-fig10", "",
 		"also write the fig10 series as JSON to this path (requires fig10 to run)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a memory (allocation) profile to this file at exit")
 	flag.Parse()
 
-	var err error
+	selected, err := selectExperiments(*experiment)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "effbench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if stopProfiles, err = profiling.Start("effbench", *cpuProfile, *memProfile); err != nil {
 		fmt.Fprintf(os.Stderr, "effbench: %v\n", err)
 		os.Exit(1)
 	}
 	defer stopProfiles()
 
-	// The differential oracle loop is deliberately NOT part of
-	// -experiment all: it is a pass/fail correctness harness over the
-	// whole configuration matrix, not a figure, and "all" must keep
-	// regenerating exactly the paper's evaluation artifacts.
-	if *experiment == "difftest" {
-		if err := runDifftest(*seed); err != nil {
-			fmt.Fprintf(os.Stderr, "effbench: difftest: %v\n", err)
-			exit(1)
-		}
-		return
-	}
-
-	run := func(name string, f func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "effbench: %s: %v\n", name, err)
+	for _, e := range selected {
+		if err := e.run(&o); err != nil {
+			fmt.Fprintf(os.Stderr, "effbench: %s: %v\n", e.name, err)
 			exit(1)
 		}
 		fmt.Println()
 	}
+}
 
-	run("fig1", func() error {
-		_, err := harness.Fig1(os.Stdout)
+// runFig8 is the fig8 experiment: the timings table, and with -json the
+// series as JSON.
+func runFig8(o *options) error {
+	rows, err := harness.Fig8(os.Stdout, o.repeat)
+	if err != nil || o.jsonPath == "" {
 		return err
-	})
-	run("fig7", func() error {
-		_, err := harness.Fig7(os.Stdout)
-		return err
-	})
-	run("fig8", func() error {
-		rows, err := harness.Fig8(os.Stdout, *repeat)
-		if err != nil || *jsonPath == "" {
-			return err
-		}
-		out := fig8JSON{Experiment: "fig8", Rows: rows, GoMaxProcs: runtime.GOMAXPROCS(0),
-			GeomeanOverhead: map[string]float64{}, CostOverhead: map[string]float64{}}
-		if out.GoMaxProcs == 1 {
-			out.Caveat = "timings measured with GOMAXPROCS=1: scheduling noise " +
-				"and timer resolution dominate the cheap ablation gaps, so " +
-				"read only the large-overhead orderings (the cost columns " +
-				"are deterministic)"
-			fmt.Fprintf(os.Stderr, "effbench: warning: %s\n", out.Caveat)
-		}
-		// Derive the instrumented configurations from the rows themselves,
-		// so added or renamed Fig. 8 bars flow into the JSON automatically.
-		if len(rows) > 0 {
-			for cfg := range rows[0].Seconds {
-				if cfg != "Uninstrumented" {
-					out.GeomeanOverhead[cfg] = harness.OverheadGeomean(rows, cfg)
-					out.CostOverhead[cfg] = harness.CostOverheadGeomean(rows, cfg)
-				}
+	}
+	out := fig8JSON{Experiment: "fig8", Rows: rows, GoMaxProcs: runtime.GOMAXPROCS(0),
+		GeomeanOverhead: map[string]float64{}, CostOverhead: map[string]float64{}}
+	if out.GoMaxProcs == 1 {
+		out.Caveat = "timings measured with GOMAXPROCS=1: scheduling noise " +
+			"and timer resolution dominate the cheap ablation gaps, so " +
+			"read only the large-overhead orderings (the cost columns " +
+			"are deterministic)"
+		fmt.Fprintf(os.Stderr, "effbench: warning: %s\n", out.Caveat)
+	}
+	// Derive the instrumented configurations from the rows themselves,
+	// so added or renamed Fig. 8 bars flow into the JSON automatically.
+	if len(rows) > 0 {
+		for cfg := range rows[0].Seconds {
+			if cfg != "Uninstrumented" {
+				out.GeomeanOverhead[cfg] = harness.OverheadGeomean(rows, cfg)
+				out.CostOverhead[cfg] = harness.CostOverheadGeomean(rows, cfg)
 			}
 		}
-		return writeJSON(*jsonPath, out)
-	})
-	run("fig9", func() error {
-		_, err := harness.Fig9(os.Stdout)
+	}
+	return writeJSON(o.jsonPath, out)
+}
+
+// runFig10 is the fig10 experiment: the browser bars, the scalability
+// curve, the alloc-heavy row unless -alloc-heavy=false, and with
+// -json-fig10 the series as JSON.
+func runFig10(o *options) error {
+	browser, err := harness.Fig10(os.Stdout)
+	if err != nil {
 		return err
-	})
-	run("fig10", func() error {
-		browser, err := harness.Fig10(os.Stdout)
-		if err != nil {
-			return err
-		}
+	}
+	fmt.Println()
+	curve := harness.ThreadCurve(o.threads)
+	caveat := ""
+	if runtime.GOMAXPROCS(0) == 1 {
+		caveat = "scaling rows measured with GOMAXPROCS=1: all workers " +
+			"share one core, so flat speedup curves are expected — in " +
+			"the SPEC scaling rows and the alloc-heavy magazine rows " +
+			"alike — and say nothing about the runtime's scalability"
+		fmt.Fprintf(os.Stderr, "effbench: warning: %s\n", caveat)
+	}
+	workloads := harness.Fig10ScalingWorkloads()
+	scaling, err := harness.Fig10Scaling(os.Stdout, curve, o.jobs, workloads)
+	if err != nil {
+		return err
+	}
+	var alloc []harness.AllocHeavyRow
+	if o.allocHeavy {
 		fmt.Println()
-		curve := harness.ThreadCurve(*threads)
-		caveat := ""
-		if runtime.GOMAXPROCS(0) == 1 {
-			caveat = "scaling rows measured with GOMAXPROCS=1: all workers " +
-				"share one core, so flat speedup curves are expected — in " +
-				"the SPEC scaling rows and the alloc-heavy magazine rows " +
-				"alike — and say nothing about the runtime's scalability"
-			fmt.Fprintf(os.Stderr, "effbench: warning: %s\n", caveat)
-		}
-		workloads := harness.Fig10ScalingWorkloads()
-		scaling, err := harness.Fig10Scaling(os.Stdout, curve, *jobs, workloads)
-		if err != nil {
+		if alloc, err = harness.Fig10AllocHeavy(os.Stdout, curve, o.jobs); err != nil {
 			return err
 		}
-		var alloc []harness.AllocHeavyRow
-		if *allocHeavy {
-			fmt.Println()
-			if alloc, err = harness.Fig10AllocHeavy(os.Stdout, curve, *jobs); err != nil {
-				return err
-			}
-		}
-		if *json10Path == "" {
-			return nil
-		}
-		return writeJSON(*json10Path, fig10JSON{
-			Experiment: "fig10", Threads: curve, Jobs: *jobs,
-			GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-			Workloads: workloads, Browser: browser, Scaling: scaling,
-			AllocScaling: alloc, Caveat: caveat,
-		})
-	})
-	run("tools", func() error {
-		_, err := harness.ToolComparison(os.Stdout, nil)
-		return err
+	}
+	if o.json10Path == "" {
+		return nil
+	}
+	return writeJSON(o.json10Path, fig10JSON{
+		Experiment: "fig10", Threads: curve, Jobs: o.jobs,
+		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
+		Workloads: workloads, Browser: browser, Scaling: scaling,
+		AllocScaling: alloc, Caveat: caveat,
 	})
 }
 

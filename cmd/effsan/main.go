@@ -72,44 +72,53 @@ func main() {
 		exit(runWarnStatic(prog, *entry, os.Stdout))
 	}
 
-	var cfg *sanitizers.Tool
-	switch {
-	case *tool != "":
-		for _, t := range sanitizers.Baselines() {
-			if t.Name == *tool {
-				cfg = t
-			}
-		}
-		if cfg == nil {
-			fatal(fmt.Errorf("unknown tool %q (see sanitizers.Baselines)", *tool))
-		}
-	default:
-		v := map[string]instrument.Variant{
-			"full": instrument.Full, "bounds": instrument.BoundsOnly,
-			"type": instrument.TypeOnly, "none": instrument.None,
-		}
-		var ok bool
-		variantV, ok := v[*variant]
-		if !ok {
-			fatal(fmt.Errorf("unknown variant %q", *variant))
-		}
-		cfg = &sanitizers.Tool{Name: "EffectiveSan-" + *variant, Variant: variantV,
-			Quarantine: *quarantine}
-	}
-
-	// Rebuild the EffectiveSan path by hand when abort-after is wanted,
-	// since Tool.Exec always logs without stopping.
-	if *abortAfter > 0 {
-		runWithAbort(prog, cfg, *entry, *abortAfter, *stats)
-		exit(0)
-	}
-
-	res, err := cfg.Exec(prog, *entry, os.Stdout)
+	cfg, err := newTool(*tool, *variant, *quarantine, *abortAfter)
 	if err != nil {
 		fatal(err)
 	}
-	report(res.Reporter, res.Stats, res.Value, *stats)
+	if err := run(os.Stdout, os.Stderr, prog, cfg, *entry, *stats); err != nil {
+		fatal(err)
+	}
 	exit(0)
+}
+
+// newTool returns the configuration the flags select: the baseline
+// named by -tool, or else the EffectiveSan -variant with the -quarantine
+// and -abort runtime settings.
+func newTool(tool, variant string, quarantine, abortAfter uint64) (*sanitizers.Tool, error) {
+	if tool != "" {
+		for _, t := range sanitizers.Baselines() {
+			if t.Name == tool {
+				return t, nil
+			}
+		}
+		return nil, fmt.Errorf("unknown tool %q (see sanitizers.Baselines)", tool)
+	}
+	v, ok := map[string]instrument.Variant{
+		"full": instrument.Full, "bounds": instrument.BoundsOnly,
+		"type": instrument.TypeOnly, "none": instrument.None,
+	}[variant]
+	if !ok {
+		return nil, fmt.Errorf("unknown variant %q", variant)
+	}
+	return &sanitizers.Tool{Name: "EffectiveSan-" + variant,
+		Instrument: instrument.Options{Variant: v},
+		Runtime:    core.Options{Quarantine: quarantine, AbortAfter: abortAfter}}, nil
+}
+
+// run executes prog's entry under cfg, with the program's output and
+// then the report on w. A run that -abort stopped still reports what it
+// found, after the abort on errw; any other run error is returned.
+func run(w, errw io.Writer, prog *mir.Program, cfg *sanitizers.Tool, entry string, stats bool) error {
+	res, err := cfg.Exec(prog, entry, w)
+	if err != nil {
+		if res == nil {
+			return err
+		}
+		fmt.Fprintf(errw, "effsan: %v\n", err)
+	}
+	report(w, res.Reporter, res.Stats, res.Value, stats)
+	return nil
 }
 
 // checkFlags rejects the argument combinations flag.Parse accepts but
@@ -171,47 +180,29 @@ func runWarnStatic(prog *mir.Program, entry string, w io.Writer) int {
 	return 1
 }
 
-// runWithAbort runs prog under the EffectiveSan tool cfg with a runtime
-// that aborts after abortAfter errors.
-func runWithAbort(prog *mir.Program, cfg *sanitizers.Tool, entry string, abortAfter uint64, stats bool) {
-	ip, _ := instrument.Instrument(prog, cfg.InstrumentOptions(entry))
-	opts := cfg.RuntimeOptions(prog.Types)
-	opts.AbortAfter = abortAfter
-	rt := core.NewRuntime(opts)
-	in, err := mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt), Out: os.Stdout})
-	if err != nil {
-		fatal(err)
-	}
-	val, err := in.Run(entry)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "effsan: %v\n", err)
-	}
-	report(rt.Reporter, rt.Stats(), val, stats)
-}
-
-func report(rep *core.Reporter, st core.StatsSnapshot, val uint64, stats bool) {
-	fmt.Printf("exit value: %d\n", int64(val))
+func report(w io.Writer, rep *core.Reporter, st core.StatsSnapshot, val uint64, stats bool) {
+	fmt.Fprintf(w, "exit value: %d\n", int64(val))
 	if n := rep.NumIssues(); n > 0 {
-		fmt.Printf("--- %d distinct issue(s), %d error event(s) ---\n", n, rep.Total())
-		fmt.Print(rep.Log())
+		fmt.Fprintf(w, "--- %d distinct issue(s), %d error event(s) ---\n", n, rep.Total())
+		fmt.Fprint(w, rep.Log())
 	} else if rep.Total() > 0 {
-		fmt.Printf("--- %d error event(s) (counting mode) ---\n", rep.Total())
+		fmt.Fprintf(w, "--- %d error event(s) (counting mode) ---\n", rep.Total())
 	} else {
-		fmt.Println("no type or memory errors detected")
+		fmt.Fprintln(w, "no type or memory errors detected")
 	}
 	if stats {
-		fmt.Printf("type checks:    %d (legacy %.2f%%, null %d)\n",
+		fmt.Fprintf(w, "type checks:    %d (legacy %.2f%%, null %d)\n",
 			st.TypeChecks, st.LegacyRatio()*100, st.NullTypeChecks)
-		fmt.Printf("bounds checks:  %d\n", st.BoundsChecks)
-		fmt.Printf("bounds narrows: %d\n", st.BoundsNarrows)
-		fmt.Printf("coercions:      char %d, void* %d\n", st.CharCoercions, st.VoidPtrCoercions)
-		fmt.Printf("check cache:    fast-path %d, inline %d/%d (hit-rate %.1f%%), shared %d/%d (hit-rate %.1f%%), layout matches %d\n",
+		fmt.Fprintf(w, "bounds checks:  %d\n", st.BoundsChecks)
+		fmt.Fprintf(w, "bounds narrows: %d\n", st.BoundsNarrows)
+		fmt.Fprintf(w, "coercions:      char %d, void* %d\n", st.CharCoercions, st.VoidPtrCoercions)
+		fmt.Fprintf(w, "check cache:    fast-path %d, inline %d/%d (hit-rate %.1f%%), shared %d/%d (hit-rate %.1f%%), layout matches %d\n",
 			st.CheckFastPath,
 			st.InlineCacheHits, st.InlineCacheHits+st.InlineCacheMisses,
 			st.InlineCacheHitRate()*100,
 			st.CheckCacheHits, st.CheckCacheHits+st.CheckCacheMisses,
 			st.CheckCacheHitRate()*100, st.LayoutMatches)
-		fmt.Printf("allocations:    heap %d, stack %d, global %d; frees %d\n",
+		fmt.Fprintf(w, "allocations:    heap %d, stack %d, global %d; frees %d\n",
 			st.HeapAllocs, st.StackAllocs, st.GlobalAllocs, st.Frees)
 	}
 }

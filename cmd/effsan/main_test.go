@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/bugsuite"
+	"repro/internal/cc"
 	"repro/internal/core"
+	"repro/internal/ctypes"
 	"repro/internal/sanitizers"
 )
 
@@ -133,6 +135,53 @@ func TestCheckFlags(t *testing.T) {
 		err := checkFlags(c.nargs, c.tool, c.abortAfter)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: checkFlags = %v, want error %v", c.name, err, c.wantErr)
+		}
+	}
+}
+
+// TestAbortReportsOneEvent drives -abort through Tool.Exec: on a program
+// with two errors, -abort 1 stops at the first, names the abort on the
+// error stream and still reports the one event it found; without -abort
+// both are reported.
+func TestAbortReportsOneEvent(t *testing.T) {
+	const src = `
+struct S { int a; };
+struct T { float f; };
+
+int main() {
+    int *p = malloc(4 * sizeof(int));
+    p[4] = 1;
+    struct S *s = new struct S;
+    struct T *q = (struct T *)s;
+    q->f = 1.0;
+    free(p);
+    return 0;
+}`
+	for _, c := range []struct {
+		abortAfter uint64
+		events     string
+		aborted    bool
+	}{
+		{0, "2 error event(s)", false},
+		{1, "1 error event(s)", true},
+	} {
+		prog, err := cc.Compile(src, ctypes.NewTable())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := newTool("", "full", 0, c.abortAfter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut strings.Builder
+		if err := run(&out, &errOut, prog, cfg, "main", false); err != nil {
+			t.Fatalf("-abort %d: %v", c.abortAfter, err)
+		}
+		if !strings.Contains(out.String(), c.events) {
+			t.Errorf("-abort %d: report lacks %q:\n%s", c.abortAfter, c.events, out.String())
+		}
+		if got := strings.Contains(errOut.String(), "aborting after 1 errors"); got != c.aborted {
+			t.Errorf("-abort %d: abort message %v, want %v (stderr %q)", c.abortAfter, got, c.aborted, errOut.String())
 		}
 	}
 }

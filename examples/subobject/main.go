@@ -51,9 +51,8 @@ func main() {
 			return sanitizers.NewASan()
 		}},
 	} {
-		// Each Exec compiles state fresh, so runs are independent.
-		p, _ := cc.Compile(src, ctypes.NewTable())
-		res, err := tool.Exec(p, "main", os.Stdout)
+		// Each Exec builds a fresh environment, so runs are independent.
+		res, err := tool.Exec(prog, "main", os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -66,5 +65,4 @@ func main() {
 			fmt.Println("missed (overflow stays inside the allocation)")
 		}
 	}
-	_ = prog
 }

@@ -89,8 +89,9 @@ func main() {
 	// immediately, so the dangling use still sees FREE.
 	fmt.Println("\nwith a 1 MiB quarantine (delayed reuse):")
 	prog, _ := cc.Compile(cases[3].src, ctypes.NewTable())
-	q := &sanitizers.Tool{Name: "EffectiveSan+quarantine",
-		Variant: sanitizers.ToolEffectiveSan.Variant, Quarantine: 1 << 20}
+	q := *sanitizers.ToolEffectiveSan
+	q.Name = "EffectiveSan+quarantine"
+	q.Runtime.Quarantine = 1 << 20
 	res, err := q.Exec(prog, "main", io.Discard)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -49,7 +49,7 @@ const oracleQuarantine = 1 << 28
 
 func fullTool() *sanitizers.Tool {
 	cp := *sanitizers.ToolEffectiveSan
-	cp.Quarantine = oracleQuarantine
+	cp.Runtime.Quarantine = oracleQuarantine
 	return &cp
 }
 
@@ -62,29 +62,26 @@ type Config struct {
 	Threads int
 }
 
-// Matrix returns the differential matrix, oracle first. All entries are
-// Full-variant (detection capability identical by construction); the
-// ablations differ only in how checks are elided, moved, cached, and on
-// how many workers they run.
+// Matrix returns the differential matrix, oracle first, then one cell
+// per sanitizers.Ablations row on the oracle's quarantine, then the
+// sharded pool. All entries are Full-variant (detection capability
+// identical by construction); the cells differ only in how checks are
+// elided, moved, cached, and on how many workers they run. The
+// no-static cell is the static analysis' soundness witness: anything a
+// check it deleted would have reported is a disagreement.
 func Matrix() []Config {
 	full := fullTool()
-	return []Config{
-		{Name: "oracle", Tool: full},
-		{Name: "no-opt", Tool: full.WithoutOptimizations()},
-		{Name: "uncached", Tool: full.Uncached()},
-		{Name: "no-inline", Tool: full.WithoutInlineCache()},
-		{Name: "no-motion", Tool: full.WithoutCheckMotion()},
-		// The static-elision ablation: the interprocedural safety
-		// analysis deletes provably-redundant checks at compile time, so
-		// running with it off must detect exactly the same buckets —
-		// anything a deleted check would have reported is a
-		// disagreement, i.e. an unsound verdict.
-		{Name: "no-static", Tool: full.WithoutStaticElision()},
-		{Name: "sharded-2", Tool: full, Threads: 2},
-		{Name: "sharded-4", Tool: full, Threads: 4},
-		{Name: "sharded-8", Tool: full, Threads: 8},
-		{Name: "sharded-4-no-magazines", Tool: full.WithoutMagazines(), Threads: 4},
+	cfgs := []Config{{Name: "oracle", Tool: full}}
+	for _, a := range sanitizers.Ablations() {
+		cfgs = append(cfgs, Config{Name: a.Short, Tool: a.On(full)})
 	}
+	noMag := *full
+	noMag.NoMagazines = true
+	return append(cfgs,
+		Config{Name: "sharded-2", Tool: full, Threads: 2},
+		Config{Name: "sharded-4", Tool: full, Threads: 4},
+		Config{Name: "sharded-8", Tool: full, Threads: 8},
+		Config{Name: "sharded-4-no-magazines", Tool: &noMag, Threads: 4})
 }
 
 // Signature renders the reporter's distinct issue buckets as a sorted,

@@ -22,12 +22,14 @@ import (
 // AllocHeavyConfigs returns the two configurations of the alloc-heavy
 // row: full EffectiveSan with per-worker magazines (the default sharded
 // mode) and the same tool allocating straight from the locked central
-// heap (Tool.WithoutMagazines — the serialized-allocator ablation).
+// heap (Tool.NoMagazines — the serialized-allocator ablation).
 func AllocHeavyConfigs() []*sanitizers.Tool {
-	return []*sanitizers.Tool{
-		sanitizers.ToolEffectiveSan.Counting().Named("EffectiveSan-magazines"),
-		sanitizers.ToolEffectiveSan.Counting().WithoutMagazines().Named("EffectiveSan-nomagazines"),
-	}
+	mag := *sanitizers.ToolEffectiveSan.Counting()
+	mag.Name = "EffectiveSan-magazines"
+	noMag := mag
+	noMag.Name = "EffectiveSan-nomagazines"
+	noMag.NoMagazines = true
+	return []*sanitizers.Tool{&mag, &noMag}
 }
 
 // AllocHeavyRow is one point of the alloc-heavy series. It reuses the

@@ -173,27 +173,21 @@ type fig8Config struct {
 
 // fig8Configs returns the nine bars of Fig. 8, run in counting mode
 // like the paper's performance measurements: the paper's four
-// (uninstrumented and the three instrumentation variants) plus the §5.3
-// and §6.2 ablations the bench_test series already measures — no
-// instrumentation optimisations, no check caching at all, no per-site
-// inline caches, no check motion (hoisting, PRE and value-numbered
-// provenance off; prices what moving checks buys over removing them,
-// most visibly on the progen-loop and progen-temp rows) and no static
-// elision (the interprocedural abstract interpretation that deletes
-// provably-in-bounds checks before the dynamic passes run, most visible
-// on the progen-staticsafe row).
+// (uninstrumented and the three instrumentation variants) with the
+// sanitizers.Ablations table between full EffectiveSan and the two
+// reduced variants.
 func fig8Configs() []fig8Config {
-	return []fig8Config{
+	full := sanitizers.ToolEffectiveSan.Counting()
+	cfgs := []fig8Config{
 		{sanitizers.ToolUninstrumented, "uninstr"},
-		{sanitizers.ToolEffectiveSan.Counting(), "effsan"},
-		{sanitizers.ToolEffectiveSan.Counting().WithoutOptimizations().Named("EffectiveSan-noopt"), "no-opt"},
-		{sanitizers.ToolEffectiveSan.Counting().Uncached().Named("EffectiveSan-nocache"), "nocache"},
-		{sanitizers.ToolEffectiveSan.Counting().WithoutInlineCache().Named("EffectiveSan-noinline"), "no-inline"},
-		{sanitizers.ToolEffectiveSan.Counting().WithoutCheckMotion().Named("EffectiveSan-nomotion"), "no-motion"},
-		{sanitizers.ToolEffectiveSan.Counting().WithoutStaticElision().Named("EffectiveSan-nostatic"), "no-static"},
-		{sanitizers.ToolEffBounds.Counting(), "bounds"},
-		{sanitizers.ToolEffType.Counting(), "type"},
+		{full, "effsan"},
 	}
+	for _, a := range sanitizers.Ablations() {
+		cfgs = append(cfgs, fig8Config{a.On(full), a.Short})
+	}
+	return append(cfgs,
+		fig8Config{sanitizers.ToolEffBounds.Counting(), "bounds"},
+		fig8Config{sanitizers.ToolEffType.Counting(), "type"})
 }
 
 // Fig8BarNames returns the full configuration names keying the Seconds

@@ -68,17 +68,18 @@ func ThreadCurve(max int) []int {
 	return out
 }
 
-// fig10ScalingConfigs returns the two curve configurations: full
-// EffectiveSan and the no-inline-cache ablation, both in counting mode
-// like every performance run. Under contention the per-site inline
-// caches are the interesting knob — a hit avoids the shared memo table
-// entirely, so the gap between the two curves is the contention the
-// inline level absorbs.
+// fig10ScalingConfigs returns the curve configurations: full
+// EffectiveSan and every ablation the sanitizers.Ablations table marks
+// Scaling, all in counting mode like every performance run.
 func fig10ScalingConfigs() []*sanitizers.Tool {
-	return []*sanitizers.Tool{
-		sanitizers.ToolEffectiveSan.Counting(),
-		sanitizers.ToolEffectiveSan.Counting().WithoutInlineCache().Named("EffectiveSan-noinline"),
+	full := sanitizers.ToolEffectiveSan.Counting()
+	tools := []*sanitizers.Tool{full}
+	for _, a := range sanitizers.Ablations() {
+		if a.Scaling {
+			tools = append(tools, a.On(full))
+		}
 	}
+	return tools
 }
 
 // Fig10Scaling measures the sharded SPEC harness at each thread count

@@ -179,8 +179,8 @@ func kindSet(r *core.Reporter) string {
 func TestIntrinsicEdgeCases(t *testing.T) {
 	checked := []*sanitizers.Tool{
 		sanitizers.ToolEffectiveSan,
-		sanitizers.ToolEffectiveSan.Uncached().Named("EffectiveSan-uncached"),
-		sanitizers.ToolEffectiveSan.WithoutOptimizations().Named("EffectiveSan-noopt"),
+		sanitizers.Ablated("nocache", sanitizers.ToolEffectiveSan),
+		sanitizers.Ablated("no-opt", sanitizers.ToolEffectiveSan),
 	}
 	for _, tc := range edgeCases {
 		t.Run(tc.name, func(t *testing.T) {

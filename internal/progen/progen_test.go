@@ -121,7 +121,7 @@ func TestDiamondInteriorSoundness(t *testing.T) {
 	tools := []*sanitizers.Tool{
 		sanitizers.ToolUninstrumented,
 		sanitizers.ToolEffectiveSan,
-		sanitizers.ToolEffectiveSan.WithoutOptimizations().Named("EffectiveSan-noopt"),
+		sanitizers.Ablated("no-opt", sanitizers.ToolEffectiveSan),
 		sanitizers.ToolEffBounds,
 		sanitizers.ToolEffType,
 	}
@@ -190,10 +190,10 @@ func TestAllocHeavySoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tool := range []*sanitizers.Tool{
-			sanitizers.ToolEffectiveSan.Counting(),
-			sanitizers.ToolEffectiveSan.Counting().WithoutMagazines().Named("EffectiveSan-nomag"),
-		} {
+		noMag := *sanitizers.ToolEffectiveSan.Counting()
+		noMag.Name = "EffectiveSan-nomag"
+		noMag.NoMagazines = true
+		for _, tool := range []*sanitizers.Tool{sanitizers.ToolEffectiveSan.Counting(), &noMag} {
 			res, err := tool.ExecSharded(prog, "main", 4, 2, io.Discard)
 			if err != nil {
 				t.Fatalf("seed %d sharded under %s: %v", seed, tool.Name, err)

@@ -33,7 +33,7 @@ func issueSummary(res *RunResult) string {
 // identical case by case.
 func TestCheckCachingDetectionParityFig1(t *testing.T) {
 	cached := ToolEffectiveSan
-	uncached := ToolEffectiveSan.Uncached()
+	uncached := Ablated("nocache", ToolEffectiveSan)
 	for _, c := range bugsuite.Cases() {
 		prog, err := c.Program()
 		if err != nil {
@@ -64,11 +64,11 @@ func knobMatrix(base *Tool) []*Tool {
 		for _, shared := range []bool{false, true} {
 			for _, nomotion := range []bool{false, true} {
 				cp := *base
-				cp.NoInlineCache = inline
+				cp.Runtime.NoInlineCache = inline
 				if shared {
-					cp.CheckCache = -1
+					cp.Runtime.CheckCacheSize = -1
 				}
-				cp.NoCheckMotion = nomotion
+				cp.Instrument.NoCheckMotion = nomotion
 				cp.Name = fmt.Sprintf("inline=%v shared=%v motion=%v",
 					!inline, !shared, !nomotion)
 				tools = append(tools, &cp)
@@ -130,11 +130,11 @@ func TestKnobMatrixDetectionParityFig7(t *testing.T) {
 				t.Fatalf("%s under %s: %v", name, tool.Name, err)
 			}
 			inlineTraffic := res.Stats.InlineCacheHits + res.Stats.InlineCacheMisses
-			if tool.NoInlineCache && inlineTraffic != 0 {
+			if tool.Runtime.NoInlineCache && inlineTraffic != 0 {
 				t.Errorf("%s/%s: disabled inline cache saw %d lookups",
 					name, tool.Name, inlineTraffic)
 			}
-			if !tool.NoInlineCache {
+			if !tool.Runtime.NoInlineCache {
 				inlineHits += res.Stats.InlineCacheHits
 			}
 			got := issueSummary(res)
@@ -171,12 +171,12 @@ func TestInlineCacheStandaloneFig7(t *testing.T) {
 		t.Fatal(err)
 	}
 	inlineOnly := *ToolEffectiveSan // shared cache off, inline on
-	inlineOnly.CheckCache = -1
+	inlineOnly.Runtime.CheckCacheSize = -1
 	ri, err := inlineOnly.Exec(prog, b.Entry, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru, err := ToolEffectiveSan.Uncached().Exec(prog, b.Entry, io.Discard)
+	ru, err := Ablated("nocache", ToolEffectiveSan).Exec(prog, b.Entry, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCheckCacheHitRateFig7(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s cached: %v", name, err)
 		}
-		ru, err := ToolEffectiveSan.Uncached().Exec(prog, b.Entry, io.Discard)
+		ru, err := Ablated("nocache", ToolEffectiveSan).Exec(prog, b.Entry, io.Discard)
 		if err != nil {
 			t.Fatalf("%s uncached: %v", name, err)
 		}

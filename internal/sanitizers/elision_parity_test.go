@@ -14,7 +14,7 @@ import (
 func elisionConfigs() []*Tool {
 	return []*Tool{
 		ToolEffectiveSan,
-		ToolEffectiveSan.WithoutOptimizations().Named("EffectiveSan-noopt"),
+		Ablated("no-opt", ToolEffectiveSan),
 	}
 }
 

@@ -18,10 +18,19 @@ import (
 // freed slots unreused, so use-after-free buckets are deterministic;
 // see parityTool in sharded_test.go).
 
+// withoutMagazines returns a copy of tool whose sharded workers take
+// the central heap lock on every Alloc/Free (Tool.NoMagazines).
+func withoutMagazines(tool *Tool) *Tool {
+	cp := *tool
+	cp.NoMagazines = true
+	return &cp
+}
+
 // TestMagazineDetectionParityFig1 runs every error-injection case of
 // the Fig. 1 corpus under the three configurations.
 func TestMagazineDetectionParityFig1(t *testing.T) {
 	tool := parityTool()
+	noMag := withoutMagazines(tool)
 	for _, c := range bugsuite.Cases() {
 		prog, err := c.Program()
 		if err != nil {
@@ -31,11 +40,11 @@ func TestMagazineDetectionParityFig1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s x1: %v", c.Name, err)
 		}
-		rm, err := tool.Threaded(4).Exec(prog, "main", io.Discard)
+		rm, err := tool.ExecSharded(prog, "main", 4, 4, io.Discard)
 		if err != nil {
 			t.Fatalf("%s magazines: %v", c.Name, err)
 		}
-		rn, err := tool.WithoutMagazines().Threaded(4).Exec(prog, "main", io.Discard)
+		rn, err := noMag.ExecSharded(prog, "main", 4, 4, io.Discard)
 		if err != nil {
 			t.Fatalf("%s nomagazines: %v", c.Name, err)
 		}
@@ -53,6 +62,7 @@ func TestMagazineDetectionParityFig1(t *testing.T) {
 // workloads (a subset in -short mode).
 func TestMagazineDetectionParityFig7(t *testing.T) {
 	tool := parityTool()
+	noMag := withoutMagazines(tool)
 	benches := spec.Benchmarks()
 	if testing.Short() {
 		benches = benches[:4]
@@ -66,11 +76,11 @@ func TestMagazineDetectionParityFig7(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s x1: %v", b.Name, err)
 		}
-		rm, err := tool.Threaded(3).Exec(prog, b.Entry, io.Discard)
+		rm, err := tool.ExecSharded(prog, b.Entry, 3, 3, io.Discard)
 		if err != nil {
 			t.Fatalf("%s magazines: %v", b.Name, err)
 		}
-		rn, err := tool.WithoutMagazines().Threaded(3).Exec(prog, b.Entry, io.Discard)
+		rn, err := noMag.ExecSharded(prog, b.Entry, 3, 3, io.Discard)
 		if err != nil {
 			t.Fatalf("%s nomagazines: %v", b.Name, err)
 		}
@@ -136,7 +146,7 @@ func TestMagazineStatsMergeCanonical(t *testing.T) {
 	}
 }
 
-// TestMagazineKnobsThread pins the knob plumbing: WithoutMagazines
+// TestMagazineKnobsThread pins the knob plumbing: NoMagazines
 // zeroes the per-worker magazine stats (workers allocate centrally),
 // the default populates them, and both fold the same canonical heap
 // totals into the shared runtime.
@@ -151,7 +161,7 @@ func TestMagazineKnobsThread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noMag, err := tool.WithoutMagazines().ExecSharded(prog, b.Entry, 4, 2, io.Discard)
+	noMag, err := withoutMagazines(tool).ExecSharded(prog, b.Entry, 4, 2, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func motionConfigs() []*Tool {
 	return []*Tool{
 		ToolEffectiveSan,
-		ToolEffectiveSan.WithoutCheckMotion().Named("EffectiveSan-nomotion"),
+		Ablated("no-motion", ToolEffectiveSan),
 	}
 }
 

@@ -35,7 +35,7 @@ var quarantineCases = []string{
 func TestQuarantineCacheMatrix(t *testing.T) {
 	for _, quarantine := range []uint64{0, 4 << 10, 1 << 20} {
 		base := *ToolEffectiveSan
-		base.Quarantine = quarantine
+		base.Runtime.Quarantine = quarantine
 		tools := knobMatrix(&base)
 		for _, name := range quarantineCases {
 			c := bugsuite.ByName(name)
@@ -89,8 +89,8 @@ func TestHotCacheSiteSurvivesFree(t *testing.T) {
 	// Disable the shared cache so the loop's checks exercise the inline
 	// level rather than the exact-match fast path.
 	tool := *ToolEffectiveSan
-	tool.CheckCache = -1
-	tool.Quarantine = 1 << 20
+	tool.Runtime.CheckCacheSize = -1
+	tool.Runtime.Quarantine = 1 << 20
 	res, err := tool.Exec(prog, "main", io.Discard)
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 		plain *mir.PlainEnv
 		runee = prog
 	)
-	if t.Variant == instrument.None {
+	if t.Instrument.Variant == instrument.None {
 		plain = mir.NewPlainEnv(nil)
 		res.Reporter = core.NewReporter(core.ModeLog, 0)
 	} else {

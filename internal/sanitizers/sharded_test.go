@@ -25,7 +25,7 @@ import (
 func parityTool() *Tool {
 	cp := *ToolEffectiveSan
 	cp.Name = "EffectiveSan-parity"
-	cp.Quarantine = 1 << 30
+	cp.Runtime.Quarantine = 1 << 30
 	return &cp
 }
 
@@ -70,7 +70,7 @@ func TestShardedDetectionParityFig1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s x1: %v", c.Name, err)
 		}
-		rn, err := tool.Threaded(4).Exec(prog, "main", io.Discard)
+		rn, err := tool.ExecSharded(prog, "main", 4, 4, io.Discard)
 		if err != nil {
 			t.Fatalf("%s x4: %v", c.Name, err)
 		}
@@ -99,7 +99,7 @@ func TestShardedDetectionParityFig7(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s x1: %v", b.Name, err)
 		}
-		rn, err := tool.Threaded(3).Exec(prog, b.Entry, io.Discard)
+		rn, err := tool.ExecSharded(prog, b.Entry, 3, 3, io.Discard)
 		if err != nil {
 			t.Fatalf("%s x3: %v", b.Name, err)
 		}
@@ -166,7 +166,7 @@ func TestExecShardedPool(t *testing.T) {
 }
 
 // TestExecShardedUninstrumented covers the plain-baseline pool (shared
-// low-fat heap, no runtime) and the Threads knob on Exec.
+// low-fat heap, no runtime).
 func TestExecShardedUninstrumented(t *testing.T) {
 	prog, err := cc.Compile(`
 int main() {
@@ -182,7 +182,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ToolUninstrumented.Threaded(4).Exec(prog, "main", io.Discard)
+	res, err := ToolUninstrumented.ExecSharded(prog, "main", 4, 4, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +210,5 @@ func TestExecShardedRejectsBaselines(t *testing.T) {
 	asan := &Tool{Name: "AddressSanitizer", MakeSan: func() Sanitizer { return NewASan() }}
 	if _, err := asan.ExecSharded(prog, "main", 4, 2, io.Discard); err == nil {
 		t.Fatal("sharded baseline run unexpectedly succeeded")
-	}
-	if _, err := asan.Threaded(2).Exec(prog, "main", io.Discard); err == nil {
-		t.Fatal("Threaded baseline Exec unexpectedly succeeded")
 	}
 }

@@ -15,7 +15,7 @@ import (
 func staticConfigs() []*Tool {
 	return []*Tool{
 		ToolEffectiveSan,
-		ToolEffectiveSan.WithoutStaticElision().Named("EffectiveSan-nostatic"),
+		Ablated("no-static", ToolEffectiveSan),
 	}
 }
 

@@ -13,7 +13,7 @@ func TestSyntheticClean(t *testing.T) {
 	tools := []*sanitizers.Tool{
 		sanitizers.ToolUninstrumented,
 		sanitizers.ToolEffectiveSan,
-		sanitizers.ToolEffectiveSan.WithoutOptimizations().Named("EffectiveSan-noopt"),
+		sanitizers.Ablated("no-opt", sanitizers.ToolEffectiveSan),
 	}
 	for _, b := range Synthetic() {
 		var want uint64
