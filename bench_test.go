@@ -100,7 +100,7 @@ func BenchmarkFig9Memory(b *testing.B) {
 // geomean relative time.
 func BenchmarkFig10Browser(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig10(io.Discard)
+		rows, err := harness.Fig10(io.Discard, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

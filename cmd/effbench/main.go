@@ -6,8 +6,9 @@
 //	effbench -experiment fig7    SPEC2006 summary: checks and issues (Fig. 7)
 //	effbench -experiment fig8    SPEC2006 + progen timings, nine configurations (Fig. 8)
 //	effbench -experiment fig9    peak memory (Fig. 9)
-//	effbench -experiment fig10   browser workloads (relative time) and the
-//	                             sharded multi-threaded SPEC scalability curve
+//	effbench -experiment fig10   browser workloads (relative time), the
+//	                             sharded multi-threaded SPEC scalability
+//	                             curve and the alloc-heavy magazine row
 //	effbench -experiment tools   §6.2 overhead comparison of baseline tools
 //	effbench -experiment all     everything above
 //
@@ -24,10 +25,12 @@
 // -cpuprofile and -memprofile write pprof profiles of the whole
 // invocation, as they do for effsan.
 //
-// The fig10 scalability curve is governed by -threads (top of the thread
-// curve) and -jobs (jobs per workload per point); see docs/BENCHMARKS.md
-// for every flag, knob combination and the JSON schemas emitted by
-// -json (Fig. 8 series) and -json-fig10 (Fig. 10 series).
+// -repeat sets the best-of timing repetitions of fig8 and the fig10
+// browser bars. The fig10 scaling rows are governed by -threads (top of
+// the thread curve) and -jobs (jobs per workload per point); see
+// docs/BENCHMARKS.md for every flag, knob combination and the JSON
+// schemas emitted by -json (Fig. 8 series) and -json-fig10 (Fig. 10
+// series).
 package main
 
 import (
@@ -68,8 +71,8 @@ type fig8JSON struct {
 }
 
 // fig10JSON is the machine-readable form of the Fig. 10 series — the
-// browser relative-time bars plus the sharded SPEC scalability curve —
-// committed as BENCH_fig10.json.
+// browser relative-time bars, the sharded SPEC scalability curve and the
+// alloc-heavy row — committed as BENCH_fig10.json.
 type fig10JSON struct {
 	Experiment string `json:"experiment"`
 	Threads    []int  `json:"threads"`
@@ -83,9 +86,8 @@ type fig10JSON struct {
 	Browser    []harness.Fig10Row        `json:"browser"`
 	Scaling    []harness.Fig10ScalingRow `json:"scaling"`
 	// AllocScaling is the allocation-bound row: the alloc-heavy progen
-	// workload with per-worker heap magazines on vs off (empty when
-	// -alloc-heavy=false).
-	AllocScaling []harness.AllocHeavyRow `json:"alloc_scaling,omitempty"`
+	// workload with per-worker heap magazines on vs off.
+	AllocScaling []harness.Fig10ScalingRow `json:"alloc_scaling"`
 	// Caveat flags measurement conditions that make the scaling rows
 	// unfit for speedup conclusions — currently set when GOMAXPROCS is 1,
 	// where every thread count serializes onto one core and the curve is
@@ -103,7 +105,6 @@ type options struct {
 	seed                 int64
 	repeat, threads      int
 	jobs                 int
-	allocHeavy           bool
 	jsonPath, json10Path string
 }
 
@@ -175,14 +176,12 @@ func main() {
 	experiment := flag.String("experiment", "all", experimentUsage())
 	flag.Int64Var(&o.seed, "seed", 1,
 		"base progen seed for the difftest experiment's generated programs")
-	flag.IntVar(&o.repeat, "repeat", 3, "timing repetitions (best-of) for fig8")
+	flag.IntVar(&o.repeat, "repeat", 3, "timing repetitions (best-of) for fig8 and fig10")
 	flag.IntVar(&o.threads, "threads", defaultThreads(runtime.NumCPU()),
 		"top of the fig10 scalability thread curve (measures 1,2,4,... up to N); "+
 			"defaults to 16 or the CPU count, whichever is smaller")
 	flag.IntVar(&o.jobs, "jobs", 16,
 		"jobs per workload per fig10 scalability point")
-	flag.BoolVar(&o.allocHeavy, "alloc-heavy", true,
-		"include the fig10 alloc-heavy row (per-worker heap magazines vs the locked central heap)")
 	flag.StringVar(&o.jsonPath, "json", "",
 		"also write the fig8 series as JSON to this path (requires fig8 to run)")
 	flag.StringVar(&o.json10Path, "json-fig10", "",
@@ -242,10 +241,9 @@ func runFig8(o *options) error {
 }
 
 // runFig10 is the fig10 experiment: the browser bars, the scalability
-// curve, the alloc-heavy row unless -alloc-heavy=false, and with
-// -json-fig10 the series as JSON.
+// curve, the alloc-heavy row, and with -json-fig10 the series as JSON.
 func runFig10(o *options) error {
-	browser, err := harness.Fig10(os.Stdout)
+	browser, err := harness.Fig10(os.Stdout, o.repeat)
 	if err != nil {
 		return err
 	}
@@ -264,12 +262,10 @@ func runFig10(o *options) error {
 	if err != nil {
 		return err
 	}
-	var alloc []harness.AllocHeavyRow
-	if o.allocHeavy {
-		fmt.Println()
-		if alloc, err = harness.Fig10AllocHeavy(os.Stdout, curve, o.jobs); err != nil {
-			return err
-		}
+	fmt.Println()
+	alloc, err := harness.Fig10AllocHeavy(os.Stdout, curve, o.jobs)
+	if err != nil {
+		return err
 	}
 	if o.json10Path == "" {
 		return nil

@@ -12,7 +12,7 @@ import (
 // the central heap Stats stay canonical across routes.
 func TestHeapViewRoutesMagazine(t *testing.T) {
 	rt := NewRuntime(Options{Types: ctypes.NewTable()})
-	mag := rt.NewMagazine()
+	mag := rt.Heap().NewMagazine()
 	view := rt.HeapView(mag)
 
 	if view.Heap() != rt.Heap() || view.Mem() != rt.Mem() {
@@ -74,7 +74,7 @@ func TestHeapViewRoutesMagazine(t *testing.T) {
 func TestHeapViewComposesWithStatsView(t *testing.T) {
 	rt := NewRuntime(Options{Types: ctypes.NewTable()})
 	sink := &Stats{}
-	mag := rt.NewMagazine()
+	mag := rt.Heap().NewMagazine()
 	view := rt.StatsView(sink).HeapView(mag)
 
 	p, err := view.TypeMalloc(ctypes.Int, 4, HeapAlloc)

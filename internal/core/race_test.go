@@ -160,7 +160,7 @@ func TestConcurrentTypeIDCache(t *testing.T) {
 			defer wg.Done()
 			rt, ids := r, &shared
 			if w%2 == 0 {
-				mag := r.NewMagazine()
+				mag := r.Heap().NewMagazine()
 				defer mag.Flush()
 				rt, ids = r.StatsView(sinks[w]).HeapView(mag), &TypeIDCache{}
 			}

@@ -31,9 +31,6 @@ type Options struct {
 	AbortAfter uint64
 	// Quarantine, if positive, delays reuse of freed slots (bytes held).
 	Quarantine uint64
-	// Memory optionally supplies a shared address space; a fresh one is
-	// created if nil.
-	Memory *mem.Memory
 	// CheckCacheSize sizes the §5.3 shared type-check memoization cache
 	// (total slots, rounded up to a power of two per shard). Zero selects
 	// the default; a negative value disables the shared memo cache and
@@ -82,16 +79,12 @@ type typeRegistry struct {
 	typeOf atomic.Pointer[[]*ctypes.Type] // index = id; id 0 is invalid
 }
 
-// NewRuntime returns a runtime over a fresh (or supplied) simulated
-// memory.
+// NewRuntime returns a runtime over a fresh simulated memory.
 func NewRuntime(opts Options) *Runtime {
 	if opts.Types == nil {
 		panic("core: Options.Types is required")
 	}
-	m := opts.Memory
-	if m == nil {
-		m = mem.New()
-	}
+	m := mem.New()
 	heap := lowfat.New(m, lowfat.Options{Quarantine: opts.Quarantine})
 	r := &Runtime{
 		types:    opts.Types,
@@ -137,7 +130,7 @@ func (r *Runtime) StatsView(st *Stats) *Runtime {
 // heap Stats stay global. A nil h returns the receiver unchanged.
 // Compose with StatsView:
 //
-//	view := rt.StatsView(sink).HeapView(rt.NewMagazine())
+//	view := rt.StatsView(sink).HeapView(rt.Heap().NewMagazine())
 func (r *Runtime) HeapView(h lowfat.Heap) *Runtime {
 	if h == nil {
 		return r
@@ -146,10 +139,6 @@ func (r *Runtime) HeapView(h lowfat.Heap) *Runtime {
 	cp.alloc = h
 	return &cp
 }
-
-// NewMagazine returns a fresh per-worker magazine over the runtime's
-// central heap, for use with HeapView. Flush it when the worker retires.
-func (r *Runtime) NewMagazine() *lowfat.Magazine { return r.heap.NewMagazine() }
 
 // CheckCacheSlots returns the total slot count of the shared type-check
 // memo cache (0 when the cache is disabled) — for tests and benchmarks.

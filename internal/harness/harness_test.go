@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/browser"
 	"repro/internal/bugsuite"
 	"repro/internal/sanitizers"
 	"repro/internal/spec"
@@ -177,19 +178,26 @@ func TestFig9Overhead(t *testing.T) {
 	}
 }
 
-// TestFig10Shape asserts the browser workloads run concurrently and the
-// overhead exceeds parity (temporary-object effect).
+// TestFig10Shape asserts the browser workloads run concurrently, each
+// reports exactly its seeded issues, and the overhead exceeds parity
+// (temporary-object effect).
 func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing run")
 	}
 	var buf bytes.Buffer
-	rows, err := Fig10(&buf)
+	rows, err := Fig10(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7 {
+	benches := browser.Benchmarks()
+	if len(rows) != len(benches) || len(rows) != 7 {
 		t.Fatalf("%d rows, want 7", len(rows))
+	}
+	for i, r := range rows {
+		if b := benches[i]; r.Name != b.Name || r.Issues != b.Issues {
+			t.Errorf("row %d: %s with %d issues, want %s with %d", i, r.Name, r.Issues, b.Name, b.Issues)
+		}
 	}
 	// Per-workload timings are noisy when the test suite itself runs in
 	// parallel on few cores; the aggregate must still show overhead.

@@ -52,6 +52,11 @@ func TestFig10ScalingShape(t *testing.T) {
 		if r.Checks == 0 || r.WallSeconds <= 0 || r.CheckNs <= 0 || r.ChecksPerSec <= 0 {
 			t.Errorf("%s x%d: dead measurements %+v", r.Config, r.Threads, r)
 		}
+		// The alloc columns are filled by the same sweep as the
+		// alloc-heavy row; both curve configs use magazines.
+		if r.Allocs == 0 || r.AllocsPerSec <= 0 || r.Refills == 0 {
+			t.Errorf("%s x%d: empty alloc columns %+v", r.Config, r.Threads, r)
+		}
 		byConfig[r.Config] = append(byConfig[r.Config], r)
 	}
 	if len(byConfig) != 2 {
@@ -63,9 +68,8 @@ func TestFig10ScalingShape(t *testing.T) {
 		}
 		// Work conservation: sharding repartitions the corpus, it never
 		// changes how many checks execute.
-		if rs[0].Checks != rs[1].Checks {
-			t.Errorf("%s: check volume varies with threads: %d vs %d",
-				cfg, rs[0].Checks, rs[1].Checks)
+		if rs[0].Checks != rs[1].Checks || rs[0].Allocs != rs[1].Allocs || rs[0].Frees != rs[1].Frees {
+			t.Errorf("%s: work varies with threads: %+v vs %+v", cfg, rs[0], rs[1])
 		}
 	}
 	for _, r := range byConfig["EffectiveSan"] {
@@ -87,9 +91,10 @@ func TestFig10ScalingShape(t *testing.T) {
 }
 
 // TestFig10AllocHeavyShape smoke-tests the allocation-bound row: both
-// configurations at 1 and 2 threads, populated throughput fields, the
-// magazine rows carrying central-heap traffic counters (amortized well
-// below the operation count) and the nomagazines rows carrying none.
+// configurations at 1 and 2 threads, populated throughput and check
+// columns (the same row type and sweep as the SPEC curve), the magazine
+// rows carrying central-heap traffic counters (amortized well below the
+// operation count) and the nomagazines rows carrying none.
 func TestFig10AllocHeavyShape(t *testing.T) {
 	var buf bytes.Buffer
 	rows, err := Fig10AllocHeavy(&buf, []int{1, 2}, 4)
@@ -102,6 +107,9 @@ func TestFig10AllocHeavyShape(t *testing.T) {
 	for _, r := range rows {
 		if r.Allocs == 0 || r.Frees == 0 || r.AllocsPerSec <= 0 {
 			t.Errorf("%s x%d: empty alloc profile: %+v", r.Config, r.Threads, r)
+		}
+		if r.Jobs != 4 || r.Checks == 0 || r.JobsPerSec <= 0 || r.Speedup <= 0 {
+			t.Errorf("%s x%d: dead measurements %+v", r.Config, r.Threads, r)
 		}
 		switch r.Config {
 		case "EffectiveSan-magazines":

@@ -38,6 +38,10 @@ type Sanitizer interface {
 	LegacyAlloc(size uint64) uint64
 	Mem() *mem.Memory
 
+	// HeapStats reports the peak live heap bytes and the simulated
+	// memory materialised, for RunResult.
+	HeapStats() (peak uint64, touched int64)
+
 	// Hooks methods (mir.Hooks).
 	Access(p uint64, size uint64, write bool, static *ctypes.Type, site string)
 	Cast(p uint64, from, to *ctypes.Type, site string)
@@ -147,11 +151,3 @@ func (b *base) Cast(p uint64, from, to *ctypes.Type, site string)               
 func (b *base) Derive(newPtr, basePtr uint64, field bool, lo, hi uint64, site string)      {}
 func (b *base) PtrStore(addr, val uint64, site string)                                     {}
 func (b *base) PtrLoad(addr, val uint64, site string)                                      {}
-
-// Uninstrumented is the no-op sanitizer (the Figs. 8-10 baseline).
-type Uninstrumented struct{ *base }
-
-// NewUninstrumented returns the no-op baseline.
-func NewUninstrumented() *Uninstrumented {
-	return &Uninstrumented{newBase("uninstrumented", 0)}
-}

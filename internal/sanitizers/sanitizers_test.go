@@ -187,7 +187,7 @@ func TestCastCheckerFilters(t *testing.T) {
 }
 
 func TestDoubleFreeAtBase(t *testing.T) {
-	u := NewUninstrumented()
+	u := newBase("base", 0)
 	p := u.Malloc(ctypes.Int, 64, core.HeapAlloc, "t")
 	u.Free(p, "t")
 	u.Free(p, "t")
@@ -197,7 +197,7 @@ func TestDoubleFreeAtBase(t *testing.T) {
 }
 
 func TestReallocPreservesContents(t *testing.T) {
-	u := NewUninstrumented()
+	u := newBase("base", 0)
 	p := u.Malloc(ctypes.Long, 32, core.HeapAlloc, "t")
 	u.Mem().Store(p, 8, 777)
 	q := u.Realloc(p, 128, "t")

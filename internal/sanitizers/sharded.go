@@ -13,14 +13,15 @@ import (
 	"repro/internal/mir"
 )
 
-// This file is the sharded multi-threaded execution mode behind the
-// Fig. 10 scalability curve (§6.1): a worker pool that partitions a
-// workload's job corpus across N goroutines, each driving its own MIR
-// interpreter against one shared core.Runtime. The shared runtime is the
-// point — the workers contend on the real structures (sharded check
-// cache, COW layout cache, type registry, per-site inline caches,
-// allocator) the way a production multi-tenant service would, while
-// statistics stay per-worker through Runtime.StatsView.
+// This file is the sharded multi-threaded execution mode behind every
+// Fig. 10 series (the browser bars, §6.3, and the scalability curves): a
+// worker pool that partitions a workload's job corpus across N
+// goroutines, each driving its own MIR interpreter against one shared
+// core.Runtime. The shared runtime is the point — the workers contend on
+// the real structures (sharded check cache, COW layout cache, type
+// registry, per-site inline caches, allocator) the way a production
+// multi-tenant service would, while statistics stay per-worker through
+// Runtime.StatsView.
 
 // WorkerStats reports one worker goroutine's share of a sharded run.
 type WorkerStats struct {
@@ -104,24 +105,13 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 
 	res := &ShardedResult{Threads: threads, Jobs: jobs, Workers: make([]WorkerStats, threads)}
 
-	// Build the shared substrate once: instrumented program + runtime
-	// for EffectiveSan variants, a bare low-fat heap for the baseline.
-	var (
-		rt    *core.Runtime
-		plain *mir.PlainEnv
-		runee = prog
-	)
-	if t.Instrument.Variant == instrument.None {
-		plain = mir.NewPlainEnv(nil)
-		res.Reporter = core.NewReporter(core.ModeLog, 0)
-	} else {
-		runee, res.InstrStats = instrument.Instrument(prog, t.InstrumentOptions(entry))
-		rt = core.NewRuntime(t.RuntimeOptions(prog.Types))
-		res.Reporter = rt.Reporter
-	}
-	if err := runee.Validate(); err != nil {
+	// Build the shared substrate once: every worker runs the same
+	// (instrumented) program over the same runtime or plain heap.
+	sub, err := t.newSubstrate(prog, entry)
+	if err != nil {
 		return nil, err
 	}
+	res.InstrStats, res.Reporter = sub.instrStats, sub.reporter
 
 	var (
 		next     atomic.Int64
@@ -137,29 +127,16 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 			defer wg.Done()
 			ws := &res.Workers[w]
 			ws.Worker = w
-			var central *lowfat.Allocator
-			if rt != nil {
-				central = rt.Heap()
-			} else {
-				central = plain.Heap()
-			}
-			var heap lowfat.Heap
+			var route lowfat.Heap
 			var mag *lowfat.Magazine
 			if t.NoMagazines {
-				heap = central.NewLane()
+				route = sub.heap.NewLane()
 			} else {
-				mag = central.NewMagazine()
-				heap = mag
+				mag = sub.heap.NewMagazine()
+				route = mag
 			}
-			var env mir.Env
-			var sink *core.Stats
-			if rt != nil {
-				sink = &core.Stats{}
-				env = mir.NewEffEnv(rt.StatsView(sink).HeapView(heap))
-			} else {
-				env = plain.View(heap)
-			}
-			in, err := mir.New(runee, mir.Options{Env: env, Out: out, NoValidate: true})
+			sink := &core.Stats{}
+			in, err := sub.interp(route, sink, out)
 			if err != nil {
 				errOnce.Do(func() { firstErr = err })
 				return
@@ -189,9 +166,7 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 				mag.Flush()
 				ws.Magazine = mag.Stats()
 			}
-			if sink != nil {
-				ws.Stats = sink.Snapshot()
-			}
+			ws.Stats = sink.Snapshot()
 		}(w)
 	}
 	wg.Wait()
@@ -203,16 +178,12 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 	for i := range res.Workers {
 		res.Stats = res.Stats.Add(res.Workers[i].Stats)
 	}
-	if rt != nil {
+	if sub.rt != nil {
 		// Fold the aggregate back so the runtime's own sink reports the
 		// whole run (views write past it during execution).
-		rt.MergeStats(res.Stats)
-		res.HeapPeak = rt.Heap().Stats().Peak
-		res.MemPages = rt.Mem().TouchedBytes()
-	} else {
-		res.HeapPeak = plain.Heap().Stats().Peak
-		res.MemPages = plain.Mem().TouchedBytes()
+		sub.rt.MergeStats(res.Stats)
 	}
+	res.HeapPeak, res.MemPages = sub.heapStats()
 	return res, nil
 }
 

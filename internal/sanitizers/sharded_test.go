@@ -3,6 +3,7 @@ package sanitizers
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -111,6 +112,41 @@ func TestShardedDetectionParityFig7(t *testing.T) {
 		}
 		if !sameKeys(k1, kn) {
 			t.Errorf("%s: issue sets diverge\n 1-thread: %v\n 3-thread: %v", b.Name, k1, kn)
+		}
+	}
+}
+
+// TestExecAndOneWorkerShardedAgree pins that Exec and ExecSharded run on
+// one substrate: on a Fig. 7 workload, a one-worker sharded run of the
+// same tool instruments the same program and computes the same value,
+// issue buckets and check volume as Exec.
+func TestExecAndOneWorkerShardedAgree(t *testing.T) {
+	b := spec.ByName("h264ref") // seeded bounds errors: both tools report
+	prog, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range []*Tool{ToolEffectiveSan, ToolEffBounds} {
+		r1, err := tool.Exec(prog, b.Entry, io.Discard)
+		if err != nil {
+			t.Fatalf("%s Exec: %v", tool.Name, err)
+		}
+		rs, err := tool.ExecSharded(prog, b.Entry, 1, 1, io.Discard)
+		if err != nil {
+			t.Fatalf("%s ExecSharded: %v", tool.Name, err)
+		}
+		if !reflect.DeepEqual(r1.InstrStats, rs.InstrStats) {
+			t.Errorf("%s: instrumentation differs:\n Exec        %+v\n ExecSharded %+v", tool.Name, r1.InstrStats, rs.InstrStats)
+		}
+		if r1.Value != rs.Value {
+			t.Errorf("%s: value %d by Exec, %d by ExecSharded", tool.Name, r1.Value, rs.Value)
+		}
+		if k1, ks := issueKeys(r1.Reporter), issueKeys(rs.Reporter); len(k1) == 0 || !sameKeys(k1, ks) {
+			t.Errorf("%s: issue sets diverge\n Exec:        %v\n ExecSharded: %v", tool.Name, k1, ks)
+		}
+		if r1.Stats.TypeChecks != rs.Stats.TypeChecks || r1.Stats.BoundsChecks != rs.Stats.BoundsChecks {
+			t.Errorf("%s: checks %d/%d by Exec, %d/%d by ExecSharded", tool.Name,
+				r1.Stats.TypeChecks, r1.Stats.BoundsChecks, rs.Stats.TypeChecks, rs.Stats.BoundsChecks)
 		}
 	}
 }

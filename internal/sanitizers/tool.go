@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctypes"
 	"repro/internal/instrument"
+	"repro/internal/lowfat"
 	"repro/internal/mir"
 )
 
@@ -77,61 +78,93 @@ type RunResult struct {
 	MemPages int64  // simulated memory materialised (bytes)
 }
 
+// substrate is what one run executes on, built in one place for Exec
+// and ExecSharded: the program to run (an instrumented copy for
+// EffectiveSan variants) over either an EffectiveSan runtime or, for the
+// uninstrumented baseline, a plain low-fat heap.
+type substrate struct {
+	prog       *mir.Program
+	instrStats instrument.Stats
+	rt         *core.Runtime     // nil for the uninstrumented baseline
+	plain      *mir.PlainEnv     // nil for EffectiveSan variants
+	heap       *lowfat.Allocator // the central heap under rt or plain
+	reporter   *core.Reporter
+}
+
+// newSubstrate instruments prog for entry (EffectiveSan variants),
+// builds the runtime or plain heap, and validates the program to run
+// once, so interpreters over it skip validation.
+func (t *Tool) newSubstrate(prog *mir.Program, entry string) (*substrate, error) {
+	s := &substrate{prog: prog}
+	if t.Instrument.Variant == instrument.None {
+		s.plain = mir.NewPlainEnv(nil)
+		s.heap, s.reporter = s.plain.Heap(), core.NewReporter(core.ModeLog, 0)
+	} else {
+		s.prog, s.instrStats = instrument.Instrument(prog, t.InstrumentOptions(entry))
+		s.rt = core.NewRuntime(t.RuntimeOptions(prog.Types))
+		s.heap, s.reporter = s.rt.Heap(), s.rt.Reporter
+	}
+	if err := s.prog.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// interp returns an interpreter over the substrate. With a nil route
+// and sink it allocates from the central heap and counts into the
+// runtime's own statistics (Exec); a sharded worker passes its magazine
+// or lane and its own counter sink (the sink is unused by the baseline).
+func (s *substrate) interp(route lowfat.Heap, sink *core.Stats, out io.Writer) (*mir.Interp, error) {
+	var env mir.Env
+	if s.rt != nil {
+		env = mir.NewEffEnv(s.rt.StatsView(sink).HeapView(route))
+	} else {
+		env = s.plain.View(route)
+	}
+	return mir.New(s.prog, mir.Options{Env: env, Out: out, NoValidate: true})
+}
+
+// heapStats returns the central heap's peak live bytes and the simulated
+// memory materialised.
+func (s *substrate) heapStats() (peak uint64, touched int64) {
+	return s.heap.Stats().Peak, s.heap.Mem().TouchedBytes()
+}
+
 // Exec runs prog's entry function under the tool and returns the result.
 // The program must be uninstrumented; EffectiveSan variants instrument a
 // copy internally. When Runtime.AbortAfter stops the run, Exec returns
 // the partial result together with the core.AbortError; on any other
 // error the result is nil.
-func (t *Tool) Exec(prog *mir.Program, entry string, out io.Writer, args ...uint64) (*RunResult, error) {
+func (t *Tool) Exec(prog *mir.Program, entry string, out io.Writer) (*RunResult, error) {
 	res := &RunResult{}
-	var in *mir.Interp
-	var err error
-	switch {
-	case t.MakeSan != nil:
+	var (
+		in        *mir.Interp
+		heapStats func() (uint64, int64)
+		rt        *core.Runtime
+		err       error
+	)
+	if t.MakeSan != nil {
 		san := t.MakeSan()
-		res.Reporter = san.Reporter()
+		res.Reporter, heapStats = san.Reporter(), san.HeapStats
 		in, err = mir.New(prog, mir.Options{Env: san, Hooks: san, Out: out})
-		if err != nil {
+	} else {
+		var s *substrate
+		if s, err = t.newSubstrate(prog, entry); err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		res.Value, res.Steps, err = in.RunSteps(entry, args...)
-		res.Elapsed = time.Since(start)
-		if s, ok := san.(interface{ HeapStats() (uint64, int64) }); ok {
-			res.HeapPeak, res.MemPages = s.HeapStats()
-		} else if b, ok := san.(*Uninstrumented); ok {
-			st := b.heap.Stats()
-			res.HeapPeak = st.Peak
-			res.MemPages = b.heap.Mem().TouchedBytes()
-		}
-	case t.Instrument.Variant == instrument.None:
-		env := mir.NewPlainEnv(nil)
-		in, err = mir.New(prog, mir.Options{Env: env, Out: out})
-		if err != nil {
-			return nil, err
-		}
-		res.Reporter = core.NewReporter(core.ModeLog, 0)
-		start := time.Now()
-		res.Value, res.Steps, err = in.RunSteps(entry, args...)
-		res.Elapsed = time.Since(start)
-		res.HeapPeak = env.Heap().Stats().Peak
-		res.MemPages = env.Mem().TouchedBytes()
-	default:
-		ip, ist := instrument.Instrument(prog, t.InstrumentOptions(entry))
-		res.InstrStats = ist
-		rt := core.NewRuntime(t.RuntimeOptions(prog.Types))
-		res.Reporter = rt.Reporter
-		in, err = mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt), Out: out})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		res.Value, res.Steps, err = in.RunSteps(entry, args...)
-		res.Elapsed = time.Since(start)
-		res.Stats = rt.Stats()
-		res.HeapPeak = rt.Heap().Stats().Peak
-		res.MemPages = rt.Mem().TouchedBytes()
+		res.Reporter, res.InstrStats, heapStats, rt = s.reporter, s.instrStats, s.heapStats, s.rt
+		in, err = s.interp(nil, nil, out)
 	}
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	res.Value, res.Steps, err = in.RunSteps(entry)
+	res.Elapsed = time.Since(start)
+	if rt != nil {
+		res.Stats = rt.Stats()
+	}
+	res.HeapPeak, res.MemPages = heapStats()
 	if err != nil {
 		if errors.As(err, new(core.AbortError)) {
 			return res, err
@@ -141,8 +174,9 @@ func (t *Tool) Exec(prog *mir.Program, entry string, out io.Writer, args ...uint
 	return res, nil
 }
 
-// HeapStats lets baselines expose allocator statistics to Exec.
-func (b *base) HeapStats() (uint64, int64) {
+// HeapStats reports a baseline's peak live heap bytes and the simulated
+// memory it materialised.
+func (b *base) HeapStats() (peak uint64, touched int64) {
 	return b.heap.Stats().Peak, b.heap.Mem().TouchedBytes()
 }
 
