@@ -86,7 +86,7 @@ type fig10JSON struct {
 	Browser    []harness.Fig10Row        `json:"browser"`
 	Scaling    []harness.Fig10ScalingRow `json:"scaling"`
 	// AllocScaling is the allocation-bound row: the alloc-heavy progen
-	// workload with per-worker heap magazines on vs off.
+	// workload under full EffectiveSan, on per-worker heap magazines.
 	AllocScaling []harness.Fig10ScalingRow `json:"alloc_scaling"`
 	// Caveat flags measurement conditions that make the scaling rows
 	// unfit for speedup conclusions — currently set when GOMAXPROCS is 1,

@@ -17,15 +17,6 @@ func Compile(src string, tb *ctypes.Table) (*mir.Program, error) {
 	return prog, nil
 }
 
-// MustCompile is Compile panicking on error, for workload definitions.
-func MustCompile(src string, tb *ctypes.Table) *mir.Program {
-	p, err := Compile(src, tb)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // CompileInto parses src and adds its globals and functions to prog
 // (multiple translation units may share one program).
 func CompileInto(src string, prog *mir.Program) (err error) {

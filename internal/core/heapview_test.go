@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ctypes"
+	"repro/internal/lowfat"
 )
 
 // TestHeapViewRoutesMagazine pins the HeapView contract: the view is a
@@ -95,5 +96,57 @@ func TestHeapViewComposesWithStatsView(t *testing.T) {
 	}
 	if hs := rt.Heap().Stats(); hs.Allocs != 1 || hs.Frees != 1 {
 		t.Fatalf("central heap Allocs/Frees = %d/%d, want 1/1", hs.Allocs, hs.Frees)
+	}
+}
+
+// TestBoundsReportNamesCheckedObject pins that a bounds error is
+// bucketed by the object its bounds came from, not by the slot the bad
+// pointer lands in. Two magazines share one runtime: worker A's last
+// slot of its refill run is followed directly by worker B's first, so
+// A's overflow lands in B's double object. The report must still name
+// A's int object, with the bucket a lone single-threaded run gives.
+func TestBoundsReportNamesCheckedObject(t *testing.T) {
+	rt := NewRuntime(Options{Types: ctypes.NewTable()})
+	magA, magB := rt.Heap().NewMagazine(), rt.Heap().NewMagazine()
+	a, b := rt.HeapView(magA), rt.HeapView(magB)
+
+	p, err := a.TypeMalloc(ctypes.Int, 40, HeapAlloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := magA.Stats().RefillSlots; magA.Stats().Allocs < n; {
+		if p, err = a.TypeMalloc(ctypes.Int, 40, HeapAlloc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := b.TypeMalloc(ctypes.Double, 40, HeapAlloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lowfat.Base(q) != lowfat.Base(p)+lowfat.Size(p) {
+		t.Fatalf("B's first slot %#x does not follow A's last %#x", q, p)
+	}
+	bad := q + 8 // inside B's object
+	if a.BoundsCheck(bad, 4, a.BoundsGet(p), ctypes.Int, "overflow") {
+		t.Fatal("overflow into the neighbour passed the bounds check")
+	}
+
+	lone := NewRuntime(Options{Types: ctypes.NewTable()})
+	lp, err := lone.TypeMalloc(ctypes.Int, 40, HeapAlloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone.BoundsCheck(lp+(bad-p), 4, lone.BoundsGet(lp), ctypes.Int, "overflow")
+
+	got, want := rt.Reporter.Issues(), lone.Reporter.Issues()
+	if len(got) != 1 || len(want) != 1 {
+		t.Fatalf("issues: sharded %v, lone %v; want one each", got, want)
+	}
+	if got[0].DynamicType != "int" {
+		t.Errorf("report names %q, want A's int object", got[0].DynamicType)
+	}
+	if g, w := *got[0], *want[0]; g.Kind != w.Kind || g.StaticType != w.StaticType ||
+		g.DynamicType != w.DynamicType || g.Offset != w.Offset {
+		t.Errorf("bucket %+v, want the lone run's %+v", g, w)
 	}
 }

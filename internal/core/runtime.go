@@ -58,7 +58,7 @@ type Runtime struct {
 	types    *ctypes.Table
 	mem      *mem.Memory
 	heap     *lowfat.Allocator
-	alloc    lowfat.Heap // allocation route: the central heap, or a per-worker magazine or lane (HeapView)
+	alloc    lowfat.Heap // allocation route: the central heap, or a per-worker magazine (HeapView)
 	layouts  *layout.Cache
 	memo     *checkCache  // §5.3 shared type-check memo cache; nil when disabled
 	inline   *inlineCache // §5.3 per-site inline caches; nil when disabled
@@ -121,13 +121,12 @@ func (r *Runtime) StatsView(st *Stats) *Runtime {
 }
 
 // HeapView returns a view of the runtime that shares every structure
-// but routes allocations through h, a per-worker magazine or lane over
-// the runtime's central heap — the heap analogue of StatsView. The
-// sharded harness gives each worker goroutine its own: a magazine, so
-// steady-state TypeMalloc/TypeFree takes no shared lock, or a lane, which
-// takes the central mutex per operation but keeps the worker's fresh
-// slots apart. Size/Base arithmetic, metadata headers and the canonical
-// heap Stats stay global. A nil h returns the receiver unchanged.
+// but routes allocations through h, a per-worker magazine over the
+// runtime's central heap — the heap analogue of StatsView. The sharded
+// harness gives each worker goroutine its own magazine, so steady-state
+// TypeMalloc/TypeFree takes no shared lock. Size/Base arithmetic,
+// metadata headers and the canonical heap Stats stay global. A nil h
+// returns the receiver unchanged.
 // Compose with StatsView:
 //
 //	view := rt.StatsView(sink).HeapView(rt.Heap().NewMagazine())
@@ -630,7 +629,7 @@ func (r *Runtime) BoundsCheck(p uint64, size uint64, b Bounds, static fmt.String
 	if b.Contains(p, size) {
 		return true
 	}
-	r.reportBounds(p, static, site)
+	r.reportBounds(p, b, static, site)
 	return false
 }
 
@@ -643,14 +642,20 @@ func (r *Runtime) EscapeCheck(p uint64, b Bounds, site string) bool {
 	if b.ContainsEscape(p) {
 		return true
 	}
-	r.reportBounds(p, escapeLabel, site)
+	r.reportBounds(p, b, escapeLabel, site)
 	return false
 }
 
-func (r *Runtime) reportBounds(p uint64, static fmt.Stringer, site string) {
+// reportBounds reports a failed check of p against b. The issue is
+// bucketed by the object b came from — the dynamic type at b.Lo, with
+// p's offset from that object's base normalised by its layout — not by
+// whatever slot p lands in, so the bucket does not depend on which
+// object the allocator placed next. Wide bounds have no object: their
+// bucket is "legacy".
+func (r *Runtime) reportBounds(p uint64, b Bounds, static fmt.Stringer, site string) {
 	dyn := "legacy"
 	var off int64
-	if t, objBase, _, ok := r.DynamicType(p); ok {
+	if t, objBase, _, ok := r.DynamicType(b.Lo); ok {
 		dyn = t.String()
 		off = int64(p) - int64(objBase)
 		if t != ctypes.Free && t.IsComplete() && t.Size() > 0 {

@@ -4,7 +4,7 @@
 // instrumentation, every §5.3 optimisation on, logging reporter, a
 // quarantine large enough that no slot is recycled. Every other
 // configuration — the Fig. 8 elision/caching/motion ablations and the
-// sharded §6.1 pool at 1..8 workers, magazines on and off — must agree
+// sharded §6.1 pool at 2..8 workers — must agree
 // with the oracle byte for byte on two observables:
 //
 //   - the VALUE the program computes (checks observe, they never change
@@ -75,13 +75,10 @@ func Matrix() []Config {
 	for _, a := range sanitizers.Ablations() {
 		cfgs = append(cfgs, Config{Name: a.Short, Tool: a.On(full)})
 	}
-	noMag := *full
-	noMag.NoMagazines = true
 	return append(cfgs,
 		Config{Name: "sharded-2", Tool: full, Threads: 2},
 		Config{Name: "sharded-4", Tool: full, Threads: 4},
-		Config{Name: "sharded-8", Tool: full, Threads: 8},
-		Config{Name: "sharded-4-no-magazines", Tool: &noMag, Threads: 4})
+		Config{Name: "sharded-8", Tool: full, Threads: 8})
 }
 
 // Signature renders the reporter's distinct issue buckets as a sorted,

@@ -17,8 +17,8 @@ import (
 // worker pool (sanitizers.ExecSharded) so throughput and per-check cost
 // can be measured against goroutine count. One sweep serves two series:
 // the check-bound SPEC curve, with the per-site inline caches on and off,
-// and the allocation-bound alloc-heavy row, with per-worker heap
-// magazines on and off. The JSON shape is committed as BENCH_fig10.json
+// and the allocation-bound alloc-heavy row under full EffectiveSan. The
+// JSON shape is committed as BENCH_fig10.json
 // by cmd/effbench -json-fig10 ("scaling" and "alloc_scaling").
 
 // Fig10ScalingRow is one point of a scaling series: one configuration
@@ -50,9 +50,9 @@ type Fig10ScalingRow struct {
 	// AllocsPerSec is heap operations (allocs+frees) per wall second —
 	// the throughput axis of the alloc-heavy row.
 	AllocsPerSec float64 `json:"allocs_per_sec"`
-	// Refills/Flushes count the workers' trips to the central heap
-	// (zero without magazines); (Allocs+Frees)/(Refills+Flushes) is the
-	// lock-amortization ratio.
+	// Refills/Flushes count the workers' magazine trips to the central
+	// heap; (Allocs+Frees)/(Refills+Flushes) is the lock-amortization
+	// ratio.
 	Refills uint64 `json:"refills"`
 	Flushes uint64 `json:"flushes"`
 }
@@ -95,19 +95,6 @@ func fig10ScalingConfigs() []*sanitizers.Tool {
 	return tools
 }
 
-// AllocHeavyConfigs returns the two configurations of the alloc-heavy
-// row: full EffectiveSan with per-worker magazines (the default sharded
-// mode) and the same tool allocating straight from the locked central
-// heap (Tool.NoMagazines — the serialized-allocator ablation).
-func AllocHeavyConfigs() []*sanitizers.Tool {
-	mag := *sanitizers.ToolEffectiveSan.Counting()
-	mag.Name = "EffectiveSan-magazines"
-	noMag := mag
-	noMag.Name = "EffectiveSan-nomagazines"
-	noMag.NoMagazines = true
-	return []*sanitizers.Tool{&mag, &noMag}
-}
-
 // Fig10Scaling measures the sharded SPEC harness at each thread count
 // and renders the scalability curve. threadCounts defaults to
 // ThreadCurve(16), jobsPerWorkload to 16 (kept divisible by every
@@ -147,20 +134,21 @@ func Fig10Scaling(w io.Writer, threadCounts []int, jobsPerWorkload int, workload
 }
 
 // Fig10AllocHeavy measures the alloc-heavy workload (spec.AllocHeavy:
-// tight malloc/free churn across mixed size classes) at each thread
-// count with magazines on and off, and renders the row. The SPEC curve
-// is check-bound — its Alloc/Free volume is too small for the
-// allocator's locking discipline to show — so this is the row where the
-// central-heap-vs-magazines split can separate in throughput, not just
-// in refill counters. threadCounts and jobs default as in Fig10Scaling.
+// tight malloc/free churn across mixed size classes) under full
+// EffectiveSan in counting mode at each thread count, and renders the
+// row. The SPEC curve is check-bound — its Alloc/Free volume is too
+// small for the allocator to show — so this is the row whose throughput
+// the per-worker magazines carry. threadCounts and jobs default as in
+// Fig10Scaling.
 func Fig10AllocHeavy(w io.Writer, threadCounts []int, jobs int) ([]Fig10ScalingRow, error) {
 	b := spec.AllocHeavy()
-	rows, err := sweep(AllocHeavyConfigs(), []*spec.Benchmark{b}, threadCounts, jobs)
+	tools := []*sanitizers.Tool{sanitizers.ToolEffectiveSan.Counting()}
+	rows, err := sweep(tools, []*spec.Benchmark{b}, threadCounts, jobs)
 	if err != nil {
 		return nil, err
 	}
 
-	fmt.Fprintf(w, "Figure 10 (alloc-heavy): %s, magazines vs central heap, N worker goroutines (GOMAXPROCS=%d)\n",
+	fmt.Fprintf(w, "Figure 10 (alloc-heavy): %s, per-worker magazines, N worker goroutines (GOMAXPROCS=%d)\n",
 		b.Name, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "%-26s %8s %8s %10s %13s %9s %9s %9s\n",
 		"Config", "threads", "jobs", "wall-s", "allocops/s", "refills", "flushes", "speedup")
@@ -170,10 +158,9 @@ func Fig10AllocHeavy(w io.Writer, threadCounts []int, jobs int) ([]Fig10ScalingR
 			r.Refills, r.Flushes, r.Speedup)
 	}
 	fmt.Fprintln(w, "(allocops/s is heap allocs+frees per wall second; refills/flushes are the")
-	fmt.Fprintln(w, " workers' batched trips to the central heap — zero in the nomagazines rows,")
-	fmt.Fprintln(w, " whose every operation takes the central mutex instead. Speedup is relative")
-	fmt.Fprintln(w, " to the same config at the curve's lowest thread count and is bounded by")
-	fmt.Fprintln(w, " GOMAXPROCS, like the SPEC scaling curve)")
+	fmt.Fprintln(w, " workers' batched magazine trips to the central heap. Speedup is relative")
+	fmt.Fprintln(w, " to the curve's lowest thread count and is bounded by GOMAXPROCS, like the")
+	fmt.Fprintln(w, " SPEC scaling curve)")
 	return rows, nil
 }
 

@@ -53,7 +53,7 @@ func TestFig10ScalingShape(t *testing.T) {
 			t.Errorf("%s x%d: dead measurements %+v", r.Config, r.Threads, r)
 		}
 		// The alloc columns are filled by the same sweep as the
-		// alloc-heavy row; both curve configs use magazines.
+		// alloc-heavy row; every sharded run uses magazines.
 		if r.Allocs == 0 || r.AllocsPerSec <= 0 || r.Refills == 0 {
 			t.Errorf("%s x%d: empty alloc columns %+v", r.Config, r.Threads, r)
 		}
@@ -90,47 +90,41 @@ func TestFig10ScalingShape(t *testing.T) {
 	}
 }
 
-// TestFig10AllocHeavyShape smoke-tests the allocation-bound row: both
-// configurations at 1 and 2 threads, populated throughput and check
-// columns (the same row type and sweep as the SPEC curve), the magazine
-// rows carrying central-heap traffic counters (amortized well below the
-// operation count) and the nomagazines rows carrying none.
+// TestFig10AllocHeavyShape smoke-tests the allocation-bound row: full
+// EffectiveSan at 1 and 2 threads, populated throughput and check
+// columns (the same row type and sweep as the SPEC curve), and the
+// workers' magazine traffic to the central heap amortized well below
+// the operation count.
 func TestFig10AllocHeavyShape(t *testing.T) {
 	var buf bytes.Buffer
 	rows, err := Fig10AllocHeavy(&buf, []int{1, 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 2 configs x 2 thread counts", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 1 config x 2 thread counts", len(rows))
 	}
 	for _, r := range rows {
+		if r.Config != "EffectiveSan" {
+			t.Errorf("unexpected config %q", r.Config)
+		}
 		if r.Allocs == 0 || r.Frees == 0 || r.AllocsPerSec <= 0 {
 			t.Errorf("%s x%d: empty alloc profile: %+v", r.Config, r.Threads, r)
 		}
 		if r.Jobs != 4 || r.Checks == 0 || r.JobsPerSec <= 0 || r.Speedup <= 0 {
 			t.Errorf("%s x%d: dead measurements %+v", r.Config, r.Threads, r)
 		}
-		switch r.Config {
-		case "EffectiveSan-magazines":
-			if r.Refills == 0 || r.Flushes == 0 {
-				t.Errorf("%s x%d: magazine rows must show central traffic", r.Config, r.Threads)
-			}
-			if trips := r.Refills + r.Flushes; trips*10 > r.Allocs+r.Frees {
-				t.Errorf("%s x%d: %d central trips for %d ops; amortization missing",
-					r.Config, r.Threads, trips, r.Allocs+r.Frees)
-			}
-		case "EffectiveSan-nomagazines":
-			if r.Refills != 0 || r.Flushes != 0 {
-				t.Errorf("%s x%d: nomagazines rows must not touch magazines", r.Config, r.Threads)
-			}
-		default:
-			t.Errorf("unexpected config %q", r.Config)
+		if r.Refills == 0 || r.Flushes == 0 {
+			t.Errorf("%s x%d: rows must show central traffic", r.Config, r.Threads)
+		}
+		if trips := r.Refills + r.Flushes; trips*10 > r.Allocs+r.Frees {
+			t.Errorf("%s x%d: %d central trips for %d ops; amortization missing",
+				r.Config, r.Threads, trips, r.Allocs+r.Frees)
 		}
 	}
-	// The deterministic profile is identical across configurations.
-	if rows[0].Allocs != rows[2].Allocs || rows[0].Frees != rows[2].Frees {
-		t.Errorf("alloc profile differs across configs: %+v vs %+v", rows[0], rows[2])
+	// The deterministic profile is identical across thread counts.
+	if rows[0].Allocs != rows[1].Allocs || rows[0].Frees != rows[1].Frees {
+		t.Errorf("alloc profile differs across thread counts: %+v vs %+v", rows[0], rows[1])
 	}
 	if !strings.Contains(buf.String(), "alloc-heavy") {
 		t.Error("rendered table missing the alloc-heavy header")

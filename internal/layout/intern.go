@@ -195,8 +195,6 @@ func (c *tableCore) lookupID(id uint64, k int64) (Entry, bool) {
 	return Entry{}, false
 }
 
-func (c *tableCore) numEntries() int { return len(c.ents) + len(c.wide) }
-
 // fingerprint hashes the core's structure (FNV-1a over the canonical
 // serialisation: geometry, then key ids with their sorted entries).
 // Key ids are process-local names for hash-consed types, so the hash is

@@ -75,10 +75,6 @@ type TypeLayout struct {
 	core *tableCore
 }
 
-// NumEntries returns the number of hash table entries (for tests and the
-// ablation benchmarks).
-func (tl *TypeLayout) NumEntries() int { return tl.core.numEntries() }
-
 // Norm holds a table's offset-normalisation parameters. It is a plain
 // value, so a per-site inline cache can keep a copy and normalise without
 // looking the table up (or keeping it alive).

@@ -16,6 +16,16 @@ import (
 // (double-free, use-after-free through the FREE type) behaves exactly as
 // in the single-heap configuration.
 
+// Heap is the allocation interface the layers above route Alloc/Free
+// through: the central *Allocator or a per-worker *Magazine. Size/Base
+// arithmetic and the canonical Stats are the same whichever route serves
+// an operation.
+type Heap interface {
+	Alloc(size uint64) (uint64, error)
+	Free(p uint64) error
+	LegacyAlloc(size uint64) uint64
+}
+
 // magBatchBytes bounds one refill/flush batch: enough slots to amortize
 // the lock for small classes without hoarding memory for big ones.
 const magBatchBytes = 16 << 10
@@ -65,9 +75,6 @@ type Magazine struct {
 func (a *Allocator) NewMagazine() *Magazine {
 	return &Magazine{central: a, cache: make([][]uint64, NumClasses)}
 }
-
-// Central returns the central allocator the magazine draws from.
-func (m *Magazine) Central() *Allocator { return m.central }
 
 // Stats returns the magazine's local activity counters. Canonical heap
 // totals live on the central Allocator's Stats.

@@ -53,7 +53,7 @@ type Hooks interface {
 // metadata and no checks. It is the baseline of Figs. 8-10.
 type PlainEnv struct {
 	heap  *lowfat.Allocator
-	alloc lowfat.Heap // allocation route: the central heap, or a per-worker magazine or lane
+	alloc lowfat.Heap // allocation route: the central heap, or a per-worker magazine
 }
 
 // NewPlainEnv returns a plain environment over m (a fresh memory if nil).
@@ -66,7 +66,7 @@ func NewPlainEnv(m *mem.Memory) *PlainEnv {
 }
 
 // View returns a shallow copy of the environment that routes allocations
-// through h, a per-worker magazine or lane over the same central heap and
+// through h, a per-worker magazine over the same central heap and
 // memory — the uninstrumented analogue of core.Runtime.HeapView. A nil h
 // returns the receiver unchanged.
 func (e *PlainEnv) View(h lowfat.Heap) *PlainEnv {

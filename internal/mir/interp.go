@@ -94,13 +94,6 @@ func New(p *Program, opts Options) (*Interp, error) {
 	}, nil
 }
 
-// GlobalAddr returns the address of the i'th global (materialising
-// globals if needed), for tests and harnesses.
-func (in *Interp) GlobalAddr(i int) uint64 {
-	in.materializeGlobals()
-	return in.globalAddrs[i]
-}
-
 func (in *Interp) materializeGlobals() {
 	in.globalsOnce.Do(func() {
 		in.globalAddrs = make([]uint64, len(in.prog.Globals))

@@ -185,25 +185,20 @@ func TestAllocHeavySoundness(t *testing.T) {
 					seed, tool.Name, res.Value, want)
 			}
 		}
-		// Sharded with and without magazines: same result, no reports.
+		// Sharded on per-worker magazines: same result, no reports.
 		prog, err := cc.Compile(src, ctypes.NewTable())
 		if err != nil {
 			t.Fatal(err)
 		}
-		noMag := *sanitizers.ToolEffectiveSan.Counting()
-		noMag.Name = "EffectiveSan-nomag"
-		noMag.NoMagazines = true
-		for _, tool := range []*sanitizers.Tool{sanitizers.ToolEffectiveSan.Counting(), &noMag} {
-			res, err := tool.ExecSharded(prog, "main", 4, 2, io.Discard)
-			if err != nil {
-				t.Fatalf("seed %d sharded under %s: %v", seed, tool.Name, err)
-			}
-			if res.Reporter.Total() > 0 {
-				t.Errorf("seed %d sharded under %s: FALSE POSITIVE", seed, tool.Name)
-			}
-			if res.Value != want {
-				t.Errorf("seed %d sharded under %s: result %d, want %d", seed, tool.Name, res.Value, want)
-			}
+		res, err := sanitizers.ToolEffectiveSan.Counting().ExecSharded(prog, "main", 4, 2, io.Discard)
+		if err != nil {
+			t.Fatalf("seed %d sharded: %v", seed, err)
+		}
+		if res.Reporter.Total() > 0 {
+			t.Errorf("seed %d sharded: FALSE POSITIVE", seed)
+		}
+		if res.Value != want {
+			t.Errorf("seed %d sharded: result %d, want %d", seed, res.Value, want)
 		}
 	}
 }

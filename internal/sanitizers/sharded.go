@@ -29,9 +29,9 @@ type WorkerStats struct {
 	Jobs   int                `json:"jobs"`   // jobs this worker completed
 	BusyNs int64              `json:"busy_ns"`
 	Stats  core.StatsSnapshot `json:"-"` // this worker's runtime counters
-	// Magazine reports the worker's heap-magazine activity (zero when
-	// magazines are disabled): Allocs/Refills is the lock-amortization
-	// ratio the per-worker heap buys.
+	// Magazine reports the worker's heap-magazine activity:
+	// Allocs/Refills is the lock-amortization ratio the per-worker heap
+	// buys.
 	Magazine lowfat.MagazineStats `json:"magazine"`
 }
 
@@ -72,12 +72,10 @@ func (r *ShardedResult) TotalBusy() time.Duration {
 // ExecSharded runs `jobs` executions of prog's entry function on a pool
 // of `threads` worker goroutines sharing one environment. EffectiveSan
 // variants share a single core.Runtime (one central heap, one reporter,
-// one set of caches) with a per-worker statistics view and — unless
-// Tool.NoMagazines — a per-worker heap magazine, so steady-state
-// Alloc/Free never takes the central heap's mutex (with NoMagazines, a
-// per-worker lowfat.Lane that takes it on every operation); the
-// uninstrumented baseline shares a single plain environment, with the
-// same per-worker routes.
+// one set of caches) with a per-worker statistics view and a per-worker
+// heap magazine, so steady-state Alloc/Free never takes the central
+// heap's mutex; the uninstrumented baseline shares a single plain
+// environment, with a per-worker magazine too.
 // Hook-based baseline sanitizers are not supported (their shadow state
 // is not thread-safe, the same reason the real tools cannot run
 // Firefox, §6.3).
@@ -127,16 +125,9 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 			defer wg.Done()
 			ws := &res.Workers[w]
 			ws.Worker = w
-			var route lowfat.Heap
-			var mag *lowfat.Magazine
-			if t.NoMagazines {
-				route = sub.heap.NewLane()
-			} else {
-				mag = sub.heap.NewMagazine()
-				route = mag
-			}
+			mag := sub.heap.NewMagazine()
 			sink := &core.Stats{}
-			in, err := sub.interp(route, sink, out)
+			in, err := sub.interp(mag, sink, out)
 			if err != nil {
 				errOnce.Do(func() { firstErr = err })
 				return
@@ -158,14 +149,12 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 				ws.Jobs++
 			}
 			ws.BusyNs = time.Since(begin).Nanoseconds()
-			if mag != nil {
-				// Return cached slots to the central heap so nothing is
-				// stranded when the worker retires; canonical Stats never
-				// depended on the flush (magazines account atomically at
-				// operation time).
-				mag.Flush()
-				ws.Magazine = mag.Stats()
-			}
+			// Return cached slots to the central heap so nothing is
+			// stranded when the worker retires; canonical Stats never
+			// depended on the flush (magazines account atomically at
+			// operation time).
+			mag.Flush()
+			ws.Magazine = mag.Stats()
 			ws.Stats = sink.Snapshot()
 		}(w)
 	}

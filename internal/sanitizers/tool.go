@@ -29,13 +29,6 @@ type Tool struct {
 	// run). Performance runs use Mode ModeCount, as in the paper
 	// ("counting mode is used for measuring performance", §6).
 	Runtime core.Options
-	// NoMagazines makes sharded workers allocate directly from the
-	// shared central heap, through per-worker lanes (lowfat.Lane: the
-	// central mutex on every operation, fresh slots in per-worker runs),
-	// instead of through per-worker magazines (the serialized-allocator
-	// ablation for the alloc-heavy Fig. 10 row). Only ExecSharded reads
-	// it: single-threaded Exec never uses magazines.
-	NoMagazines bool
 }
 
 // Counting returns a copy of the tool with the reporter in counting mode.
@@ -113,7 +106,7 @@ func (t *Tool) newSubstrate(prog *mir.Program, entry string) (*substrate, error)
 // interp returns an interpreter over the substrate. With a nil route
 // and sink it allocates from the central heap and counts into the
 // runtime's own statistics (Exec); a sharded worker passes its magazine
-// or lane and its own counter sink (the sink is unused by the baseline).
+// and its own counter sink (the sink is unused by the baseline).
 func (s *substrate) interp(route lowfat.Heap, sink *core.Stats, out io.Writer) (*mir.Interp, error) {
 	var env mir.Env
 	if s.rt != nil {
