@@ -115,26 +115,6 @@ func BenchmarkFig10Browser(b *testing.B) {
 	}
 }
 
-// BenchmarkFig10ScalingSharded regenerates a reduced Fig. 10 scalability
-// curve: the sharded SPEC harness at 1/2/4 worker goroutines over one
-// shared runtime, reporting throughput at the top thread count.
-// Wall-clock speedup is GOMAXPROCS-bounded; the committed full curve is
-// BENCH_fig10.json (cmd/effbench -experiment fig10 -json-fig10).
-func BenchmarkFig10ScalingSharded(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig10Scaling(io.Discard, []int{1, 2, 4}, 8, []string{"mcf", "gcc"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Config == "EffectiveSan" && r.Threads == 4 {
-				b.ReportMetric(r.ChecksPerSec, "checks/s@4t")
-				b.ReportMetric(r.CheckNs, "check-ns@4t")
-			}
-		}
-	}
-}
-
 // BenchmarkToolComparison regenerates the §6.2 tool-overhead comparison
 // on a representative SPEC subset.
 func BenchmarkToolComparison(b *testing.B) {
@@ -182,7 +162,7 @@ func BenchmarkTypeCheckCached(b *testing.B) {
 		{"fastpath-into", core.Options{}, true, true, true},
 		{"inline", core.Options{}, true, false, false},
 		{"shared", core.Options{NoInlineCache: true}, false, false, false},
-		{"uncached", core.Options{CheckCacheSize: -1, NoInlineCache: true}, false, false, false},
+		{"uncached", core.Options{NoCheckCache: true, NoInlineCache: true}, false, false, false},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			tb := ctypes.NewTable()

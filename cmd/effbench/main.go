@@ -6,9 +6,7 @@
 //	effbench -experiment fig7    SPEC2006 summary: checks and issues (Fig. 7)
 //	effbench -experiment fig8    SPEC2006 + progen timings, nine configurations (Fig. 8)
 //	effbench -experiment fig9    peak memory (Fig. 9)
-//	effbench -experiment fig10   browser workloads (relative time), the
-//	                             sharded multi-threaded SPEC scalability
-//	                             curve and the alloc-heavy magazine row
+//	effbench -experiment fig10   browser workloads (relative time)
 //	effbench -experiment tools   §6.2 overhead comparison of baseline tools
 //	effbench -experiment all     everything above
 //
@@ -26,11 +24,9 @@
 // invocation, as they do for effsan.
 //
 // -repeat sets the best-of timing repetitions of fig8 and the fig10
-// browser bars. The fig10 scaling rows are governed by -threads (top of
-// the thread curve) and -jobs (jobs per workload per point); see
-// docs/BENCHMARKS.md for every flag, knob combination and the JSON
-// schemas emitted by -json (Fig. 8 series) and -json-fig10 (Fig. 10
-// series).
+// browser bars; see docs/BENCHMARKS.md for every flag, knob combination
+// and the JSON schemas emitted by -json (Fig. 8 series) and -json-fig10
+// (Fig. 10 bars).
 package main
 
 import (
@@ -70,41 +66,26 @@ type fig8JSON struct {
 	Caveat string `json:"caveat,omitempty"`
 }
 
-// fig10JSON is the machine-readable form of the Fig. 10 series — the
-// browser relative-time bars, the sharded SPEC scalability curve and the
-// alloc-heavy row — committed as BENCH_fig10.json.
+// fig10JSON is the machine-readable form of the Fig. 10 browser
+// relative-time bars, committed as BENCH_fig10.json.
 type fig10JSON struct {
 	Experiment string `json:"experiment"`
-	Threads    []int  `json:"threads"`
-	Jobs       int    `json:"jobs_per_workload"`
 	// GoMaxProcs and NumCPU record the measuring machine's parallelism:
-	// wall-clock speedup is bounded by them, so a flat curve from a
-	// single-core CI box is expected, not a regression.
-	GoMaxProcs int                       `json:"gomaxprocs"`
-	NumCPU     int                       `json:"num_cpu"`
-	Workloads  []string                  `json:"workloads"`
-	Browser    []harness.Fig10Row        `json:"browser"`
-	Scaling    []harness.Fig10ScalingRow `json:"scaling"`
-	// AllocScaling is the allocation-bound row: the alloc-heavy progen
-	// workload under full EffectiveSan, on per-worker heap magazines.
-	AllocScaling []harness.Fig10ScalingRow `json:"alloc_scaling"`
-	// Caveat flags measurement conditions that make the scaling rows
-	// unfit for speedup conclusions — currently set when GOMAXPROCS is 1,
-	// where every thread count serializes onto one core and the curve is
-	// flat by construction.
+	// each browser workload runs its sessions on a worker pool, so the
+	// bars' wall-clock depends on how many of them run at once.
+	GoMaxProcs int                `json:"gomaxprocs"`
+	NumCPU     int                `json:"num_cpu"`
+	Browser    []harness.Fig10Row `json:"browser"`
+	// Caveat flags measurement conditions that bias the bars — currently
+	// set when GOMAXPROCS is 1, where every session serializes onto one
+	// core.
 	Caveat string `json:"caveat,omitempty"`
 }
-
-// defaultThreads is the -threads default on a machine with numCPU CPUs:
-// 16, capped at numCPU. Past the CPU count the scalability curve measures
-// oversubscription, not the runtime.
-func defaultThreads(numCPU int) int { return max(1, min(16, numCPU)) }
 
 // options holds the flags the experiments read.
 type options struct {
 	seed                 int64
-	repeat, threads      int
-	jobs                 int
+	repeat               int
 	jsonPath, json10Path string
 }
 
@@ -177,15 +158,10 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1,
 		"base progen seed for the difftest experiment's generated programs")
 	flag.IntVar(&o.repeat, "repeat", 3, "timing repetitions (best-of) for fig8 and fig10")
-	flag.IntVar(&o.threads, "threads", defaultThreads(runtime.NumCPU()),
-		"top of the fig10 scalability thread curve (measures 1,2,4,... up to N); "+
-			"defaults to 16 or the CPU count, whichever is smaller")
-	flag.IntVar(&o.jobs, "jobs", 16,
-		"jobs per workload per fig10 scalability point")
 	flag.StringVar(&o.jsonPath, "json", "",
 		"also write the fig8 series as JSON to this path (requires fig8 to run)")
 	flag.StringVar(&o.json10Path, "json-fig10", "",
-		"also write the fig10 series as JSON to this path (requires fig10 to run)")
+		"also write the fig10 bars as JSON to this path (requires fig10 to run)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the invocation to this file")
 	memProfile := flag.String("memprofile", "", "write a memory (allocation) profile to this file at exit")
 	flag.Parse()
@@ -240,42 +216,21 @@ func runFig8(o *options) error {
 	return writeJSON(o.jsonPath, out)
 }
 
-// runFig10 is the fig10 experiment: the browser bars, the scalability
-// curve, the alloc-heavy row, and with -json-fig10 the series as JSON.
+// runFig10 is the fig10 experiment: the browser bars, and with
+// -json-fig10 the bars as JSON.
 func runFig10(o *options) error {
 	browser, err := harness.Fig10(os.Stdout, o.repeat)
-	if err != nil {
+	if err != nil || o.json10Path == "" {
 		return err
 	}
-	fmt.Println()
-	curve := harness.ThreadCurve(o.threads)
-	caveat := ""
-	if runtime.GOMAXPROCS(0) == 1 {
-		caveat = "scaling rows measured with GOMAXPROCS=1: all workers " +
-			"share one core, so flat speedup curves are expected — in " +
-			"the SPEC scaling rows and the alloc-heavy magazine rows " +
-			"alike — and say nothing about the runtime's scalability"
-		fmt.Fprintf(os.Stderr, "effbench: warning: %s\n", caveat)
+	out := fig10JSON{Experiment: "fig10", GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU: runtime.NumCPU(), Browser: browser}
+	if out.GoMaxProcs == 1 {
+		out.Caveat = "bars measured with GOMAXPROCS=1: each workload's " +
+			"sessions serialize onto one core"
+		fmt.Fprintf(os.Stderr, "effbench: warning: %s\n", out.Caveat)
 	}
-	workloads := harness.Fig10ScalingWorkloads()
-	scaling, err := harness.Fig10Scaling(os.Stdout, curve, o.jobs, workloads)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	alloc, err := harness.Fig10AllocHeavy(os.Stdout, curve, o.jobs)
-	if err != nil {
-		return err
-	}
-	if o.json10Path == "" {
-		return nil
-	}
-	return writeJSON(o.json10Path, fig10JSON{
-		Experiment: "fig10", Threads: curve, Jobs: o.jobs,
-		GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Workloads: workloads, Browser: browser, Scaling: scaling,
-		AllocScaling: alloc, Caveat: caveat,
-	})
+	return writeJSON(o.json10Path, out)
 }
 
 // runDifftest is the -experiment difftest entry: it sweeps progen libc

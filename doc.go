@@ -13,8 +13,8 @@
 // harness) fill out the rest of internal/.
 //
 // The runtime is multi-tenant: one core.Runtime safely serves many
-// goroutines (the Fig. 10 browser sessions and the sharded SPEC worker
-// pool behind cmd/effbench -threads), with per-worker statistics
+// goroutines (the Fig. 10 browser sessions, run on the worker pool of
+// sanitizers.ExecSharded), with per-worker statistics
 // through Runtime.StatsView, per-worker heap magazines through
 // Runtime.HeapView (batched refills over the central low-fat heap, so
 // steady-state allocation takes no shared lock), and atomic core.Stats

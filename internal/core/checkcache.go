@@ -22,17 +22,12 @@ import (
 // lock-free and safe under concurrent runtime use; a colliding insert
 // simply evicts the previous occupant (direct-mapped replacement).
 
-// Default geometry: 16 shards of 256 slots (4096 entries total). SPEC
-// workloads touch a few hundred distinct (t, k, s) triples, so the
-// default rarely evicts; the Options knob scales it for bigger type
-// populations.
+// Geometry: 16 shards of 256 slots (4096 entries total). SPEC workloads
+// touch a few hundred distinct (t, k, s) triples, so the table rarely
+// evicts.
 const (
-	checkCacheShards       = 16 // power of two
-	defaultCheckCacheSlots = 4096
-	// maxCheckCacheSlots caps the Options knob: beyond this the cache
-	// stops paying for itself and the sizing arithmetic must not be
-	// allowed to overflow.
-	maxCheckCacheSlots = 1 << 24
+	checkCacheShards     = 16  // power of two
+	checkCacheShardSlots = 256 // power of two
 )
 
 // checkKey identifies one memoised type-check query.
@@ -54,47 +49,16 @@ type checkEntry struct {
 // checkCache is the sharded memo table. A nil *checkCache (cache
 // disabled) is valid: lookups miss and stores are dropped.
 type checkCache struct {
-	shards [checkCacheShards]checkShard
-	mask   uint64 // slots-per-shard - 1
+	shards [checkCacheShards][checkCacheShardSlots]atomic.Pointer[checkEntry]
 }
 
-type checkShard struct {
-	slots []atomic.Pointer[checkEntry]
-	// Pad shards to their own cache lines so concurrent checkers on
-	// different shards do not false-share slice headers.
-	_ [64 - 24]byte
-}
-
-// newCheckCache builds a cache with at least the requested total slot
-// count (rounded up to a power of two per shard), or the default when
-// size is 0. Negative sizes disable the cache entirely (nil).
-func newCheckCache(size int) *checkCache {
-	if size < 0 {
+// newCheckCache builds an empty cache, or nil (the cache disabled) when
+// disabled is set.
+func newCheckCache(disabled bool) *checkCache {
+	if disabled {
 		return nil
 	}
-	if size == 0 {
-		size = defaultCheckCacheSlots
-	}
-	if size > maxCheckCacheSlots {
-		size = maxCheckCacheSlots
-	}
-	perShard := 1
-	for perShard*checkCacheShards < size {
-		perShard <<= 1
-	}
-	c := &checkCache{mask: uint64(perShard - 1)}
-	for i := range c.shards {
-		c.shards[i].slots = make([]atomic.Pointer[checkEntry], perShard)
-	}
-	return c
-}
-
-// len returns the total slot count (0 for a disabled cache).
-func (c *checkCache) len() int {
-	if c == nil {
-		return 0
-	}
-	return checkCacheShards * int(c.mask+1)
+	return &checkCache{}
 }
 
 // hash mixes the key into a slot index. sid is the interned id of the
@@ -110,8 +74,7 @@ func checkHash(tid uint64, k int64, sid uint64) uint64 {
 
 func (c *checkCache) slot(tid uint64, k int64, sid uint64) *atomic.Pointer[checkEntry] {
 	h := checkHash(tid, k, sid)
-	sh := &c.shards[h&(checkCacheShards-1)]
-	return &sh.slots[(h>>4)&c.mask]
+	return &c.shards[h&(checkCacheShards-1)][(h>>4)&(checkCacheShardSlots-1)]
 }
 
 // lookup returns the memoised match result for (tid, k, s), if present.

@@ -67,13 +67,13 @@ func TestCheckCacheNegativeResult(t *testing.T) {
 	}
 }
 
-// TestCheckCacheDisabled verifies the Options knob: a negative size
-// turns the cache off, so every check runs the full layout match.
+// TestCheckCacheDisabled verifies the Options knob: NoCheckCache turns
+// the cache off, so every check runs the full layout match.
 func TestCheckCacheDisabled(t *testing.T) {
 	tb := ctypes.NewTable()
-	r := NewRuntime(Options{Types: tb, CheckCacheSize: -1})
-	if r.CheckCacheSlots() != 0 {
-		t.Fatalf("CheckCacheSlots = %d, want 0 when disabled", r.CheckCacheSlots())
+	r := NewRuntime(Options{Types: tb, NoCheckCache: true})
+	if r.memo != nil {
+		t.Fatal("NoCheckCache runtime has a memo cache")
 	}
 	T := tb.MustParse("struct T { float f; int a[3]; }")
 	p, _ := r.New(T, HeapAlloc)
@@ -87,20 +87,6 @@ func TestCheckCacheDisabled(t *testing.T) {
 	}
 	if st.LayoutMatches != 5 {
 		t.Fatalf("LayoutMatches = %d, want 5 (one per check)", st.LayoutMatches)
-	}
-}
-
-// TestCheckCacheSizing verifies the size knob rounds up to the shard
-// geometry and the default is applied for zero.
-func TestCheckCacheSizing(t *testing.T) {
-	tb := ctypes.NewTable()
-	def := NewRuntime(Options{Types: tb})
-	if def.CheckCacheSlots() != defaultCheckCacheSlots {
-		t.Fatalf("default slots = %d, want %d", def.CheckCacheSlots(), defaultCheckCacheSlots)
-	}
-	small := NewRuntime(Options{Types: tb, CheckCacheSize: 100})
-	if got := small.CheckCacheSlots(); got < 100 || got&(got-1) != 0 {
-		t.Fatalf("slots = %d, want a power of two >= 100", got)
 	}
 }
 
@@ -141,9 +127,9 @@ func TestTypeCheckFastPath(t *testing.T) {
 // logs: caching must never change what is detected (§5.3 is performance
 // only).
 func TestCheckCacheParity(t *testing.T) {
-	run := func(cacheSize int) (bounds []Bounds, log string, st StatsSnapshot) {
+	run := func(noCache bool) (bounds []Bounds, log string, st StatsSnapshot) {
 		tb := ctypes.NewTable()
-		r := NewRuntime(Options{Types: tb, CheckCacheSize: cacheSize})
+		r := NewRuntime(Options{Types: tb, NoCheckCache: noCache})
 		tb.MustParse("struct S { int a[3]; char *s; }")
 		T := tb.MustParse("struct T { float f; struct S t; }")
 		F := tb.MustParse("struct F { int n; int fam[]; }")
@@ -175,8 +161,8 @@ func TestCheckCacheParity(t *testing.T) {
 		return bounds, r.Reporter.Log(), r.Stats()
 	}
 
-	cb, clog, cst := run(0)
-	ub, ulog, ust := run(-1)
+	cb, clog, cst := run(false)
+	ub, ulog, ust := run(true)
 	if len(cb) != len(ub) {
 		t.Fatalf("bounds count mismatch: %d vs %d", len(cb), len(ub))
 	}

@@ -57,7 +57,7 @@ func TestInlineCacheHitsPerSite(t *testing.T) {
 // static types each keep their own entry — the shared cache would serve
 // both, but the per-site form must not thrash.
 func TestInlineCacheSiteIsolation(t *testing.T) {
-	rt, p, _ := inlineFixture(t, Options{CheckCacheSize: -1}) // isolate the inline level
+	rt, p, _ := inlineFixture(t, Options{NoCheckCache: true}) // isolate the inline level
 	charPtr := rt.Types().PointerTo(ctypes.Char)
 	for i := 0; i < 16; i++ {
 		rt.TypeCheckAt(p+8, ctypes.Int, 1, "a")

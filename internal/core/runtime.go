@@ -31,16 +31,14 @@ type Options struct {
 	AbortAfter uint64
 	// Quarantine, if positive, delays reuse of freed slots (bytes held).
 	Quarantine uint64
-	// CheckCacheSize sizes the §5.3 shared type-check memoization cache
-	// (total slots, rounded up to a power of two per shard). Zero selects
-	// the default; a negative value disables the shared memo cache and
-	// the exact-match fast path, so every check not served by a per-site
-	// inline cache runs the full layout-table match.
-	CheckCacheSize int
+	// NoCheckCache disables the §5.3 shared type-check memoization cache
+	// and the exact-match fast path, so every check not served by a
+	// per-site inline cache runs the full layout-table match.
+	NoCheckCache bool
 	// NoInlineCache disables the §5.3 per-site one-entry inline caches
 	// consulted before the shared memo cache (the "no inline cache"
-	// ablation level). Combine with a negative CheckCacheSize for the
-	// fully uncached baseline.
+	// ablation level). Combine with NoCheckCache for the fully uncached
+	// baseline.
 	NoInlineCache bool
 }
 
@@ -92,7 +90,7 @@ func NewRuntime(opts Options) *Runtime {
 		heap:     heap,
 		alloc:    heap,
 		layouts:  layout.NewCache(),
-		memo:     newCheckCache(opts.CheckCacheSize),
+		memo:     newCheckCache(opts.NoCheckCache),
 		inline:   newInlineCache(opts.NoInlineCache),
 		Reporter: NewReporter(opts.Mode, opts.AbortAfter),
 		stats:    &Stats{},
@@ -138,10 +136,6 @@ func (r *Runtime) HeapView(h lowfat.Heap) *Runtime {
 	cp.alloc = h
 	return &cp
 }
-
-// CheckCacheSlots returns the total slot count of the shared type-check
-// memo cache (0 when the cache is disabled) — for tests and benchmarks.
-func (r *Runtime) CheckCacheSlots() int { return r.memo.len() }
 
 // InlineCacheSites returns the current capacity of the per-site inline
 // cache array (0 when disabled or never consulted) — for tests.

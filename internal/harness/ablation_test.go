@@ -10,10 +10,10 @@ import (
 
 // TestAblationTableFeedsFigures pins the one-table contract: every
 // sanitizers.Ablations row is a Fig. 8 bar under its full name and short
-// header, a difftest cell under its short name, both in table order and
-// making the same option change, and a Fig. 10 curve when it says so.
+// header and a difftest cell under its short name, both in table order
+// and making the same option change.
 func TestAblationTableFeedsFigures(t *testing.T) {
-	bars, cells, curves := fig8Configs(), difftest.Matrix(), fig10ScalingConfigs()
+	bars, cells := fig8Configs(), difftest.Matrix()
 	bi, ci := 0, 0
 	for _, a := range sanitizers.Ablations() {
 		for bi < len(bars) && bars[bi].tool.Name != a.Name {
@@ -39,13 +39,6 @@ func TestAblationTableFeedsFigures(t *testing.T) {
 		if cell.Instrument != bar.tool.Instrument || cell.Runtime != bar.tool.Runtime {
 			t.Errorf("ablation %s: difftest cell %+v/%+v, Fig. 8 bar %+v/%+v",
 				a.Short, cell.Instrument, cell.Runtime, bar.tool.Instrument, bar.tool.Runtime)
-		}
-		onCurve := false
-		for _, c := range curves {
-			onCurve = onCurve || c.Name == a.Name
-		}
-		if onCurve != a.Scaling {
-			t.Errorf("ablation %s: Fig. 10 curve %v, want %v", a.Short, onCurve, a.Scaling)
 		}
 	}
 }

@@ -341,9 +341,8 @@ func Fig9(w io.Writer) ([]Fig9Row, error) {
 	return rows, nil
 }
 
-// Fig10Row is one browser benchmark's relative performance. Together
-// with the Fig10ScalingRow series (sharded.go) it forms the
-// BENCH_fig10.json artifact written by cmd/effbench -json-fig10.
+// Fig10Row is one browser benchmark's relative performance: one bar of
+// the BENCH_fig10.json artifact written by cmd/effbench -json-fig10.
 type Fig10Row struct {
 	Name     string  `json:"name"`
 	Relative float64 `json:"relative"` // instrumented / uninstrumented time (1.0 = parity)

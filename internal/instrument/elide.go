@@ -53,11 +53,10 @@ import (
 const vnKeyBase = int64(1) << 32
 
 // elideCtx carries the per-function configuration the fact engine needs:
-// the type-check-reuse gate and, with check motion enabled, the
-// value-number table that keys lastType facts on values.
+// with check motion enabled, the value-number table that keys lastType
+// facts on values.
 type elideCtx struct {
-	reuse bool
-	vals  *mir.ValueTable // nil: key lastType on registers
+	vals *mir.ValueTable // nil: key lastType on registers
 }
 
 // key returns the lastType fact key for a register: its value number
@@ -315,22 +314,18 @@ func (s *elideState) step(ctx *elideCtx, ins *mir.Instr) (elisionKind, bool, int
 		delete(s.lastType, int64(ins.A)) // narrowed bounds differ from a fresh check's
 		s.killHolder(ins.A)              // bounds[A] rewritten: facts living there die
 	case mir.OpTypeCheck:
-		if ctx.reuse {
-			if f, ok := s.lastType[ctx.key(ins.A)]; ok && f.t == ins.Type {
-				if f.holder == ins.A {
-					return elideRecheck, f.inherited, -1
-				}
-				// Same value, different register: the check would
-				// recompute bounds already sitting in the holder's
-				// bounds register — copy them instead.
-				s.applyBoundsMov(ctx, ins.A, f.holder)
-				return elideVN, f.inherited, f.holder
+		if f, ok := s.lastType[ctx.key(ins.A)]; ok && f.t == ins.Type {
+			if f.holder == ins.A {
+				return elideRecheck, f.inherited, -1
 			}
+			// Same value, different register: the check would
+			// recompute bounds already sitting in the holder's
+			// bounds register — copy them instead.
+			s.applyBoundsMov(ctx, ins.A, f.holder)
+			return elideVN, f.inherited, f.holder
 		}
 		s.invalidate(ins.A)
-		if ctx.reuse {
-			s.lastType[ctx.key(ins.A)] = typeFact{t: ins.Type, holder: ins.A}
-		}
+		s.lastType[ctx.key(ins.A)] = typeFact{t: ins.Type, holder: ins.A}
 	case mir.OpBoundsGet:
 		s.invalidate(ins.A)
 	case mir.OpBoundsMov:
@@ -441,12 +436,11 @@ func elidePathSensitive(f *mir.Func, opts Options, st *Stats) {
 }
 
 // elideContext builds the fact-engine configuration for one function:
-// type-check reuse per NoCheckReuse, and the value-number table exactly
-// when the check-motion suite is active (motion and value-keyed
-// provenance ship as one §5.3 feature set, ablated together by
-// NoCheckMotion).
+// the value-number table exactly when the check-motion suite is active
+// (motion and value-keyed provenance ship as one §5.3 feature set,
+// ablated together by NoCheckMotion).
 func elideContext(f *mir.Func, opts Options) *elideCtx {
-	ctx := &elideCtx{reuse: !opts.NoCheckReuse}
+	ctx := &elideCtx{}
 	if motionEnabled(opts) {
 		ctx.vals = mir.NewValueTable(f)
 	}

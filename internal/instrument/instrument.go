@@ -78,11 +78,6 @@ type Options struct {
 	// upcast checks, subsumed bounds checks, redundant narrowing, and
 	// type-check reuse) — the Fig. 8 "no-opt" ablation configuration.
 	NoOptimize bool
-	// NoCheckReuse disables only the type-check reuse elision (a pointer
-	// whose provenance was already type-checked keeps the cached bounds
-	// instead of re-checking), leaving the other optimisations on — to
-	// isolate §5.3's redundant-check removal.
-	NoCheckReuse bool
 	// Naive replaces the input-pointer discipline with a type check
 	// before every single dereference — the strawman the schema's check
 	// minimisation is measured against (ablation only).

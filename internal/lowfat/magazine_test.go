@@ -367,8 +367,8 @@ func TestQuarantineGlobalFIFO(t *testing.T) {
 
 // BenchmarkAllocFree compares the two allocation routes under
 // parallelism: every goroutine hammering the central heap's mutex
-// versus each owning a magazine. The magazine series is the Fig. 10
-// alloc-heavy row's microbenchmark counterpart.
+// versus each owning a magazine: the micro counterpart of the repo
+// benchmark's alloc workload.
 func BenchmarkAllocFree(b *testing.B) {
 	sizes := []uint64{16, 64, 1024}
 	b.Run("central", func(b *testing.B) {

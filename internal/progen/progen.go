@@ -45,8 +45,7 @@ type Options struct {
 	// node-churn and a batch build/drop loop) and drives them every
 	// round from main — the allocation-bound workload whose throughput
 	// is gated by the heap's locking discipline, not by checks. It backs
-	// the Fig. 10 alloc-heavy scaling row comparing per-worker magazine
-	// allocation against the serialized central heap.
+	// the magazine tests of sharded runs (spec.AllocHeavy).
 	AllocHeavy bool
 	// LoopHeavy emits loop-dominated helpers whose headers re-evaluate a
 	// loop-invariant field (c->lim, c->step) every iteration — the

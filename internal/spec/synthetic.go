@@ -77,12 +77,12 @@ func Synthetic() []*Benchmark {
 	}
 }
 
-// AllocHeavy returns the allocation-bound workload behind the Fig. 10
-// alloc-heavy scaling row: tight malloc/free churn loops across mixed
-// size classes (progen.Options.AllocHeavy), so throughput is gated by
-// the heap's locking discipline rather than by check volume. It is kept
-// out of Synthetic() — it prices the allocator, not the check
-// optimiser, so it joins the Fig. 10 curve instead of the Fig. 8 bars.
+// AllocHeavy returns the allocation-bound workload behind the magazine
+// tests: tight malloc/free churn loops across mixed size classes
+// (progen.Options.AllocHeavy), so a sharded run is gated by the heap's
+// locking discipline rather than by check volume. It is kept out of
+// Synthetic() — it exercises the allocator, not the check optimiser, so
+// it is not a Fig. 8 bar.
 func AllocHeavy() *Benchmark {
 	return &Benchmark{
 		Name: "progen-alloc",

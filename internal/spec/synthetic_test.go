@@ -112,7 +112,7 @@ func TestInteriorWorkloadMissesFastPath(t *testing.T) {
 	}
 }
 
-// TestAllocHeavyWorkload: the Fig. 10 alloc-heavy workload is clean,
+// TestAllocHeavyWorkload: the alloc-heavy magazine workload is clean,
 // deterministic, reachable through SyntheticByName, and actually
 // allocation-bound — heap operations dominate its dynamic profile far
 // beyond any Fig. 7 kernel's ratio.
