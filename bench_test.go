@@ -63,8 +63,8 @@ func BenchmarkFig8Timings(b *testing.B) {
 	}
 	// The paper's Fig. 8 bars plus the §5.3/§6.2 ablations (no
 	// instrumentation optimisations, no caching at all, no per-site inline
-	// caches, no check motion, no static elision) — the same nine bars
-	// harness.Fig8 renders, from the same source.
+	// caches, no static elision) — the same eight bars harness.Fig8
+	// renders, from the same source.
 	for _, cfg := range harness.Fig8Tools() {
 		b.Run(cfg.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -283,37 +283,6 @@ func BenchmarkAblationMetaVsShadow(b *testing.B) {
 			acc += shadow[base][0]
 		}
 		_ = acc
-	})
-}
-
-// BenchmarkAblationCheckMinimisation compares the Fig. 3 discipline
-// (type-check inputs, bounds-check uses) against the naive
-// type-check-every-dereference strawman on a pointer-heavy workload.
-func BenchmarkAblationCheckMinimisation(b *testing.B) {
-	w := spec.ByName("perlbench")
-	prog, err := w.Program()
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, opts instrument.Options) {
-		ip, _ := instrument.Instrument(prog, opts)
-		for i := 0; i < b.N; i++ {
-			rt := core.NewRuntime(core.Options{Types: prog.Types, Mode: core.ModeCount})
-			in, err := mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := in.Run(w.Entry); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(rt.Stats().TypeChecks), "typechecks/op")
-		}
-	}
-	b.Run("schema", func(b *testing.B) {
-		run(b, instrument.Options{Variant: instrument.Full})
-	})
-	b.Run("naive-per-deref", func(b *testing.B) {
-		run(b, instrument.Options{Variant: instrument.Full, Naive: true})
 	})
 }
 

@@ -4,7 +4,7 @@
 //
 //	effbench -experiment fig1    sanitizer capability matrix (Fig. 1)
 //	effbench -experiment fig7    SPEC2006 summary: checks and issues (Fig. 7)
-//	effbench -experiment fig8    SPEC2006 + progen timings, nine configurations (Fig. 8)
+//	effbench -experiment fig8    SPEC2006 + progen timings, eight configurations (Fig. 8)
 //	effbench -experiment fig9    peak memory (Fig. 9)
 //	effbench -experiment fig10   browser workloads (relative time)
 //	effbench -experiment tools   §6.2 overhead comparison of baseline tools
@@ -15,7 +15,7 @@
 //
 //	effbench -experiment difftest   the differential-fuzz oracle loop —
 //	                                progen libc programs swept through the
-//	                                whole elision/motion/cache/sharding
+//	                                whole elision/cache/static/sharding
 //	                                matrix, asserting byte-identical values
 //	                                and report buckets; -seed picks the
 //	                                base progen seed

@@ -22,8 +22,8 @@
 //
 // Start with README.md for the quickstart, the package map and how to
 // read the regenerated figures. docs/ARCHITECTURE.md describes the check
-// pipeline end to end — frontend → MIR → instrumentation → dominator-
-// based check elision → runtime — including the three-level §5.3 check
+// pipeline end to end — frontend → MIR → instrumentation → dataflow
+// check elision → runtime — including the three-level §5.3 check
 // cache (exact-match fast path → per-site inline caches → shared
 // sharded cache), the concurrency & memory model, and every core.Stats
 // counter. docs/BENCHMARKS.md is the measurement methodology: every

@@ -3,7 +3,7 @@
 // stack). The oracle is the single-threaded configuration: full
 // instrumentation, every §5.3 optimisation on, logging reporter, a
 // quarantine large enough that no slot is recycled. Every other
-// configuration — the Fig. 8 elision/caching/motion ablations and the
+// configuration — the Fig. 8 elision/caching/static ablations and the
 // sharded §6.1 pool at 2..8 workers — must agree
 // with the oracle byte for byte on two observables:
 //
@@ -13,9 +13,9 @@
 //   - the REPORT SIGNATURE: the sorted set of distinct issue buckets
 //     (kind, static type, dynamic type, normalised offset). Counts and
 //     first-report sites are deliberately excluded — optimised
-//     configurations coalesce or relocate reports (a hoisted check
-//     fires in the preheader, an elided re-check folds into the
-//     dominating site's count, sharded workers race for first place) —
+//     configurations coalesce or relocate reports (an elided re-check
+//     folds into an earlier site's count, sharded workers race for
+//     first place) —
 //     that location/count coarsening is the documented slack; the
 //     buckets themselves are not allowed to differ.
 //
@@ -66,7 +66,7 @@ type Config struct {
 // per sanitizers.Ablations row on the oracle's quarantine, then the
 // sharded pool. All entries are Full-variant (detection capability
 // identical by construction); the cells differ only in how checks are
-// elided, moved, cached, and on how many workers they run. The
+// elided and cached, and on how many workers they run. The
 // no-static cell is the static analysis' soundness witness: anything a
 // check it deleted would have reported is a disagreement.
 func Matrix() []Config {
@@ -172,7 +172,7 @@ func Check(prog *mir.Program) (*Mismatch, error) {
 // Fuzz-input encoding: 8 bytes little-endian seed, one option byte.
 // LibCalls is always on; the option byte toggles the other workload
 // shapes so the fuzzer explores interactions between the intrinsics and
-// the elision/motion/cache machinery:
+// the elision/cache machinery:
 //
 //	bit 0  LibFaults   bit 3  TempHeavy
 //	bit 1  Diamonds    bit 4  LoopHeavy

@@ -74,7 +74,7 @@ func TestDifferentialOracle(t *testing.T) {
 // TestBugsuiteLibcAcrossConfigs runs every Expect-pinned bugsuite case
 // (the CVE-shaped libc corpus) through the whole differential matrix:
 // each configuration must report exactly the pinned kinds — detection
-// must not depend on elision, caching, motion, sharding, or magazines —
+// must not depend on elision, caching, sharding, or magazines —
 // and the full signature must agree with the oracle's.
 func TestBugsuiteLibcAcrossConfigs(t *testing.T) {
 	for _, c := range bugsuite.Cases() {
@@ -257,9 +257,9 @@ func FuzzDifferentialConfigs(f *testing.F) {
 	f.Add(EncodeInput(3, progen.Options{LibCalls: true, LibFaults: true, Interior: true, TempHeavy: true, Rounds: 2}))
 	f.Add(EncodeInput(4, progen.Options{LibCalls: true, Diamonds: 1, LoopHeavy: true, Rounds: 2}))
 	f.Add(EncodeInput(5, progen.Options{LibCalls: true, LibFaults: true, AllocHeavy: true, Rounds: 1}))
-	// Motion-and-churn stressor: loop-heavy so check motion hoists
-	// checks into preheaders, temporal faults so those checks guard
-	// slots freed mid-loop, alloc-heavy to drive slot reuse.
+	// Loop-and-churn stressor: loop-heavy so invariant checks run on
+	// every iteration, temporal faults so those checks guard slots
+	// freed mid-loop, alloc-heavy to drive slot reuse.
 	f.Add(EncodeInput(6, progen.Options{LibCalls: true, LibFaults: true, LoopHeavy: true, TempHeavy: true, AllocHeavy: true, Rounds: 3}))
 	// Static-elision stressors: the StaticSafe workload is where the
 	// no-static cell actually differs in instruction count (the analysis

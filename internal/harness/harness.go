@@ -167,7 +167,7 @@ type fig8Config struct {
 	short string
 }
 
-// fig8Configs returns the nine bars of Fig. 8, run in counting mode
+// fig8Configs returns the eight bars of Fig. 8, run in counting mode
 // like the paper's performance measurements: the paper's four
 // (uninstrumented and the three instrumentation variants) with the
 // sanitizers.Ablations table between full EffectiveSan and the two
@@ -198,7 +198,7 @@ func Fig8BarNames() []string {
 	return names
 }
 
-// Fig8Tools returns the nine Fig. 8 tool configurations in bar order —
+// Fig8Tools returns the eight Fig. 8 tool configurations in bar order —
 // the single source of truth for the figure, the JSON series and the
 // BenchmarkFig8Timings sub-benchmarks.
 func Fig8Tools() []*sanitizers.Tool {
@@ -211,11 +211,11 @@ func Fig8Tools() []*sanitizers.Tool {
 }
 
 // Fig8 times the 19 SPEC workloads plus the progen-generated synthetic
-// workloads (spec.Synthetic: diamond-heavy, interior-pointer,
-// loop-heavy, recomputed-temporary and statically-provable shapes)
-// under the nine configurations of Fig. 8 (uninstrumented, full
-// EffectiveSan and its ablations, and the two reduced-instrumentation
-// variants), in counting mode like the paper's performance runs.
+// workloads (spec.Synthetic: diamond-heavy, interior-pointer and
+// statically-provable shapes) under the eight configurations of Fig. 8
+// (uninstrumented, full EffectiveSan and its ablations, and the two
+// reduced-instrumentation variants), in counting mode like the paper's
+// performance runs.
 // repeat > 1 keeps the fastest of several runs. Each bar also gets its
 // RunCost, the same on every repeat.
 func Fig8(w io.Writer, repeat int) ([]Fig8Row, error) {
@@ -265,9 +265,8 @@ func Fig8(w io.Writer, repeat int) ([]Fig8Row, error) {
 			OverheadGeomean(rows, cfg.tool.Name)*100, CostOverheadGeomean(rows, cfg.tool.Name)*100)
 	}
 	fmt.Fprintln(w, "(paper: EffectiveSan +288%, -bounds +115%, -type +49%; the no-opt/nocache/")
-	fmt.Fprintln(w, " no-inline/no-motion/no-static bars are the §5.3/§6.2 ablations,")
-	fmt.Fprintln(w, " and the progen-* rows are the synthetic diamond/interior/loop/temp")
-	fmt.Fprintln(w, " workloads)")
+	fmt.Fprintln(w, " no-inline/no-static bars are the §5.3/§6.2 ablations, and the")
+	fmt.Fprintln(w, " progen-* rows are the synthetic diamond/interior/staticsafe workloads)")
 	return rows, nil
 }
 
@@ -345,53 +344,60 @@ func Fig9(w io.Writer) ([]Fig9Row, error) {
 // the BENCH_fig10.json artifact written by cmd/effbench -json-fig10.
 type Fig10Row struct {
 	Name     string  `json:"name"`
-	Relative float64 `json:"relative"` // instrumented / uninstrumented time (1.0 = parity)
-	Issues   int     `json:"issues"`
+	Relative float64 `json:"relative"` // best instrumented / best uninstrumented time (1.0 = parity)
+	// RelativeLo and RelativeHi are the lowest and highest per-repeat
+	// ratio of the two sides, the spread a bar's movement is judged by.
+	RelativeLo float64 `json:"relative_lo"`
+	RelativeHi float64 `json:"relative_hi"`
+	Issues     int     `json:"issues"`
 }
 
 // Fig10 runs the browser workloads, each as b.Workers concurrent
 // sessions sharing one runtime (sanitizers.ExecSharded), under the
 // uninstrumented baseline and full EffectiveSan, and reports relative
-// execution time (the Fig. 10 bars). repeat > 1 keeps the fastest of
-// several runs on each side, like Fig8.
+// execution time (the Fig. 10 bars). Each repeat runs both sides, in
+// alternating order, so load drift falls on both; the bar is the
+// fastest EffectiveSan run over the fastest uninstrumented one, beside
+// the range of the per-repeat ratios.
 func Fig10(w io.Writer, repeat int) ([]Fig10Row, error) {
 	if repeat < 1 {
 		repeat = 1
 	}
+	sides := [2]*sanitizers.Tool{sanitizers.ToolUninstrumented, sanitizers.ToolEffectiveSan}
 	var rows []Fig10Row
 	for _, b := range browser.Benchmarks() {
 		prog, err := b.Program()
 		if err != nil {
 			return nil, err
 		}
-		// best runs the workload repeat times under tool and returns the
-		// fastest wall-clock and the distinct issues reported.
-		best := func(tool *sanitizers.Tool) (float64, int, error) {
-			secs, issues := math.MaxFloat64, 0
-			for i := 0; i < repeat; i++ {
-				res, err := tool.ExecSharded(prog, b.Entry, b.Workers, b.Workers, nil)
+		row := Fig10Row{Name: b.Name, RelativeLo: math.MaxFloat64}
+		best := [2]float64{math.MaxFloat64, math.MaxFloat64}
+		for i := 0; i < repeat; i++ {
+			var secs [2]float64
+			for j := range sides {
+				side := (i + j) % 2
+				res, err := sides[side].ExecSharded(prog, b.Entry, b.Workers, b.Workers, nil)
 				if err != nil {
-					return 0, 0, fmt.Errorf("%s/%s: %w", b.Name, tool.Name, err)
+					return nil, fmt.Errorf("%s/%s: %w", b.Name, sides[side].Name, err)
 				}
-				secs, issues = min(secs, res.Wall.Seconds()), res.Reporter.NumIssues()
+				secs[side] = res.Wall.Seconds()
+				best[side] = min(best[side], secs[side])
+				if side == 1 {
+					row.Issues = res.Reporter.NumIssues()
+				}
 			}
-			return secs, issues, nil
+			r := secs[1] / secs[0]
+			row.RelativeLo, row.RelativeHi = min(row.RelativeLo, r), max(row.RelativeHi, r)
 		}
-		base, _, err := best(sanitizers.ToolUninstrumented)
-		if err != nil {
-			return nil, err
-		}
-		eff, issues, err := best(sanitizers.ToolEffectiveSan)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig10Row{Name: b.Name, Relative: eff / base, Issues: issues})
+		row.Relative = best[1] / best[0]
+		rows = append(rows, row)
 	}
 	fmt.Fprintln(w, "Figure 10: EffectiveSan relative performance, browser workloads")
-	fmt.Fprintf(w, "%-14s %12s %8s\n", "Benchmark", "Relative", "Issues")
+	fmt.Fprintf(w, "%-14s %12s %8s  %s\n", "Benchmark", "Relative", "Issues", "per-repeat range")
 	logSum := 0.0
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %11.0f%% %8d\n", r.Name, r.Relative*100, r.Issues)
+		fmt.Fprintf(w, "%-14s %11.0f%% %8d  %.0f%%–%.0f%%\n", r.Name, r.Relative*100, r.Issues,
+			r.RelativeLo*100, r.RelativeHi*100)
 		logSum += math.Log(r.Relative)
 	}
 	mean := math.Exp(logSum / float64(len(rows)))

@@ -99,14 +99,14 @@ func TestFig8Ordering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every bar must be present with a positive timing and cost, on the
-	// 19 SPEC rows and the five synthetic progen rows. The bar list comes
-	// from the canonical Fig8BarNames, never hand-copied.
+	// 19 SPEC rows and the three synthetic progen rows. The bar list
+	// comes from the canonical Fig8BarNames, never hand-copied.
 	wantBars := Fig8BarNames()
-	if len(wantBars) != 9 {
-		t.Fatalf("%d bars, want 9: %v", len(wantBars), wantBars)
+	if len(wantBars) != 8 {
+		t.Fatalf("%d bars, want 8: %v", len(wantBars), wantBars)
 	}
-	if len(rows) != 24 {
-		t.Fatalf("%d rows, want 24 (19 SPEC + 5 progen)", len(rows))
+	if len(rows) != 22 {
+		t.Fatalf("%d rows, want 22 (19 SPEC + 3 progen)", len(rows))
 	}
 	for _, r := range rows {
 		if len(r.Seconds) != len(wantBars) || len(r.Cost) != len(wantBars) {
@@ -179,8 +179,8 @@ func TestFig9Overhead(t *testing.T) {
 }
 
 // TestFig10Shape asserts the browser workloads run concurrently, each
-// reports exactly its seeded issues, and the overhead exceeds parity
-// (temporary-object effect).
+// reports exactly its seeded issues, one repeat's range is its bar, and
+// the overhead exceeds parity (temporary-object effect).
 func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing run")
@@ -197,6 +197,10 @@ func TestFig10Shape(t *testing.T) {
 	for i, r := range rows {
 		if b := benches[i]; r.Name != b.Name || r.Issues != b.Issues {
 			t.Errorf("row %d: %s with %d issues, want %s with %d", i, r.Name, r.Issues, b.Name, b.Issues)
+		}
+		// One repeat has one ratio: the range collapses onto the bar.
+		if r.RelativeLo != r.Relative || r.RelativeHi != r.Relative {
+			t.Errorf("%s: range %v–%v around one repeat's bar %v", r.Name, r.RelativeLo, r.RelativeHi, r.Relative)
 		}
 	}
 	// Per-workload timings are noisy when the test suite itself runs in

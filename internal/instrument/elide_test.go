@@ -18,13 +18,35 @@ func countChecks(p *mir.Program) int {
 	return n
 }
 
+// withNaiveChecks inserts a type check of the address before every load
+// and store of p, in place, and returns p: the check-every-dereference
+// strawman the schema's check minimisation is measured against. It
+// gives the elision pass redundant type checks to remove.
+func withNaiveChecks(p *mir.Program) *mir.Program {
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			out := make([]mir.Instr, 0, 2*len(b.Instrs))
+			for _, ins := range b.Instrs {
+				if ins.Op == mir.OpLoad || ins.Op == mir.OpStore {
+					out = append(out, mir.Instr{Op: mir.OpTypeCheck, Dst: -1,
+						A: ins.A, B: -1, C: -1, Type: ins.Type, Site: ins.Site})
+				}
+				out = append(out, ins)
+			}
+			b.Instrs = out
+		}
+	}
+	return p
+}
+
 // Counts recorded from the two elision passes the dataflow pass
 // replaced: the dominator-tree walk (a block inherits only its immediate
 // dominator's facts) and the block-local pass (no fact crosses a block
 // boundary). They were measured at commit d72a461, the last revision
 // that had both passes, with Options{Variant: Full, NoStaticElision:
-// true, Naive: true}; the tests below pin the dataflow pass against
-// them so the precision gap stays visible without the passes.
+// true} and the type checks withNaiveChecks inserts; the tests below pin
+// the dataflow pass against them so the precision gap stays visible
+// without the passes.
 const (
 	// buildBranchy: the entry check dominates both arms and the join.
 	branchyDomTreeChecks     = 2 // checks left by the dominator walk
@@ -43,12 +65,12 @@ const (
 	deepDomTreeCrossBlock = 12000
 )
 
-// runUnoptimized instruments build's program with every optimisation
-// off and runs it — the reference an elided program must agree with.
-func runUnoptimized(t *testing.T, build func(tb *ctypes.Table) *mir.Program, opts Options) (uint64, *core.Reporter) {
+// runUnoptimized instruments p with every optimisation off and runs it
+// — the reference an elided program must agree with.
+func runUnoptimized(t *testing.T, p *mir.Program, opts Options) (uint64, *core.Reporter) {
 	t.Helper()
 	opts.NoOptimize = true
-	ip, _ := Instrument(build(ctypes.NewTable()), opts)
+	ip, _ := Instrument(p, opts)
 	return runPass(t, ip)
 }
 
@@ -107,8 +129,9 @@ func buildDiamondJoin(tb *ctypes.Table) *mir.Program {
 // could not (no dominating block holds the fact). Behaviour is
 // identical to the unoptimised program.
 func TestPathSensitiveClosesDiamondJoinGap(t *testing.T) {
-	opts := Options{Variant: Full, NoStaticElision: true, Naive: true}
-	ip, st := Instrument(buildDiamondJoin(ctypes.NewTable()), opts)
+	opts := Options{Variant: Full, NoStaticElision: true}
+	p := withNaiveChecks(buildDiamondJoin(ctypes.NewTable()))
+	ip, st := Instrument(p, opts)
 
 	if got := countChecks(ip); got >= diamondDomTreeChecks {
 		t.Fatalf("dataflow left %d checks, the dominator walk left %d: want strictly fewer",
@@ -125,7 +148,7 @@ func TestPathSensitiveClosesDiamondJoinGap(t *testing.T) {
 	if rep.Total() != 0 {
 		t.Fatalf("clean program reported errors:\n%s", rep.Log())
 	}
-	if want, _ := runUnoptimized(t, buildDiamondJoin, opts); v != want {
+	if want, _ := runUnoptimized(t, p, opts); v != want {
 		t.Fatalf("result %d, want %d", v, want)
 	}
 }
@@ -143,8 +166,11 @@ func TestElisionAttributionPartition(t *testing.T) {
 	for bname, build := range builders {
 		for _, naive := range []bool{false, true} {
 			for _, noStatic := range []bool{false, true} {
-				_, st := Instrument(build(ctypes.NewTable()),
-					Options{Variant: Full, Naive: naive, NoStaticElision: noStatic})
+				p := build(ctypes.NewTable())
+				if naive {
+					withNaiveChecks(p)
+				}
+				_, st := Instrument(p, Options{Variant: Full, NoStaticElision: noStatic})
 				total := st.ElidedSubsume + st.ElidedNarrows + st.ElidedRechecks
 				if st.ElidedPathSensitive > total {
 					t.Errorf("%s naive=%v nostatic=%v: path %d exceeds total elisions %d (double count)",
@@ -282,11 +308,12 @@ func TestElisionCFGEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Variant: Full, NoStaticElision: true, Naive: true}
-			ip, st := Instrument(tc.build(ctypes.NewTable()), opts)
+			opts := Options{Variant: Full, NoStaticElision: true}
+			p := withNaiveChecks(tc.build(ctypes.NewTable()))
+			ip, st := Instrument(p, opts)
 			tc.assert(t, ip, st)
 			v, rep := runPass(t, ip)
-			wantVal, wantRep := runUnoptimized(t, tc.build, opts)
+			wantVal, wantRep := runUnoptimized(t, p, opts)
 			for name, r := range map[string]*core.Reporter{"elided": rep, "unoptimised": wantRep} {
 				kinds := r.IssuesByKind()
 				if len(kinds) != len(tc.wantKinds) {
@@ -340,8 +367,8 @@ func buildDiamondChain(tb *ctypes.Table, depth int) *mir.Program {
 // dominator walk did on this reducible shape.
 func TestElisionDeepCFG(t *testing.T) {
 	const depth = 2000
-	opts := Options{Variant: Full, NoStaticElision: true, Naive: true}
-	ip, st := Instrument(buildDiamondChain(ctypes.NewTable(), depth), opts)
+	opts := Options{Variant: Full, NoStaticElision: true}
+	ip, st := Instrument(withNaiveChecks(buildDiamondChain(ctypes.NewTable(), depth)), opts)
 	// Entry's type+bounds check survive; all 3*depth re-derefs lose
 	// both their checks.
 	if got := countChecks(ip); got != 2 {
@@ -360,7 +387,7 @@ func TestElisionDeepCFG(t *testing.T) {
 // Instrumentation-time benchmark over a deep diamond chain, the shape
 // with the deepest dominator tree per block.
 func benchmarkElide(b *testing.B, depth int, opts Options) {
-	p := buildDiamondChain(ctypes.NewTable(), depth)
+	p := withNaiveChecks(buildDiamondChain(ctypes.NewTable(), depth))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -375,7 +402,7 @@ func benchmarkElide(b *testing.B, depth int, opts Options) {
 func BenchmarkElidePathSensitiveDeep(b *testing.B) {
 	for _, depth := range []int{50, 400} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchmarkElide(b, depth, Options{Variant: Full, NoStaticElision: true, Naive: true})
+			benchmarkElide(b, depth, Options{Variant: Full, NoStaticElision: true})
 		})
 	}
 }

@@ -78,16 +78,6 @@ type Options struct {
 	// upcast checks, subsumed bounds checks, redundant narrowing, and
 	// type-check reuse) — the Fig. 8 "no-opt" ablation configuration.
 	NoOptimize bool
-	// Naive replaces the input-pointer discipline with a type check
-	// before every single dereference — the strawman the schema's check
-	// minimisation is measured against (ablation only).
-	Naive bool
-	// NoCheckMotion disables the §5.3 check-MOTION suite while keeping
-	// check removal on: no value-numbered provenance in the elision
-	// lattice, no loop-invariant check hoisting, no partial-redundancy
-	// insertion — the "no-motion" Fig. 8 ablation. Motion rides on the
-	// elision pass, so it is implicitly off under NoOptimize.
-	NoCheckMotion bool
 	// NoStaticElision disables the interprocedural static safety pass
 	// (staticsafe.go): no check is deleted by abstract interpretation
 	// alone and no STATIC-UNSAFE diagnostics are produced — the
@@ -116,15 +106,11 @@ type Stats struct {
 	// justifying fact was established in ANOTHER block and is available
 	// on every incoming path — the wins only a CFG-aware pass can see.
 	ElidedPathSensitive int
-	// The check-MOTION counters (all zero under NoCheckMotion). They
-	// partition from the elision counters above: a check removed via
-	// value-numbered provenance (rewritten to a bounds-register copy
-	// from the register that already holds the result) is charged to
-	// ValueNumberedElisions ONLY — not to ElidedRechecks and not to
-	// ElidedPathSensitive — so the ablation deltas are attributable.
-	HoistedChecks         int // checks moved to a loop preheader
-	PREInsertions         int // checks copied onto an edge to unify a join
-	ValueNumberedElisions int // type checks elided across registers via VN
+	// HoistedChecks is always zero: no pass moves checks. It remains
+	// only because the repository benchmark (bench/run.go) reads it for
+	// its instrument.hoisted metric, and goes when the benchmark stops
+	// naming it (ROADMAP item 11).
+	HoistedChecks int
 	// CheckSites is the number of static OpTypeCheck sites that survived
 	// elision; each gets a stable 1-based site ID for the runtime's
 	// per-site inline caches.
@@ -137,9 +123,9 @@ type Stats struct {
 	// The static safety pass counters (staticsafe.go; all zero under
 	// NoStaticElision/NoOptimize). They partition from every counter
 	// above: a STATIC-SAFE check is deleted BEFORE the dynamic
-	// elision/motion passes run, so it can never also be charged to
-	// ElidedRechecks/ElidedPathSensitive/ValueNumberedElisions, and the
-	// residual bounds-register producers swept in its wake are counted
+	// elision pass runs, so it can never also be charged to
+	// ElidedRechecks/ElidedPathSensitive, and the residual
+	// bounds-register producers swept in its wake are counted
 	// separately so ElidedStaticSafe stays "checks deleted".
 	ElidedStaticSafe     int // checks proven unable to fail, deleted
 	ElidedStaticResidual int // orphaned bounds_get/narrow/mov swept after deletion
@@ -163,13 +149,13 @@ func Instrument(p *mir.Program, opts Options) (*mir.Program, Stats) {
 	}
 	// The static safety pass sits between insertion and the dynamic
 	// optimisers: it deletes checks by interprocedural proof alone, so
-	// the elision/motion passes below see fewer sites.
+	// the elision pass below sees fewer sites.
 	if staticElisionEnabled(opts) {
 		staticElide(out, opts, &st)
 	}
 	if !opts.NoOptimize {
 		for _, f := range out.Funcs {
-			optimizeFunc(f, opts, &st)
+			elidePathSensitive(f, &st)
 		}
 	}
 	assignSiteIDs(out, opts, &st)
@@ -216,17 +202,6 @@ func instrumentFunc(p *mir.Program, f *mir.Func, opts Options, st *Stats) {
 	}
 }
 
-// optimizeFunc runs the dynamic-redundancy optimisers (PR-2/4/6) on one
-// function. Split from instrumentFunc so the program-level static
-// safety pass can run between insertion and optimisation.
-func optimizeFunc(f *mir.Func, opts Options, st *Stats) {
-	if motionEnabled(opts) {
-		hoistChecks(f, st)
-		preInsertChecks(f, opts, st)
-	}
-	elidePathSensitive(f, opts, st)
-}
-
 // inputCheck builds the check instruction for an input pointer: a type
 // check in Full, a bounds_get in BoundsOnly.
 func inputCheck(opts Options, st *Stats, reg int, pointee *ctypes.Type) mir.Instr {
@@ -256,18 +231,8 @@ func emitPre(p *mir.Program, f *mir.Func, ins *mir.Instr, opts Options, st *Stat
 	}
 	switch ins.Op {
 	case mir.OpLoad:
-		if opts.Naive {
-			st.TypeChecks++
-			*out = append(*out, mir.Instr{Op: mir.OpTypeCheck, Dst: -1,
-				A: ins.A, B: -1, C: -1, Type: ins.Type, Site: ins.Site})
-		}
 		boundsCheck(ins.A, -1, ins.Type.Size(), ins.Type)
 	case mir.OpStore:
-		if opts.Naive {
-			st.TypeChecks++
-			*out = append(*out, mir.Instr{Op: mir.OpTypeCheck, Dst: -1,
-				A: ins.A, B: -1, C: -1, Type: ins.Type, Site: ins.Site})
-		}
 		boundsCheck(ins.A, -1, ins.Type.Size(), ins.Type)
 		if ins.Type.Kind == ctypes.KindPointer {
 			escapeCheck(ins.B)

@@ -83,7 +83,7 @@ func TestFig4Schema(t *testing.T) {
 
 	sum := ip.Funcs["sum"]
 	if got := countOps(sum, mir.OpTypeCheck); got != 1 {
-		t.Errorf("sum: %d type checks, want 1 (entry only, hoisted out of the loop)", got)
+		t.Errorf("sum: %d type checks, want 1 (entry only, outside the loop)", got)
 	}
 	if got := countOps(sum, mir.OpBoundsCheck); got != 1 {
 		t.Errorf("sum: %d bounds checks, want 1 (the element load)", got)
@@ -325,14 +325,22 @@ func TestMerelyCastingAttractsNoInstrumentation(t *testing.T) {
 	}
 }
 
+// TestNaiveModeChecksEveryDereference: the schema's input-pointer
+// discipline leaves fewer type checks in Fig. 4 than type checking
+// before every dereference does, even after elision.
 func TestNaiveModeChecksEveryDereference(t *testing.T) {
-	tb := ctypes.NewTable()
-	p := buildFig4(tb)
-	_, stFull := Instrument(p, Options{Variant: Full})
-	_, stNaive := Instrument(p, Options{Variant: Full, Naive: true})
-	if stNaive.TypeChecks <= stFull.TypeChecks {
-		t.Fatalf("naive type checks (%d) must exceed schema's (%d)",
-			stNaive.TypeChecks, stFull.TypeChecks)
+	typeChecks := func(p *mir.Program) int {
+		ip, _ := Instrument(p, Options{Variant: Full})
+		n := 0
+		for _, f := range ip.Funcs {
+			n += countOps(f, mir.OpTypeCheck)
+		}
+		return n
+	}
+	schema := typeChecks(buildFig4(ctypes.NewTable()))
+	naive := typeChecks(withNaiveChecks(buildFig4(ctypes.NewTable())))
+	if naive <= schema {
+		t.Fatalf("naive type checks (%d) must exceed schema's (%d)", naive, schema)
 	}
 }
 
@@ -444,7 +452,7 @@ func TestBoundsVariantSkipsNarrowing(t *testing.T) {
 }
 
 func TestRedundantTypeCheckReuse(t *testing.T) {
-	// Naive mode type-checks before every dereference; two loads through
+	// withNaiveChecks type-checks before every dereference; two loads through
 	// the same unmodified pointer in one block make the second check
 	// redundant — its provenance was checked instructions earlier and
 	// the bounds register still holds the result.
@@ -457,11 +465,12 @@ func TestRedundantTypeCheckReuse(t *testing.T) {
 	s := b.Bin(mir.BinAdd, ctypes.Long, v1, v2)
 	b.Ret(b.Cast(ctypes.Int, ctypes.Long, s))
 
-	_, st := Instrument(p, Options{Variant: Full, NoStaticElision: true, Naive: true})
+	withNaiveChecks(p)
+	_, st := Instrument(p, Options{Variant: Full, NoStaticElision: true})
 	if st.ElidedRechecks != 1 {
 		t.Fatalf("rechecks elided = %d, want 1", st.ElidedRechecks)
 	}
-	_, stNoOpt := Instrument(p, Options{Variant: Full, Naive: true, NoOptimize: true})
+	_, stNoOpt := Instrument(p, Options{Variant: Full, NoOptimize: true})
 	if stNoOpt.ElidedRechecks != 0 {
 		t.Fatal("NoOptimize must keep redundant type checks")
 	}
@@ -480,7 +489,7 @@ func TestTypeCheckReuseThroughMov(t *testing.T) {
 	v2 := b.Load(ctypes.Long, cp)
 	b.Ret(b.Bin(mir.BinAdd, ctypes.Long, v1, v2))
 
-	_, st := Instrument(p, Options{Variant: Full, NoStaticElision: true, Naive: true})
+	_, st := Instrument(withNaiveChecks(p), Options{Variant: Full, NoStaticElision: true})
 	if st.ElidedRechecks != 1 {
 		t.Fatalf("rechecks elided through mov = %d, want 1", st.ElidedRechecks)
 	}
@@ -499,7 +508,7 @@ func TestTypeCheckReuseBarrierOnFree(t *testing.T) {
 	v2 := b.Load(ctypes.Long, arr) // use after free
 	b.Ret(b.Bin(mir.BinAdd, ctypes.Long, v1, v2))
 
-	ip, st := Instrument(p, Options{Variant: Full, Naive: true})
+	ip, st := Instrument(withNaiveChecks(p), Options{Variant: Full})
 	if st.ElidedRechecks != 0 {
 		t.Fatalf("rechecks elided across free = %d, want 0", st.ElidedRechecks)
 	}
@@ -554,7 +563,7 @@ func buildBranchy(tb *ctypes.Table) *mir.Program {
 // exactly as many as the dominator-tree walk did, since the entry
 // dominates everything. The recorded counts are in elide_test.go.
 func TestCrossBlockElisionBeatsPerBlock(t *testing.T) {
-	ip, st := Instrument(buildBranchy(ctypes.NewTable()), Options{Variant: Full, NoStaticElision: true, Naive: true})
+	ip, st := Instrument(withNaiveChecks(buildBranchy(ctypes.NewTable())), Options{Variant: Full, NoStaticElision: true})
 
 	if got := countChecks(ip); got >= branchyPerBlockChecks || got != branchyDomTreeChecks {
 		t.Fatalf("dataflow pass left %d checks, want fewer than the block-local pass's %d and equal to the dominator walk's %d",
@@ -605,7 +614,7 @@ func TestCrossBlockElisionBarrierOnPath(t *testing.T) {
 	v1 := b.Load(ctypes.Long, arr) // UAF when the fr arm ran
 	b.Ret(b.Bin(mir.BinAdd, ctypes.Long, v0, v1))
 
-	ip, st := Instrument(p, Options{Variant: Full, Naive: true})
+	ip, st := Instrument(withNaiveChecks(p), Options{Variant: Full})
 	if st.ElidedRechecks != 0 {
 		t.Fatalf("type check elided across a freeing path: %+v", st)
 	}
@@ -641,7 +650,7 @@ func TestCrossBlockElisionLoopBarrier(t *testing.T) {
 	b.SetBlock(exit)
 	b.Ret(b.Bin(mir.BinAdd, ctypes.Long, v0, v1))
 
-	_, st := Instrument(p, Options{Variant: Full, Naive: true})
+	_, st := Instrument(withNaiveChecks(p), Options{Variant: Full})
 	if st.ElidedRechecks != 0 {
 		t.Fatalf("loop-body check elided despite the in-loop free: %+v", st)
 	}
@@ -723,8 +732,9 @@ func TestTypeCheckReuseDetectionParity(t *testing.T) {
 		}
 		return rt.Reporter.IssuesByKind()
 	}
-	withReuse := run(Options{Variant: Full, Naive: true})
-	without := run(Options{Variant: Full, Naive: true, NoOptimize: true})
+	withNaiveChecks(p)
+	withReuse := run(Options{Variant: Full})
+	without := run(Options{Variant: Full, NoOptimize: true})
 	if withReuse[core.TypeError] == 0 {
 		t.Fatal("type confusion undetected with reuse on")
 	}

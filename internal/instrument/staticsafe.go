@@ -3,9 +3,9 @@ package instrument
 // Static safety elision: the bridge between mir.AnalyzeSafety's
 // interprocedural abstract interpretation and the instrumented program.
 // It runs as its own pass between check INSERTION and the dynamic
-// elision/motion optimisers, so those see fewer sites, and is the only
-// pass that removes a check by static reasoning alone (every PR-2/4/6
-// elision needs another dynamic check to cover the removed one).
+// elision pass, so that pass sees fewer sites, and is the only pass
+// that removes a check by static reasoning alone (every dynamic
+// elision needs another check to cover the removed one).
 //
 // Contract per verdict:
 //
@@ -19,7 +19,7 @@ package instrument
 //     the shadow bounds register, and a kept bounds check (or an
 //     intrinsic call introspecting its arguments) downstream must keep
 //     seeing the narrowed fact, not the stale register.
-//   - Residual producers (OpBoundsGet/OpBoundsNarrow/OpBoundsMov) that
+//   - Residual producers (OpBoundsGet/OpBoundsNarrow) that
 //     existed only to feed now-deleted checks are swept too — counted
 //     separately (ElidedStaticResidual) so the headline counter stays
 //     "checks deleted".
@@ -27,9 +27,9 @@ package instrument
 //     byte-identical) and surfaced as compile-time diagnostics
 //     (Stats.StaticDiags, `effsan -warn-static`).
 //
-// Counters partition from the PR-2/4/6 ones: a statically deleted check
+// Counters partition from the elision ones: a statically deleted check
 // is charged to ElidedStaticSafe ONLY — it is gone before the dynamic
-// passes run, so it can never also be counted by them.
+// elision pass runs, so it can never also be counted by it.
 
 import (
 	"sort"
@@ -159,11 +159,6 @@ func staticElideFunc(p *mir.Program, f *mir.Func, verdicts []mir.CheckVerdict, s
 					st.ElidedStaticResidual++
 					continue
 				}
-			case mir.OpBoundsMov:
-				if neededBefore[ins.A] && !neededAfter[ins.A] {
-					st.ElidedStaticResidual++
-					continue
-				}
 			}
 			out = append(out, *ins)
 		}
@@ -177,9 +172,8 @@ func staticElideFunc(p *mir.Program, f *mir.Func, verdicts []mir.CheckVerdict, s
 // bounds[A]; checked intrinsic calls read the bounds register of every
 // pointer argument. The set then closes backwards over the
 // interpreter's bounds-propagation edges — OpMov, every OpCast,
-// OpField and OpIndex copy bounds[A] into bounds[Dst], and OpBoundsMov
-// copies bounds[B] into bounds[A] — so a producer for any register the
-// fact could have flowed from is retained.
+// OpField and OpIndex copy bounds[A] into bounds[Dst] — so a producer
+// for any register the fact could have flowed from is retained.
 func neededBoundsRegs(p *mir.Program, f *mir.Func, skip map[[2]int]bool) map[int]bool {
 	needed := map[int]bool{}
 	for bi, b := range f.Blocks {
@@ -213,11 +207,6 @@ func neededBoundsRegs(p *mir.Program, f *mir.Func, skip map[[2]int]bool) map[int
 				case mir.OpMov, mir.OpCast, mir.OpField, mir.OpIndex:
 					if needed[ins.Dst] && !needed[ins.A] {
 						needed[ins.A] = true
-						changed = true
-					}
-				case mir.OpBoundsMov:
-					if needed[ins.A] && !needed[ins.B] {
-						needed[ins.B] = true
 						changed = true
 					}
 				}

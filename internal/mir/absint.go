@@ -1164,11 +1164,6 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 			classify(bi, ii, v, reason)
 		}
 
-	case OpBoundsMov:
-		// bounds[A] = bounds[B]: the copied range is relative to B's
-		// value, which we cannot re-relate to A's provenance here.
-		st.setBnd(ins.A, topBnd())
-
 	default:
 		// Unmodelled (record ops and future extensions): drop all
 		// knowledge derivable from the instruction, soundly.

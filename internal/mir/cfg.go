@@ -3,11 +3,9 @@ package mir
 import "math"
 
 // This file provides the control-flow analyses the §5.3 check-elision
-// and check-motion passes need: block successors/predecessors derived
-// from the terminators (OpJmp/OpBr/OpRet), a reverse postorder,
-// immediate dominators via the Cooper-Harvey-Kennedy algorithm ("A
-// Simple, Fast Dominance Algorithm") with an O(1) Dominates test, and
-// the weak topological order SolveForward iterates in (Bourdoncle,
+// pass and the static safety analysis need: block successors and
+// predecessors derived from the terminators (OpJmp/OpBr/OpRet), and the
+// weak topological order SolveForward iterates in (Bourdoncle,
 // "Efficient chaotic iteration strategies with widenings").
 //
 // The paper's optimiser runs on LLVM IR with full CFG visibility; the
@@ -28,17 +26,8 @@ type CFG struct {
 	Succs [][]int
 	Preds [][]int
 
-	// RPO is a reverse postorder over the blocks reachable from the
-	// entry block (index 0). RPO[0] == 0.
-	RPO []int
-
-	rpoPos   []int   // block -> RPO position, -1 if unreachable
-	wto      []int   // reachable blocks in weak topological order
-	wtoPos   []int   // block -> wto position, -1 if unreachable
-	idom     []int   // block -> immediate dominator, -1 for entry/unreachable
-	children [][]int // dominator-tree children, ordered by RPO
-	pre      []int   // dominator-tree DFS entry numbering (for Dominates)
-	post     []int   // dominator-tree DFS exit numbering
+	wto    []int // blocks reachable from the entry, in weak topological order
+	wtoPos []int // block -> wto position, -1 if unreachable
 }
 
 // blockSuccs returns the successor block indices of b per its terminator.
@@ -61,16 +50,13 @@ func blockSuccs(b *Block) []int {
 	return nil
 }
 
-// NewCFG builds the control-flow graph, reverse postorder, dominator
-// tree and weak topological order of f.
+// NewCFG builds the control-flow graph and weak topological order of f.
 func NewCFG(f *Func) *CFG {
 	n := len(f.Blocks)
 	c := &CFG{
-		f:      f,
-		Succs:  make([][]int, n),
-		Preds:  make([][]int, n),
-		rpoPos: make([]int, n),
-		idom:   make([]int, n),
+		f:     f,
+		Succs: make([][]int, n),
+		Preds: make([][]int, n),
 	}
 	for i, b := range f.Blocks {
 		c.Succs[i] = blockSuccs(b)
@@ -80,52 +66,8 @@ func NewCFG(f *Func) *CFG {
 			c.Preds[s] = append(c.Preds[s], i)
 		}
 	}
-	c.buildRPO()
-	c.buildDominators()
-	c.buildDomTree()
 	c.buildWTO()
 	return c
-}
-
-// buildRPO computes a reverse postorder of the blocks reachable from
-// block 0 (iterative DFS, postorder reversed).
-func (c *CFG) buildRPO() {
-	n := len(c.f.Blocks)
-	for i := range c.rpoPos {
-		c.rpoPos[i] = -1
-	}
-	if n == 0 {
-		return
-	}
-	visited := make([]bool, n)
-	var post []int
-	type frame struct {
-		b    int
-		next int
-	}
-	stack := []frame{{0, 0}}
-	visited[0] = true
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if fr.next < len(c.Succs[fr.b]) {
-			s := c.Succs[fr.b][fr.next]
-			fr.next++
-			if !visited[s] {
-				visited[s] = true
-				stack = append(stack, frame{s, 0})
-			}
-			continue
-		}
-		post = append(post, fr.b)
-		stack = stack[:len(stack)-1]
-	}
-	c.RPO = make([]int, len(post))
-	for i, b := range post {
-		c.RPO[len(post)-1-i] = b
-	}
-	for pos, b := range c.RPO {
-		c.rpoPos[b] = pos
-	}
 }
 
 // buildWTO computes a weak topological order of the blocks reachable
@@ -150,7 +92,7 @@ func (c *CFG) buildWTO() {
 	if n == 0 {
 		return
 	}
-	w := &wtoWalk{succs: c.Succs, dfn: make([]int, n), rev: make([]int, 0, len(c.RPO))}
+	w := &wtoWalk{succs: c.Succs, dfn: make([]int, n), rev: make([]int, 0, n)}
 	w.visit(0)
 	c.wto = w.rev
 	for i, j := 0, len(c.wto)-1; i < j; i, j = i+1, j-1 {
@@ -214,112 +156,4 @@ func (w *wtoWalk) visit(v int) int {
 	}
 	w.rev = append(w.rev, v)
 	return head
-}
-
-// buildDominators runs the Cooper-Harvey-Kennedy iterative dominance
-// algorithm over the reverse postorder.
-func (c *CFG) buildDominators() {
-	for i := range c.idom {
-		c.idom[i] = -1
-	}
-	if len(c.RPO) == 0 {
-		return
-	}
-	// The algorithm wants idom[entry] = entry while iterating.
-	c.idom[0] = 0
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.RPO[1:] {
-			newIdom := -1
-			for _, p := range c.Preds[b] {
-				if c.idom[p] == -1 && p != 0 {
-					continue // predecessor not yet processed (or unreachable)
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = c.intersect(p, newIdom)
-				}
-			}
-			if newIdom != -1 && c.idom[b] != newIdom {
-				c.idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	c.idom[0] = -1 // the entry block has no immediate dominator
-}
-
-// intersect walks the two dominator chains up to their common ancestor,
-// comparing by RPO position (CHK's two-finger walk).
-func (c *CFG) intersect(a, b int) int {
-	for a != b {
-		for c.rpoPos[a] > c.rpoPos[b] {
-			a = c.idomOrEntry(a)
-		}
-		for c.rpoPos[b] > c.rpoPos[a] {
-			b = c.idomOrEntry(b)
-		}
-	}
-	return a
-}
-
-func (c *CFG) idomOrEntry(b int) int {
-	if b == 0 {
-		return 0
-	}
-	if d := c.idom[b]; d != -1 {
-		return d
-	}
-	return 0
-}
-
-// buildDomTree materialises the children lists and the DFS interval
-// numbering that makes Dominates an O(1) range test.
-func (c *CFG) buildDomTree() {
-	n := len(c.f.Blocks)
-	c.children = make([][]int, n)
-	for _, b := range c.RPO[1:] { // RPO order keeps children deterministic
-		c.children[c.idom[b]] = append(c.children[c.idom[b]], b)
-	}
-	c.pre = make([]int, n)
-	c.post = make([]int, n)
-	for i := range c.pre {
-		c.pre[i], c.post[i] = -1, -1
-	}
-	if len(c.RPO) == 0 {
-		return
-	}
-	clock := 0
-	type frame struct {
-		b    int
-		next int
-	}
-	stack := []frame{{0, 0}}
-	c.pre[0] = clock
-	clock++
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if fr.next < len(c.children[fr.b]) {
-			ch := c.children[fr.b][fr.next]
-			fr.next++
-			c.pre[ch] = clock
-			clock++
-			stack = append(stack, frame{ch, 0})
-			continue
-		}
-		c.post[fr.b] = clock
-		clock++
-		stack = stack[:len(stack)-1]
-	}
-}
-
-// Dominates reports whether block a dominates block b (every path from
-// the entry to b passes through a; a dominates itself). Unreachable
-// blocks dominate nothing and are dominated by nothing.
-func (c *CFG) Dominates(a, b int) bool {
-	if c.pre[a] == -1 || c.pre[b] == -1 {
-		return false
-	}
-	return c.pre[a] <= c.pre[b] && c.post[b] <= c.post[a]
 }

@@ -1,6 +1,7 @@
 package mir
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ctypes"
@@ -38,32 +39,10 @@ func TestCFGDiamond(t *testing.T) {
 	if got := c.Preds[3]; len(got) != 2 {
 		t.Fatalf("join preds = %v, want two", got)
 	}
-	if c.RPO[0] != 0 {
-		t.Fatalf("RPO starts at %d, want entry", c.RPO[0])
+	// The entry comes first and the join after both arms.
+	if c.wto[0] != 0 || c.wto[3] != 3 {
+		t.Errorf("wto = %v, want the entry first and the join last", c.wto)
 	}
-	// Dominators: entry dominates everything; the branches dominate only
-	// themselves; the join's idom is the entry, not a branch.
-	for b := 0; b < 4; b++ {
-		if !c.Dominates(0, b) {
-			t.Errorf("entry should dominate block %d", b)
-		}
-	}
-	if c.idom[3] != 0 {
-		t.Errorf("idom(join) = %d, want 0", c.idom[3])
-	}
-	if c.idom[1] != 0 || c.idom[2] != 0 {
-		t.Errorf("idom(branches) = %d,%d, want 0,0", c.idom[1], c.idom[2])
-	}
-	if c.Dominates(1, 3) || c.Dominates(2, 3) {
-		t.Error("a branch arm must not dominate the join")
-	}
-	if c.Dominates(3, 1) {
-		t.Error("join must not dominate an arm")
-	}
-	if c.idom[0] != -1 {
-		t.Errorf("idom(entry) = %d, want -1", c.idom[0])
-	}
-
 }
 
 // buildLoop builds entry(0) -> head(1); head -> {body(2), exit(3)};
@@ -91,14 +70,12 @@ func TestCFGLoop(t *testing.T) {
 	f := buildLoop(t)
 	c := NewCFG(f)
 
-	if c.idom[1] != 0 || c.idom[2] != 1 || c.idom[3] != 1 {
-		t.Fatalf("idoms = %d,%d,%d, want 0,1,1", c.idom[1], c.idom[2], c.idom[3])
+	if got := c.Preds[1]; len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("head preds = %v, want [0 2] (entry edge, back edge)", got)
 	}
-	if !c.Dominates(1, 2) || !c.Dominates(1, 3) {
-		t.Error("loop head must dominate body and exit")
-	}
-	if c.Dominates(2, 1) {
-		t.Error("body must not dominate head (entry edge bypasses it)")
+	// The loop (head, then body) is contiguous and precedes its exit.
+	if want := []int{0, 1, 2, 3}; fmt.Sprint(c.wto) != fmt.Sprint(want) {
+		t.Errorf("wto = %v, want %v", c.wto, want)
 	}
 }
 
@@ -122,32 +99,58 @@ func buildUnreachable(t *testing.T) (f *Func, dead int) {
 func TestCFGUnreachableBlock(t *testing.T) {
 	f, dead := buildUnreachable(t)
 	c := NewCFG(f)
-	if len(c.RPO) != 1 {
-		t.Fatalf("RPO = %v, want entry only", c.RPO)
+	if len(c.wto) != 1 || c.wto[0] != 0 {
+		t.Fatalf("wto = %v, want entry only", c.wto)
 	}
-	if c.idom[dead] != -1 {
-		t.Errorf("unreachable block has idom %d", c.idom[dead])
+	if c.wtoPos[dead] != -1 {
+		t.Errorf("unreachable block has wto position %d", c.wtoPos[dead])
 	}
-	if c.Dominates(0, dead) || c.Dominates(dead, 0) {
-		t.Error("unreachable blocks neither dominate nor are dominated")
+	if len(c.Preds[dead]) != 0 {
+		t.Errorf("unreachable block has preds %v", c.Preds[dead])
 	}
 }
 
-// TestCFGNestedLoops stresses the iterative dominance computation on a
-// nested loop with an early exit from the inner loop.
+// buildNestedLoops builds a two-level nest with an early exit from the
+// inner loop: entry -> outer -> inner -> {innerBody, outerLatch};
+// innerBody -> {inner, exit}; outerLatch -> {outer, exit}.
+func buildNestedLoops(t *testing.T) (f *Func, outer, inner int) {
+	t.Helper()
+	tb := ctypes.NewTable()
+	p := NewProgram(tb)
+	b := NewFunc(p, "n", ctypes.Int, Param{Name: "c", Type: ctypes.Int})
+	outer = b.Reserve("outer")
+	inner = b.Reserve("inner")
+	innerBody := b.Reserve("innerBody")
+	outerLatch := b.Reserve("outerLatch")
+	exit := b.Reserve("exit")
+	b.Jmp(outer)
+	b.SetBlock(outer)
+	b.Jmp(inner)
+	b.SetBlock(inner)
+	b.Br(b.Param(0), innerBody, outerLatch)
+	b.SetBlock(innerBody)
+	b.Br(b.Param(0), inner, exit)
+	b.SetBlock(outerLatch)
+	b.Br(b.Param(0), outer, exit)
+	b.SetBlock(exit)
+	b.Ret(b.Const(ctypes.Int, 0))
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return b.F, outer, inner
+}
+
+// TestCFGNestedLoops: the weak topological order nests the inner loop
+// inside the outer one, and the exit both loops share comes after them.
 func TestCFGNestedLoops(t *testing.T) {
 	f, outer, inner := buildNestedLoops(t)
 	innerBody, outerLatch, exit := inner+1, inner+2, inner+3
 	c := NewCFG(f)
 
-	if c.idom[outer] != 0 || c.idom[inner] != outer || c.idom[innerBody] != inner ||
-		c.idom[outerLatch] != inner {
-		t.Fatalf("unexpected idoms: outer=%d inner=%d body=%d latch=%d",
-			c.idom[outer], c.idom[inner], c.idom[innerBody], c.idom[outerLatch])
+	if got := c.Preds[exit]; len(got) != 2 || got[0] != innerBody || got[1] != outerLatch {
+		t.Fatalf("exit preds = %v, want [%d %d]", got, innerBody, outerLatch)
 	}
-	// exit is reached from innerBody and outerLatch, whose common
-	// dominator is inner.
-	if c.idom[exit] != inner {
-		t.Fatalf("idom(exit) = %d, want inner (%d)", c.idom[exit], inner)
+	if want := []int{0, outer, inner, innerBody, outerLatch, exit}; fmt.Sprint(c.wto) != fmt.Sprint(want) {
+		t.Errorf("wto = %v, want %v", c.wto, want)
 	}
 }

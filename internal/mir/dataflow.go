@@ -1,5 +1,7 @@
 package mir
 
+import mathbits "math/bits"
+
 // This file provides a small generic forward dataflow framework over
 // CFG. It exists for the §5.3 check-elision pass's available-check
 // analysis (package instrument), but is deliberately problem-agnostic:
@@ -173,4 +175,29 @@ func SolveForward[F any](c *CFG, p ForwardProblem[F]) (in []F, solved []bool) {
 		}
 	}
 	return in, solved
+}
+
+// bits is a fixed-size bitset; SolveForward keeps its pending blocks in
+// one, indexed by weak-topological-order position.
+type bits []uint64
+
+func newBits(n int) bits   { return make(bits, (n+63)/64) }
+func (b bits) set(i int)   { b[i/64] |= 1 << (i % 64) }
+func (b bits) clear(i int) { b[i/64] &^= 1 << (i % 64) }
+
+// next returns the lowest set bit at or above i, or -1 when there is none.
+func (b bits) next(i int) int {
+	wi := i / 64
+	if wi >= len(b) {
+		return -1
+	}
+	w := b[wi] >> (i % 64) << (i % 64)
+	for w == 0 {
+		wi++
+		if wi == len(b) {
+			return -1
+		}
+		w = b[wi]
+	}
+	return wi*64 + mathbits.TrailingZeros64(w)
 }

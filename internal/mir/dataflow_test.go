@@ -408,6 +408,65 @@ func chainedCounters(k int, transfers *int) ForwardProblem[[]itv] {
 	}
 }
 
+// buildSelfLoop builds entry(0) -> head; head -> {head, exit}.
+func buildSelfLoop(t *testing.T) (f *Func, head int) {
+	t.Helper()
+	tb := ctypes.NewTable()
+	p := NewProgram(tb)
+	b := NewFunc(p, "s", ctypes.Int, Param{Name: "c", Type: ctypes.Int})
+	head, exit := b.Reserve("head"), b.Reserve("exit")
+	b.Jmp(head)
+	b.SetBlock(head)
+	b.Br(b.Param(0), head, exit)
+	b.SetBlock(exit)
+	b.Ret(b.Const(ctypes.Int, 0))
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return b.F, head
+}
+
+// buildSharedHeader builds a loop with two back edges into one header
+// (a `continue`-style shape): entry(0) -> head; head -> {l1, exit};
+// l1 -> {head, l2}; l2 -> head.
+func buildSharedHeader(t *testing.T) (f *Func, head, l1, l2 int) {
+	t.Helper()
+	tb := ctypes.NewTable()
+	p := NewProgram(tb)
+	b := NewFunc(p, "m", ctypes.Int, Param{Name: "c", Type: ctypes.Int})
+	head, l1, l2, exit := b.Reserve("head"), b.Reserve("l1"), b.Reserve("l2"), b.Reserve("exit")
+	b.Jmp(head)
+	b.SetBlock(head)
+	b.Br(b.Param(0), l1, exit)
+	b.SetBlock(l1)
+	b.Br(b.Param(0), head, l2) // back edge 1 (the "continue")
+	b.SetBlock(l2)
+	b.Jmp(head) // back edge 2 (the normal latch)
+	b.SetBlock(exit)
+	b.Ret(b.Const(ctypes.Int, 0))
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return b.F, head, l1, l2
+}
+
+// buildEntryLoop builds entry(0) -> {entry, exit}: a loop headed at the
+// entry block itself.
+func buildEntryLoop(t *testing.T) *Func {
+	t.Helper()
+	tb := ctypes.NewTable()
+	p := NewProgram(tb)
+	b := NewFunc(p, "e", ctypes.Int, Param{Name: "c", Type: ctypes.Int})
+	exit := b.Reserve("exit")
+	b.Br(b.Param(0), 0, exit) // entry loops on itself
+	b.SetBlock(exit)
+	b.Ret(b.Const(ctypes.Int, 0))
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return b.F
+}
+
 // TestSolveForwardEntryLoop solves a loop headed by the entry block,
 // x = 0; do x++ while x < 10, on buildEntryLoop: the back edge, refined
 // by its EdgeTransfer, reaches the entry block's in-state, so the loop
@@ -477,11 +536,13 @@ func TestSolveForwardChainedLoopsLinear(t *testing.T) {
 }
 
 // TestWTOProperties checks the weak topological order on every CFG
-// shape of the solver and loop tests: it is a permutation of the
-// reachable blocks starting at the entry; each natural loop's body is
-// contiguous with its header first; and on reducible CFGs every edge
-// runs forward in the order or back to the header of a natural loop
-// containing its source, so a loop's exits come after all of it.
+// shape of the solver and CFG tests: it is a permutation of the
+// reachable blocks starting at the entry, and every edge either runs
+// forward in the order or back to a block v such that every block from
+// v up to the edge's source lies on a cycle through v. That is
+// Bourdoncle's guarantee that a retreating edge targets the head of a
+// contiguous component containing its source: a loop's blocks come
+// together, head first, and its exits after all of it.
 func TestWTOProperties(t *testing.T) {
 	nested, _, _ := buildNestedLoops(t)
 	shared, _, _, _ := buildSharedHeader(t)
@@ -502,27 +563,18 @@ func TestWTOProperties(t *testing.T) {
 		{"chained", buildChainedLoops(t, 5)},
 	} {
 		c := NewCFG(tc.f)
-		if len(c.wto) != len(c.RPO) || len(c.wto) == 0 || c.wto[0] != 0 {
-			t.Errorf("%s: wto = %v, want the %d reachable blocks from the entry", tc.name, c.wto, len(c.RPO))
-			continue
-		}
+		reach := reachability(c)
+		reachable := 0
 		for b := range tc.f.Blocks {
-			reachable := c.rpoPos[b] != -1
-			if pos := c.wtoPos[b]; reachable != (pos != -1) || (reachable && c.wto[pos] != b) {
+			if reach[0][b] {
+				reachable++
+			}
+			if pos := c.wtoPos[b]; reach[0][b] != (pos != -1) || (pos != -1 && c.wto[pos] != b) {
 				t.Errorf("%s: block %d has wto position %d (wto %v)", tc.name, b, pos, c.wto)
 			}
 		}
-		li := FindLoops(c)
-		for _, l := range li.Loops {
-			h := c.wtoPos[l.Header]
-			for _, b := range l.Body {
-				if p := c.wtoPos[b]; p < h || p >= h+len(l.Body) {
-					t.Errorf("%s: loop headed %d: body block %d at position %d, outside [%d, %d)",
-						tc.name, l.Header, b, p, h, h+len(l.Body))
-				}
-			}
-		}
-		if li.Irreducible {
+		if len(c.wto) != reachable || c.wto[0] != 0 {
+			t.Errorf("%s: wto = %v, want the %d reachable blocks from the entry", tc.name, c.wto, reachable)
 			continue
 		}
 		for u, ss := range c.Succs {
@@ -533,16 +585,36 @@ func TestWTOProperties(t *testing.T) {
 				if c.wtoPos[v] > c.wtoPos[u] {
 					continue
 				}
-				back := false
-				for _, l := range li.Loops {
-					back = back || (l.Header == v && l.Contains(u))
-				}
-				if !back {
-					t.Errorf("%s: edge %d->%d runs backwards in wto %v but is no loop back edge", tc.name, u, v, c.wto)
+				for _, w := range c.wto[c.wtoPos[v] : c.wtoPos[u]+1] {
+					if !reach[v][w] || !reach[w][v] {
+						t.Errorf("%s: edge %d->%d runs backwards in wto %v over block %d, which is on no cycle through %d",
+							tc.name, u, v, c.wto, w, v)
+					}
 				}
 			}
 		}
 	}
+}
+
+// reachability returns reach[a][b]: block b is reachable from block a
+// along zero or more edges.
+func reachability(c *CFG) [][]bool {
+	n := len(c.Succs)
+	reach := make([][]bool, n)
+	for a := range reach {
+		reach[a] = make([]bool, n)
+		stack := []int{a}
+		for len(stack) > 0 {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if reach[a][b] {
+				continue
+			}
+			reach[a][b] = true
+			stack = append(stack, c.Succs[b]...)
+		}
+	}
+	return reach
 }
 
 // BenchmarkSolveChainedLoops solves the 40-loop chain; transfers/op is

@@ -301,7 +301,6 @@ const (
 	xBoundsCheck    // static extent k
 	xBoundsCheckDyn // extent in register b (memcpy/memset)
 	xEscapeCheck
-	xBoundsMov
 
 	// Fused pairs, hottest first (see fusedOp). Each runs its own
 	// record's op, then the op of the next record, which keeps its pc.
@@ -533,8 +532,6 @@ func (xf *xfunc) decode(funcs map[string]*xfunc, start []int32) []int32 {
 				}
 			case OpEscapeCheck:
 				d.op = xEscapeCheck
-			case OpBoundsMov:
-				d.op = xBoundsMov
 			}
 			xf.code = append(xf.code, d)
 		}
@@ -942,8 +939,6 @@ func (in *Interp) exec(rs *runState, f *xfunc, regs []uint64, bregs []core.Bound
 			} else {
 				in.effRT(d.ins).EscapeCheck(regs[d.a], bregs[d.a], d.ins.Site)
 			}
-		case xBoundsMov:
-			bregs[d.a] = bregs[d.b]
 
 		// Fused pairs: d's half as its unfused case runs it (hooks are
 		// nil), then e's, the next record, whose pc is then skipped. A

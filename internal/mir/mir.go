@@ -20,9 +20,9 @@
 // mirroring how runtime-interception tools work.
 //
 // CFG (cfg.go) provides the control-flow analyses the instrumenter's
-// §5.3 elision and motion passes run on: successors from the block
-// terminators, reverse postorder, Cooper-Harvey-Kennedy dominators and
-// the weak topological order the dataflow solver iterates in.
+// §5.3 elision pass and the static safety analysis run on: successors
+// and predecessors from the block terminators, and the weak topological
+// order the dataflow solver iterates in.
 package mir
 
 import (
@@ -97,13 +97,6 @@ const (
 	OpBoundsNarrow // bounds[A] = narrow(bounds[A], A..A+Aux) (Fig. 3(e))
 	OpBoundsCheck  // bounds_check(A, size Aux, bounds[A])  (Fig. 3(g))
 	OpEscapeCheck  // escape check of pointer A against bounds[A]
-	// OpBoundsMov copies a bounds register: bounds[A] = bounds[B]. The
-	// elision pass inserts it when value numbering proves a type check
-	// of A recomputes the check of another register B holding the same
-	// value — the check is removed, but A's bounds register must still
-	// receive the earlier check's result for downstream narrows and
-	// bounds checks. It never consults the runtime.
-	OpBoundsMov
 )
 
 // BinKind selects an OpBin operation (Instr.Aux).

@@ -156,7 +156,7 @@ func (in *Instr) regs() (uses []int, defs []int) {
 			return u, []int{in.Dst}
 		}
 		return u, nil
-	case OpBoundsCheck, OpBoundsMov:
+	case OpBoundsCheck:
 		return []int{in.A, in.B}, nil
 	case OpTypeCheck, OpBoundsGet, OpBoundsNarrow, OpEscapeCheck:
 		return []int{in.A}, nil

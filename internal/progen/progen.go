@@ -48,18 +48,14 @@ type Options struct {
 	// the magazine tests of sharded runs (spec.AllocHeavy).
 	AllocHeavy bool
 	// LoopHeavy emits loop-dominated helpers whose headers re-evaluate a
-	// loop-invariant field (c->lim, c->step) every iteration — the
-	// bounds check and its field-address chain are invariant and sit in
-	// a block dominating every exit and latch, so the §5.3 hoisting pass
-	// moves them to the preheader. Backs the Fig. 8 loop-heavy row
-	// (check motion on/off ablation).
+	// loop-invariant field (c->lim, c->step) every iteration, so the
+	// bounds check and its field-address chain run once per iteration.
+	// The benchmark's checks and compile workloads use it.
 	LoopHeavy bool
 	// TempHeavy emits helpers that recompute the same pointer cast into
 	// fresh temporaries — before a branch, on each arm, and at the join —
-	// so register-keyed elision sees distinct registers but
-	// value-numbered provenance proves one value and replaces the
-	// re-checks with bounds-register copies. Backs the Fig. 8 temp-heavy
-	// row (check motion on/off ablation).
+	// so register-keyed elision sees distinct registers and keeps each
+	// re-check. The benchmark's checks and compile workloads use it.
 	TempHeavy bool
 	// LibCalls emits library-call-heavy helpers driving the libc
 	// intrinsics — memset/memcpy, overlapping memmove in both walk
@@ -420,13 +416,8 @@ func (g *gen) emitAllocHeavy() {
 
 // emitLoopHeavy emits the loop-dominated helpers: loop_walk's while
 // condition re-reads c->lim (field address chain + bounds check, all
-// loop-invariant, in the header block that dominates the loop's only
-// exit and its latch — the exact shape the hoisting pass moves to the
-// preheader), and loop_nest stacks two such loops so the inner header's
-// check lands in the inner preheader inside the outer body. Body
-// accesses (data[0], c->step) deliberately stay: their blocks do not
-// dominate the header exit, so a speculation-free hoister must leave
-// them, pinning the pass's refusal side as well as its wins.
+// loop-invariant, in the header block), and loop_nest stacks two such
+// loops so the inner header's check runs on every inner iteration.
 func (g *gen) emitLoopHeavy() {
 	g.pf(`struct GenCtl { long lim; long step; };
 
@@ -464,9 +455,8 @@ long loop_nest(struct GenCtl *c, long *data) {
 // long* -> struct GenTmp* downcast (a legal one — the allocation really
 // is a GenTmp array, so every check passes) is performed into four
 // distinct temporaries: before the loop, on each branch arm, and at the
-// join. Register-keyed elision cannot unify them; value numbering
-// proves all four casts compute one value, so the three in-loop checks
-// collapse to bounds-register copies from the first check's register.
+// join. Register-keyed elision cannot unify them, so each keeps its
+// check.
 func (g *gen) emitTempHeavy() {
 	g.pf(`struct GenTmp { long a; long b; long c; };
 
@@ -561,8 +551,8 @@ long lib_sort(long *v, int n) {
 //     so its extent is exact.
 //
 // Each helper sees its pointer as a fresh parameter (Wide bounds at
-// entry), so no dominating dynamic check exists for the elision/motion
-// passes to reuse — these sites fall to static reasoning or nobody.
+// entry), so no dominating dynamic check exists for the elision pass
+// to reuse — these sites fall to static reasoning or nobody.
 func (g *gen) emitStaticSafe() {
 	g.statTabN = 8 + g.r.Intn(9) // long stat_tab[8..16]
 	g.statRecN = 2 + g.r.Intn(5) // struct GenStat gstat[2..6]

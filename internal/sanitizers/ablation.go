@@ -29,11 +29,6 @@ var ablations = []Ablation{
 	// shared table instead.
 	{Short: "no-inline", Name: "EffectiveSan-noinline",
 		apply: func(t *Tool) { t.Runtime.NoInlineCache = true }},
-	// The check-motion suite off (hoisting, partial-redundancy insertion,
-	// value-numbered provenance), check removal kept: prices what moving
-	// checks buys over removing them.
-	{Short: "no-motion", Name: "EffectiveSan-nomotion",
-		apply: func(t *Tool) { t.Instrument.NoCheckMotion = true }},
 	// The interprocedural static safety pass off: every check a
 	// compile-time proof would have deleted stays, so this cell also
 	// witnesses that the pass never changes detection.

@@ -53,24 +53,19 @@ func TestCheckCachingDetectionParityFig1(t *testing.T) {
 	}
 }
 
-// knobMatrix returns the eight §5.3 knob combinations: per-site inline
-// cache × shared memo cache × check motion, each on and off (motion
-// changes which checks survive and so how sites map to inline caches).
-// The base tool is copied, so the matrix composes with quarantine and
-// mode settings.
+// knobMatrix returns the four §5.3 check-cache knob combinations:
+// per-site inline cache × shared memo cache, each on and off. The base
+// tool is copied, so the matrix composes with quarantine and mode
+// settings.
 func knobMatrix(base *Tool) []*Tool {
 	var tools []*Tool
 	for _, inline := range []bool{false, true} {
 		for _, shared := range []bool{false, true} {
-			for _, nomotion := range []bool{false, true} {
-				cp := *base
-				cp.Runtime.NoInlineCache = inline
-				cp.Runtime.NoCheckCache = shared
-				cp.Instrument.NoCheckMotion = nomotion
-				cp.Name = fmt.Sprintf("inline=%v shared=%v motion=%v",
-					!inline, !shared, !nomotion)
-				tools = append(tools, &cp)
-			}
+			cp := *base
+			cp.Runtime.NoInlineCache = inline
+			cp.Runtime.NoCheckCache = shared
+			cp.Name = fmt.Sprintf("inline=%v shared=%v", !inline, !shared)
+			tools = append(tools, &cp)
 		}
 	}
 	return tools

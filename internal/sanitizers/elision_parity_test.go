@@ -101,3 +101,42 @@ func TestElisionDetectionParityFig7(t *testing.T) {
 		}
 	}
 }
+
+// The since-removed dominator-tree elision walk on the progen-diamond
+// workload, measured at commit d72a461: its cross-block elisions, and
+// the type plus bounds checks its program executed.
+const (
+	diamondDomTreeCrossBlock    = 112
+	diamondDomTreeDynamicChecks = 6463
+)
+
+// TestDiamondStaticElisionGap pins the diamond-join gap in the
+// counters rather than in wall-clock: on the branch-heavy progen
+// workload, the path-sensitive dataflow statically elides checks at the
+// diamond joins that the dominator-tree walk could not see, and the gap
+// shows up again as fewer dynamically executed checks.
+func TestDiamondStaticElisionGap(t *testing.T) {
+	b := spec.SyntheticByName("progen-diamond")
+	if b == nil {
+		t.Fatal("progen-diamond workload missing")
+	}
+	prog, err := b.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := ToolEffectiveSan.Exec(prog, b.Entry, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The static gap: the dataflow removes strictly more checks across
+	// blocks than the dominator walk did (the joins' re-checks).
+	if got := ps.InstrStats.ElidedPathSensitive; got <= diamondDomTreeCrossBlock {
+		t.Errorf("static cross-block elisions: path-sensitive %d <= dom-tree %d; diamond joins invisible",
+			got, diamondDomTreeCrossBlock)
+	}
+	// And it is visible dynamically, not just statically.
+	if got := ps.Stats.TypeChecks + ps.Stats.BoundsChecks; got >= diamondDomTreeDynamicChecks {
+		t.Errorf("dynamic checks: path-sensitive %d >= dom-tree %d; the elision gap vanished at runtime",
+			got, diamondDomTreeDynamicChecks)
+	}
+}

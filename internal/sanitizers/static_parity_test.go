@@ -63,7 +63,7 @@ func TestStaticSafeWorkloadElision(t *testing.T) {
 	removed := func(r *RunResult) int {
 		st := r.InstrStats
 		return st.ElidedUpcasts + st.ElidedSubsume + st.ElidedNarrows +
-			st.ElidedUnused + st.ElidedRechecks + st.ValueNumberedElisions +
+			st.ElidedUnused + st.ElidedRechecks +
 			st.ElidedStaticSafe + st.ElidedStaticResidual
 	}
 	if removed(on) <= removed(off) {

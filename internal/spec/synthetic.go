@@ -6,7 +6,7 @@ import "repro/internal/progen"
 // Fig. 8 timing rows (but not the Fig. 7 table, whose 19 rows mirror
 // the paper). The hand-written Fig. 7 kernels resolve almost all
 // checks on the exact-match fast path and re-check mostly under a
-// dominating block, so two generated shapes target the optimiser
+// dominating block, so three generated shapes target the optimiser
 // levels the kernels miss:
 //
 //   - progen-diamond: branch-heavy helpers that dereference both
@@ -19,13 +19,6 @@ import "repro/internal/progen"
 //     (array fields inside heap structs), resolving at sub-object
 //     offsets that miss the exact-match fast path and land on the
 //     per-site inline caches;
-//   - progen-loop: loop headers re-evaluating invariant fields every
-//     iteration — the shape the §5.3 hoisting pass moves to the
-//     preheader (the "no-motion" Fig. 8 bar keeps them in place);
-//   - progen-temp: one pointer value recomputed into fresh temporaries
-//     before a branch, on its arms and at the join — register-keyed
-//     elision re-checks each temporary, value-numbered provenance
-//     collapses them (again separated by the "no-motion" bar);
 //   - progen-staticsafe: constant-extent globals and locals walked by
 //     provably-bounded loops and monomorphic downcasts — every check
 //     is in-bounds by static reasoning alone and covered by no
@@ -50,20 +43,6 @@ func Synthetic() []*Benchmark {
 			Name: "progen-interior",
 			Source: progen.Generate(43, progen.Options{
 				Types: 3, Funcs: 1, Rounds: 24, Interior: true,
-			}),
-			Entry: "main",
-		},
-		{
-			Name: "progen-loop",
-			Source: progen.Generate(53, progen.Options{
-				Types: 1, Funcs: 1, Rounds: 48, LoopHeavy: true,
-			}),
-			Entry: "main",
-		},
-		{
-			Name: "progen-temp",
-			Source: progen.Generate(59, progen.Options{
-				Types: 1, Funcs: 1, Rounds: 48, TempHeavy: true,
 			}),
 			Entry: "main",
 		},
